@@ -19,10 +19,6 @@ __all__ = [
     "discrete_comparison_check",
 ]
 
-# grids below this size gain nothing from the FFT path
-_FFT_THRESHOLD = 512
-
-
 class SimulationDivergedError(RuntimeError):
     """Non-finite values appeared during time stepping."""
 
@@ -66,23 +62,9 @@ def stable_dt(op: DiscreteOperator, safety: float) -> float:
     return safety / op.row_sum
 
 
-def _rate_values(
-    op: DiscreteOperator, values: np.ndarray, method: str, workers: int = 1
-) -> np.ndarray:
-    # raw-array path so a blow-up can be diagnosed before Field validation
-    # (which refuses non-finite values) gets a chance to reject it
-    if method == "auto":
-        method = "fft" if op.grid.n >= _FFT_THRESHOLD else "direct"
-    if method == "fft":
-        return op._fft_values(values, workers=workers)
-    if method == "direct":
-        return op._direct_values(values)
-    raise ValueError(f"unknown apply method {method!r}")
-
-
-def _apply(op: DiscreteOperator, u: Field, method: str, workers: int = 1) -> Field:
-    op._check_field(u)
-    return u.with_values(_rate_values(op, u.values, method, workers))
+def _check_grid(op: DiscreteOperator, u: Field) -> None:
+    if u.grid != op.grid:
+        raise ValueError("field grid does not match operator grid")
 
 
 def step(op: DiscreteOperator, u: Field, dt: float, method: str = "auto") -> Field:
@@ -94,8 +76,8 @@ def step(op: DiscreteOperator, u: Field, dt: float, method: str = "auto") -> Fie
         raise ValueError(
             f"dt = {dt:.6g} exceeds the stability bound 1/W = {limit:.6g}"
         )
-    rate = _apply(op, u, method)
-    return u.with_values(u.values + dt * rate.values, t=u.t + dt)
+    _check_grid(op, u)
+    return u.with_values(u.values + dt * op.rate(u.values, method), t=u.t + dt)
 
 
 def _startup_cap(t: float, dt_stable: float) -> float:
@@ -130,11 +112,12 @@ def evolve(
         if s_t < u0.t:
             raise ValueError(f"output time {s_t} precedes the initial time {u0.t}")
 
-    op._check_field(u0)
+    _check_grid(op, u0)
     dt_stable = stable_dt(op, safety)
     times = [u0.t]
     states = [u0]
-    u = u0
+    # step raw arrays; a Field (which validates its values) only per snapshot
+    values = u0.values
 
     t = u0.t
     for target in snaps:
@@ -147,16 +130,15 @@ def evolve(
                 t = target
             else:
                 t = t + dt
-            new_vals = u.values + dt * _rate_values(op, u.values, method, workers)
-            if not np.all(np.isfinite(new_vals)):
-                bad = int(np.argmax(~np.isfinite(new_vals)))
+            values = values + dt * op.rate(values, method, workers)
+            if not np.all(np.isfinite(values)):
+                bad = int(np.argmax(~np.isfinite(values)))
                 raise SimulationDivergedError(
                     f"non-finite value at t = {t:.6g}, x = {op.grid.points()[bad]:.6g}"
                 )
-            u = u.with_values(new_vals, t=t)
         if target > times[-1]:
             times.append(target)
-            states.append(u)
+            states.append(u0.with_values(values, t=t))
     return Trajectory(op.grid, np.asarray(times), tuple(states), operator=op)
 
 

@@ -15,9 +15,14 @@ coefficient is nonnegative, so a forward Euler step with ``dt * W <= 1``
 (``W`` the diagonal coefficient) is a convex combination of field values;
 comparison and maximum principles hold by construction.
 
-Both apply paths share the same padded-array assembly: ``apply`` runs the
-direct correlation sum, ``apply_fft`` evaluates the identical correlation by
-zero-padded FFT and must agree to roundoff.
+The rate is ``T u - W u + left_value l + r rho``: ``T`` is the symmetric
+Toeplitz matrix of the stencil on the grid, ``W`` the row sum, and ``l`` and
+``rho`` are exterior vectors fixed at construction, holding the stencil mass
+that lands beyond either end of the window plus the far-tail terms. ``r`` is
+``right_value`` or, for the algebraic tail, the amplitude fitted on each call.
+Both apply paths add the same exterior vectors: ``apply`` forms ``T u`` by a
+sliding correlation with the zero-padded field, ``apply_fft`` by circulant
+embedding at length ``~2n``, and the two agree to roundoff.
 """
 
 from __future__ import annotations
@@ -28,15 +33,19 @@ import scipy.fft
 from .kernels import (
     KernelSpec,
     HypothesisCertificate,
+    eval_kernel,
     exterior_mass,
     interval_mass,
     restricted_second_moment,
     validate_hypothesis,
 )
 from .mesh import BoundaryModel, Field, Grid
-from .quadrature import integrate_tail
+from .quadrature import integrate_interval, integrate_tail
 
 __all__ = ["DiscreteOperator", "UnverifiedKernelError", "discretize"]
+
+# grids below this size gain nothing from the FFT path
+_FFT_THRESHOLD = 512
 
 
 class UnverifiedKernelError(ValueError):
@@ -72,96 +81,95 @@ class DiscreteOperator:
         self.near_weights = w
         self.inner_coefficient = c0
         tail_cut = (n - 0.5) * h
-        self.far_tail_coefficients = (
-            exterior_mass(spec, tail_cut),
-            exterior_mass(spec, tail_cut),
-        )
-        self._tail_cut = tail_cut
+        t_left = t_right = exterior_mass(spec, tail_cut)
+        self.far_tail_coefficients = (t_left, t_right)
+        self.row_sum = float(stencil.sum()) + t_left + t_right
+
         self._stencil = stencil
-        self._stencil_sum = float(stencil.sum())
-        self.row_sum = self._stencil_sum + sum(self.far_tail_coefficients)
-        self._fft_cache: tuple[int, np.ndarray] | None = None
-        self._alg_far_shape: np.ndarray | None = None
+        self._fft_len = scipy.fft.next_fast_len(2 * n - 1, real=True)
+        self._spectrum = scipy.fft.rfft(stencil, self._fft_len)
+        # stencil mass landing on the i-th row's left pad; by symmetry the
+        # right pad of row i carries the mass of the left pad of row n-1-i
+        pad_mass = np.concatenate([np.cumsum(stencil[: n - 1])[::-1], [0.0]])
+        self._left = t_left + pad_mass
+        if boundary.right == "zero":
+            self._right = None
+        elif boundary.right == "constant":
+            self._right = t_right + pad_mass[::-1]
+        else:
+            self._right = self._algebraic_right(tail_cut)
 
-    # -- assembly ----------------------------------------------------------
+    def _algebraic_right(self, tail_cut: float) -> np.ndarray:
+        """Response of every row to the unit-amplitude extension ``x^(-2s)``.
 
-    def _right_pad(self, values: np.ndarray) -> tuple[np.ndarray, float]:
-        """Exterior samples right of the grid and the far-field amplitude."""
+        Row ``i`` sees the pad sample at ``x_max + q h`` through stencil entry
+        ``i - q`` of the left half, a convolution evaluated by FFT, plus the
+        per-node integral ``int_tail (x_i + z)^(-2s) J(z) dz`` beyond the cells.
+        """
+        spec, n, ex = self.spec, self.grid.n, 2.0 * self.spec.s
+        shape = self.grid.x_max + self.grid.h * np.arange(1, n)
+        m = self._fft_len
+        half = scipy.fft.rfft(self._stencil[: n - 1], m)
+        pad = scipy.fft.irfft(half * scipy.fft.rfft(shape**-ex, m), m)
+        # a truncated kernel vanishes beyond its cutoff; integrating across
+        # that jump makes the tail quadrature fail to converge
+        hi = spec.cutoff if spec.family == "truncated_fractional" else np.inf
+        far = np.zeros(n)
+        for i, xi in enumerate(self.grid.points() if tail_cut < hi else ()):
+
+            def f(z: float) -> float:
+                return (xi + z) ** (-ex) * eval_kernel(spec, z)
+
+            if np.isinf(hi):
+                far[i] = integrate_tail(f, tail_cut, rel_tol=1e-10)[0]
+            else:
+                far[i] = integrate_interval(f, tail_cut, hi, rel_tol=1e-10)[0]
+        return np.append(0.0, pad[: n - 1]) + far
+
+    def rate(
+        self, values: np.ndarray, method: str = "auto", workers: int = 1
+    ) -> np.ndarray:
+        """``D u`` on the grid values ``u``, with the boundary extensions.
+
+        ``method`` is ``"direct"`` (sliding correlation, O(n^2), the reference),
+        ``"fft"`` (circulant embedding, O(n log n)) or ``"auto"``, which takes
+        the FFT from ``n = 512`` nodes on.
+        """
+        values = np.asarray(values, dtype=float)
         n = self.grid.n
-        b = self.boundary
-        if b.right == "zero":
-            return np.zeros(n - 1), 0.0
-        if b.right == "constant":
-            return np.full(n - 1, b.right_value), b.right_value
-        exponent = 2.0 * self.spec.s
-        amp = b.fit_tail_amplitude(self.grid, values, exponent)
-        x_ext = self.grid.x_max + self.grid.h * np.arange(1, n)
-        return amp * x_ext ** (-exponent), amp
+        if values.shape != (n,):
+            raise ValueError(f"values shape {values.shape} does not match {n} nodes")
+        if method == "auto":
+            method = "fft" if n >= _FFT_THRESHOLD else "direct"
+        if method == "fft":
+            m = self._fft_len
+            prod = scipy.fft.rfft(values, m, workers=workers) * self._spectrum
+            inner = scipy.fft.irfft(prod, m, workers=workers)[n - 1 : 2 * n - 1]
+        elif method == "direct":
+            pad = np.zeros(n - 1)
+            padded = np.concatenate([pad, values, pad])
+            inner = np.correlate(padded, self._stencil, mode="valid")
+        else:
+            raise ValueError(f"unknown apply method {method!r}")
+        out = inner - values * self.row_sum + self.boundary.left_value * self._left
+        if self._right is not None:
+            out += self._right_amplitude(values) * self._right
+        return out
 
-    def _padded(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.grid.n
-        left = np.full(n - 1, self.boundary.left_value)
-        right, amp = self._right_pad(values)
-        padded = np.concatenate([left, values, right])
-        far = self._far_terms(amp)
-        return padded, far
-
-    def _algebraic_far_shape(self) -> np.ndarray:
-        """Per-node ``int_tail (x_i + z)^(-2s) J(z) dz`` beyond the cells."""
-        if self._alg_far_shape is None:
-            from .kernels import eval_kernel
-
-            ex = 2.0 * self.spec.s
-            cut = self._tail_cut
-            shape = np.empty(self.grid.n)
-            for i, xi in enumerate(self.grid.points()):
-                shape[i] = integrate_tail(
-                    lambda z: (xi + z) ** (-ex) * eval_kernel(self.spec, z),
-                    cut,
-                    rel_tol=1e-10,
-                )[0]
-            self._alg_far_shape = shape
-        return self._alg_far_shape
-
-    def _far_terms(self, right_amp: float) -> np.ndarray:
-        t_left, t_right = self.far_tail_coefficients
-        base = self.boundary.left_value * t_left
-        if self.boundary.right == "zero":
-            return np.full(self.grid.n, base)
+    def _right_amplitude(self, values: np.ndarray) -> float:
         if self.boundary.right == "constant":
-            return np.full(self.grid.n, base + self.boundary.right_value * t_right)
-        return base + right_amp * self._algebraic_far_shape()
-
-    # -- evaluation --------------------------------------------------------
-
-    def _direct_values(self, values: np.ndarray) -> np.ndarray:
-        padded, far = self._padded(values)
-        conv = np.correlate(padded, self._stencil, mode="valid")
-        return conv - values * self.row_sum + far
-
-    def _fft_values(self, values: np.ndarray, workers: int = 1) -> np.ndarray:
-        n = self.grid.n
-        padded, far = self._padded(values)
-        m = scipy.fft.next_fast_len(len(padded) + len(self._stencil) - 1)
-        if self._fft_cache is None or self._fft_cache[0] != m:
-            self._fft_cache = (m, scipy.fft.rfft(self._stencil[::-1], m))
-        conv = scipy.fft.irfft(
-            scipy.fft.rfft(padded, m, workers=workers) * self._fft_cache[1],
-            m,
-            workers=workers,
-        )
-        window = conv[2 * (n - 1): 2 * (n - 1) + n]
-        return window - values * self.row_sum + far
+            return self.boundary.right_value
+        return self.boundary.fit_tail_amplitude(self.grid, values, 2.0 * self.spec.s)
 
     def apply(self, u: Field) -> Field:
         """Direct correlation sum; O(n^2), the reference path."""
         self._check_field(u)
-        return u.with_values(self._direct_values(u.values))
+        return u.with_values(self.rate(u.values, "direct"))
 
     def apply_fft(self, u: Field, workers: int = 1) -> Field:
-        """Same correlation via zero-padded FFT; O(n log n)."""
+        """Same operator via circulant-embedded FFT; O(n log n)."""
         self._check_field(u)
-        return u.with_values(self._fft_values(u.values, workers))
+        return u.with_values(self.rate(u.values, "fft", workers))
 
     def _check_field(self, u: Field) -> None:
         if u.grid != self.grid:

@@ -46,9 +46,13 @@ __all__ = [
 RESIDUAL_BUDGET_FLOOR = 1e-10
 
 
+def _kappa(s: float, j0: float) -> float:
+    return 1.0 / (8.0 * s * j0)
+
+
 def kappa(spec: KernelSpec) -> float:
     """Barrier growth rate ``1 / (8 s J0)`` from the declared tail envelope."""
-    return 1.0 / (8.0 * spec.s * spec.declared_j0)
+    return _kappa(spec.s, spec.declared_j0)
 
 
 def scaling_constants(spec: KernelSpec, c: float) -> tuple[float, float]:
@@ -58,10 +62,8 @@ def scaling_constants(spec: KernelSpec, c: float) -> tuple[float, float]:
     """
     if c <= 0:
         raise ValueError("barrier scale must be positive")
-    k = kappa(spec)
-    t_star = 2.0 * c / k
-    r_star = (8.0 * c * spec.declared_j0**2) ** (1.0 / (2.0 * spec.s))
-    return t_star, r_star
+    params = SubsolutionParams.from_kernel(spec, c)
+    return params.t_star, params.r_star
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ class SubsolutionParams:
 
     @property
     def kappa(self) -> float:
-        return 1.0 / (8.0 * self.s * self.j0)
+        return _kappa(self.s, self.j0)
 
     @property
     def t_star(self) -> float:

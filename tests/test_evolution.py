@@ -237,3 +237,44 @@ def test_comparison_flags_a_crossing(small_op):
     assert report.margin == pytest.approx(-0.5, rel=1e-12)
     assert report.worst_t == 1.0
     assert report.worst_x == pytest.approx(grid.points()[10], rel=1e-12)
+
+
+# -- invariants on the FFT path ----------------------------------------------
+
+
+KERNEL_FAMILIES = {
+    "pure": (fd.pure_fractional(0.5, 1.0, j0=1.0, j1=1.0, r0=2.0), False),
+    "truncated": (
+        fd.truncated_fractional(0.75, 1.0, 30.0, j0=1.0, j1=1.0, r0=2.0),
+        True,
+    ),
+    "compact": (
+        fd.compact_plus_tail(
+            1.0, 1.0, near_profile="flat", near_scale=1.0, j0=1.0, j1=1.0, r0=2.0
+        ),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("right", ["zero", "constant", "algebraic_tail"])
+@pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+@pytest.mark.parametrize("n", [512, 2048])
+def test_fft_path_keeps_order_and_bounds(rng, n, family, right):
+    spec, force = KERNEL_FAMILIES[family]
+    grid = fd.Grid(-10.0, 10.0, n)
+    bm = fd.BoundaryModel(left_value=0.5, right=right, right_value=0.25)
+    op = fd.discretize(spec, grid, bm, force=force)
+    lower0 = rng.uniform(0.05, 0.5, n)
+    upper0 = lower0 + rng.uniform(0.0, 0.5, n)
+    t_final = 60 * fd.stable_dt(op, 0.45)
+    upper, lower = (
+        fd.evolve(op, fd.Field(grid, 0.0, v), t_final, (t_final / 2,), method="fft")
+        for v in (upper0, lower0)
+    )
+    assert fd.discrete_comparison_check(upper, lower, tol=1e-12).passed
+    for traj, datum in ((upper, upper0), (lower, lower0)):
+        ceiling = max(datum.max(), bm.left_value, bm.right_value)
+        for state in traj.states:
+            assert state.values.min() >= 0.0
+            assert state.values.max() <= ceiling + 1e-12

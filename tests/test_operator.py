@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import flatdiff as fd
 
@@ -188,15 +189,66 @@ def test_half_laplacian_symbol_on_cosine(cauchy_spec, cauchy_cert):
 # -- fast path ---------------------------------------------------------------
 
 
+RIGHT_MODELS = ("zero", "constant", "algebraic_tail")
+
+
 @pytest.mark.parametrize("n", [256, 1024])
-def test_fft_agrees_with_direct(unit_spec, unit_cert, rng, n):
+@pytest.mark.parametrize("right", RIGHT_MODELS)
+def test_fft_agrees_with_direct(unit_spec, unit_cert, rng, right, n):
     g = fd.Grid(-10.0, 10.0, n)
-    op = make_op(unit_spec, unit_cert, g, left=0.8)
+    op = make_op(unit_spec, unit_cert, g, left=0.8, right=right, right_value=0.3)
     u = fd.Field(g, 0.0, rng.uniform(0.0, 1.0, n))
     direct = op.apply(u).values
     fast = op.apply_fft(u).values
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(direct - fast)) <= 1e-10 * scale
+
+
+def padded_reference(op, u):
+    """``D u`` assembled the long way: correlate the boundary-padded field.
+
+    The field is padded with ``n - 1`` copies of the left value and ``n - 1``
+    samples of the right extension, correlated with the full stencil, and the
+    displacements beyond the outermost cells are added per node by quadrature
+    of the unit kernel ``|z|^-2``.
+    """
+    g, b = op.grid, op.boundary
+    n, h = g.n, g.h
+    inner = op.near_weights.copy()
+    inner[0] += 0.5 * op.inner_coefficient
+    stencil = np.concatenate([inner[::-1], [0.0], inner])
+    t_left, t_right = op.far_tail_coefficients
+    x_ext = g.x_max + h * np.arange(1, n)
+    far = np.full(n, b.left_value * t_left)
+    if b.right == "zero":
+        right_pad = np.zeros(n - 1)
+    elif b.right == "constant":
+        right_pad = np.full(n - 1, b.right_value)
+        far += b.right_value * t_right
+    else:
+        amp = b.fit_tail_amplitude(g, u, 1.0)
+        right_pad = amp * x_ext**-1.0
+        cut = (n - 0.5) * h
+        far += amp * np.array(
+            [
+                quad(lambda z: 1.0 / ((xi + z) * z * z), cut, np.inf, epsrel=1e-12)[0]
+                for xi in g.points()
+            ]
+        )
+    padded = np.concatenate([np.full(n - 1, b.left_value), u, right_pad])
+    return np.correlate(padded, stencil, mode="valid") - op.row_sum * u + far
+
+
+@pytest.mark.parametrize("n", [128, 1024])
+@pytest.mark.parametrize("right", RIGHT_MODELS)
+def test_exterior_vectors_match_padded_assembly(unit_spec, unit_cert, rng, right, n):
+    g = fd.Grid(-10.0, 10.0, n)
+    op = make_op(unit_spec, unit_cert, g, left=0.8, right=right, right_value=0.3)
+    u = fd.Field(g, 0.0, rng.uniform(0.1, 1.0, n))
+    ref = padded_reference(op, u.values)
+    tol = 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(op.apply(u).values - ref)) <= tol
+    assert np.max(np.abs(op.apply_fft(u).values - ref)) <= tol
 
 
 def test_fft_cache_reused_across_fields(unit_spec, unit_cert, rng):

@@ -25,10 +25,8 @@ from .kernels import (
     eval_kernel,
     exterior_mass,
     interval_mass,
-    near_second_moment,
     pure_fractional,
     restricted_second_moment,
-    tail_mass,
     truncated_fractional,
     validate_hypothesis,
 )
@@ -107,7 +105,6 @@ __all__ = [
     "interval_mass",
     "kappa",
     "mirror_identity_check",
-    "near_second_moment",
     "nonlocal_apply_to_barrier",
     "pure_fractional",
     "reference_solution",
@@ -122,7 +119,6 @@ __all__ = [
     "subsolution_residual",
     "symmetric_increment",
     "tail_exponent_fit",
-    "tail_mass",
     "truncated_fractional",
     "validate_hypothesis",
     "w_eval",

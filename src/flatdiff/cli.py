@@ -1,14 +1,11 @@
 """Command-line front end: configure, simulate, verify, benchmark.
 
 One JSON config file describes the kernel, grid, boundary models, initial
-datum, time stepping, and per-check settings. Subcommands:
-
-* ``simulate``          march the datum and dump snapshots
-* ``verify-subsolution`` certify the barrier residual sign on a sample grid
-* ``verify-flattening`` measure the renormalized tail against kappa a t
-* ``verify-proposition`` half-line persistence plus the mirror identity
-* ``reference-compare`` solver error against the exact plateau solution
-* ``bench``             direct vs FFT operator application timings
+datum, time stepping, and per-check settings. ``_SCHEMA`` lists every config
+key with the JSON type it takes; an unknown key or a value of the wrong type
+(a string for a number, a float for an integer, anything but true/false for a
+flag) is a configuration error naming its dotted path. ``_COMMANDS`` maps
+each subcommand to its function and help line.
 
 Artifacts are deterministic for a fixed config (bench timings excepted):
 fixed column orders, floats printed with 17 significant digits, sorted JSON
@@ -41,7 +38,7 @@ from .kernels import (
 from .mesh import BoundaryModel, Field, Grid
 from .operator import DiscreteOperator, discretize
 from .reference import reference_solution
-from .subsolution import SubsolutionParams, residual_grid, scaling_constants
+from .subsolution import SubsolutionParams, residual_grid
 from .verification import (
     InitialDatum,
     VerificationReport,
@@ -66,22 +63,102 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _check_keys(mapping: dict, allowed: set[str], path: str) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{path} must be a JSON object")
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path}")
-
-
 def _need(mapping: dict, key: str, path: str):
     if key not in mapping:
         raise ConfigError(f"missing required key {key!r} in {path}")
     return mapping[key]
 
 
-def load_config(path: str | Path) -> dict:
-    """Read and structurally validate the JSON config; unknown keys reject."""
+# -- config schema: each leaf checks one JSON value and returns it typed -----
+
+
+def _leaf(types: tuple, what: str, convert=None):
+    # bool is a subclass of int, so a number or an integer never takes true/false
+    def check(value, path: str):
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            raise ConfigError(f"{path} must be {what}")
+        return value if convert is None else convert(value)
+
+    return check
+
+
+_number = _leaf((int, float), "a number", float)
+_integer = _leaf((int,), "an integer")
+_string = _leaf((str,), "a string")
+_boolean = _leaf((bool,), "true or false")
+
+
+def _list_of(item):
+    def check(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list")
+        return tuple(item(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return check
+
+
+def _pair(value, path: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path} must be a pair [lo, hi] of numbers")
+    return _list_of(_number)(value, path)
+
+
+_GRID = {"x_min": _number, "x_max": _number, "n": _integer}
+
+_SCHEMA = {
+    "kernel": {
+        "family": _string,
+        "s": _number,
+        "amplitude": _number,
+        "j0": _number,
+        "j1": _number,
+        "r0": _number,
+        "cutoff": _number,
+        "near_profile": _string,
+        "near_scale": _number,
+    },
+    "grid": _GRID,
+    "boundary": {"left_value": _number, "right": _string, "right_value": _number},
+    "initial": {"kind": _string, "a": _number, "b": _number, "eps": _number},
+    "times": {"t_final": _number, "snapshots": _list_of(_number)},
+    "solver": {"safety": _number, "method": _string, "startup_ramp": _boolean},
+    "checks": {
+        "flattening": {"t": _number, "window": _pair, "tol_rel": _number},
+        "halfline": {"tol": _number},
+        "mirror": {"eps": _number, "t_final": _number, "tol": _number, "grid": _GRID},
+        "subsolution": {
+            "c": _number,
+            "nt": _integer,
+            "nx": _integer,
+            "x_max": _number,
+            "quad_tol": _number,
+        },
+    },
+    "reference": {"interior": _pair, "refine_levels": _integer},
+    "bench": {"sizes": _list_of(_integer), "reps": _integer, "domain": _pair},
+    "output": {"directory": _string, "format": _string},
+}
+
+
+def _parse(mapping, schema: dict, path: str) -> dict:
+    """Check ``mapping`` against ``schema``; unknown keys and wrong types reject."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    unknown = set(mapping) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path}")
+    parsed = {}
+    for key, value in mapping.items():
+        rule = schema[key]
+        if isinstance(rule, dict):
+            parsed[key] = _parse(value, rule, f"{path}.{key}")
+        else:
+            parsed[key] = rule(value, f"{path}.{key}")
+    return parsed
+
+
+def load_config(path: str | Path) -> tuple[dict, dict]:
+    """Read the JSON config; return it as read and as checked, typed values."""
     p = Path(path)
     try:
         raw = json.loads(p.read_text())
@@ -89,107 +166,28 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config file not found: {p}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_keys(
-        raw,
-        {
-            "kernel",
-            "grid",
-            "boundary",
-            "initial",
-            "times",
-            "solver",
-            "checks",
-            "reference",
-            "bench",
-            "output",
-        },
-        "config",
-    )
-    if "kernel" in raw:
-        _check_keys(
-            raw["kernel"],
-            {"family", "s", "amplitude", "j0", "j1", "r0", "cutoff", "near_profile", "near_scale"},
-            "config.kernel",
-        )
-    if "grid" in raw:
-        _check_keys(raw["grid"], {"x_min", "x_max", "n"}, "config.grid")
-    if "boundary" in raw:
-        _check_keys(
-            raw["boundary"], {"left_value", "right", "right_value"}, "config.boundary"
-        )
-    if "initial" in raw:
-        _check_keys(raw["initial"], {"kind", "a", "b", "eps"}, "config.initial")
-    if "times" in raw:
-        _check_keys(raw["times"], {"t_final", "snapshots"}, "config.times")
-    if "solver" in raw:
-        _check_keys(
-            raw["solver"], {"safety", "method", "startup_ramp"}, "config.solver"
-        )
-    if "checks" in raw:
-        _check_keys(
-            raw["checks"],
-            {"flattening", "halfline", "mirror", "subsolution"},
-            "config.checks",
-        )
-        checks = raw["checks"]
-        if "flattening" in checks:
-            _check_keys(
-                checks["flattening"], {"t", "window", "tol_rel"}, "config.checks.flattening"
-            )
-        if "halfline" in checks:
-            _check_keys(checks["halfline"], {"tol"}, "config.checks.halfline")
-        if "mirror" in checks:
-            _check_keys(
-                checks["mirror"],
-                {"eps", "t_final", "tol", "grid"},
-                "config.checks.mirror",
-            )
-            if "grid" in checks["mirror"]:
-                _check_keys(
-                    checks["mirror"]["grid"],
-                    {"x_min", "x_max", "n"},
-                    "config.checks.mirror.grid",
-                )
-        if "subsolution" in checks:
-            _check_keys(
-                checks["subsolution"],
-                {"c", "nt", "nx", "x_max", "quad_tol"},
-                "config.checks.subsolution",
-            )
-    if "reference" in raw:
-        _check_keys(
-            raw["reference"], {"interior", "refine_levels"}, "config.reference"
-        )
-    if "bench" in raw:
-        _check_keys(raw["bench"], {"sizes", "reps", "domain"}, "config.bench")
-    if "output" in raw:
-        _check_keys(raw["output"], {"directory", "format"}, "config.output")
-    return raw
+    return raw, _parse(raw, _SCHEMA, "config")
 
 
 def build_kernel(cfg: dict) -> KernelSpec:
     section = _need(cfg, "kernel", "config")
     family = _need(section, "family", "config.kernel")
-    s = float(_need(section, "s", "config.kernel"))
-    amplitude = float(section.get("amplitude", 1.0))
-    j0 = float(_need(section, "j0", "config.kernel"))
-    j1 = float(_need(section, "j1", "config.kernel"))
-    r0 = float(_need(section, "r0", "config.kernel"))
+    s = _need(section, "s", "config.kernel")
+    amplitude = section.get("amplitude", 1.0)
+    envelope = {k: _need(section, k, "config.kernel") for k in ("j0", "j1", "r0")}
     try:
         if family == "pure_fractional":
-            return pure_fractional(s, amplitude, j0=j0, j1=j1, r0=r0)
+            return pure_fractional(s, amplitude, **envelope)
         if family == "truncated_fractional":
-            cutoff = float(_need(section, "cutoff", "config.kernel"))
-            return truncated_fractional(s, amplitude, cutoff, j0=j0, j1=j1, r0=r0)
+            cutoff = _need(section, "cutoff", "config.kernel")
+            return truncated_fractional(s, amplitude, cutoff, **envelope)
         if family == "compact_plus_tail":
             return compact_plus_tail(
                 s,
                 amplitude,
                 near_profile=section.get("near_profile", "flat"),
-                near_scale=float(section.get("near_scale", 1.0)),
-                j0=j0,
-                j1=j1,
-                r0=r0,
+                near_scale=section.get("near_scale", 1.0),
+                **envelope,
             )
     except ValueError as exc:
         raise ConfigError(f"invalid kernel parameters: {exc}") from exc
@@ -198,23 +196,14 @@ def build_kernel(cfg: dict) -> KernelSpec:
 
 def build_grid(section: dict, path: str = "config.grid") -> Grid:
     try:
-        return Grid(
-            x_min=float(_need(section, "x_min", path)),
-            x_max=float(_need(section, "x_max", path)),
-            n=int(_need(section, "n", path)),
-        )
+        return Grid(**{k: _need(section, k, path) for k in ("x_min", "x_max", "n")})
     except ValueError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
 
 def build_boundary(cfg: dict, datum_a: float) -> BoundaryModel:
-    section = cfg.get("boundary", {})
     try:
-        return BoundaryModel(
-            left_value=float(section.get("left_value", datum_a)),
-            right=section.get("right", "zero"),
-            right_value=float(section.get("right_value", 0.0)),
-        )
+        return BoundaryModel(**{"left_value": datum_a, **cfg.get("boundary", {})})
     except ValueError as exc:
         raise ConfigError(f"invalid boundary model: {exc}") from exc
 
@@ -222,70 +211,58 @@ def build_boundary(cfg: dict, datum_a: float) -> BoundaryModel:
 def build_datum(cfg: dict) -> InitialDatum:
     section = _need(cfg, "initial", "config")
     kind = section.get("kind", "step")
-    a = float(_need(section, "a", "config.initial"))
-    b = float(_need(section, "b", "config.initial"))
+    a = _need(section, "a", "config.initial")
+    b = _need(section, "b", "config.initial")
     try:
         if kind == "step":
             return InitialDatum.step(a, b)
         if kind == "mollified_step":
-            return InitialDatum.mollified_step(a, b, float(section.get("eps", 0.5)))
+            return InitialDatum.mollified_step(a, b, section.get("eps", 0.5))
     except ValueError as exc:
         raise ConfigError(f"invalid initial datum: {exc}") from exc
     raise ConfigError(f"unsupported initial datum kind {kind!r} in config")
 
 
 def _solver_options(cfg: dict) -> dict:
-    section = cfg.get("solver", {})
-    method = section.get("method", "auto")
-    if method not in ("auto", "direct", "fft"):
-        raise ConfigError(f"unknown solver method {method!r}")
-    safety = float(section.get("safety", 0.45))
-    if not 0.0 < safety <= 1.0:
+    """The ``evolve`` keywords ``safety``, ``method`` and ``startup_ramp``."""
+    opts = {"safety": 0.45, "method": "auto", "startup_ramp": True, **cfg.get("solver", {})}
+    if opts["method"] not in ("auto", "direct", "fft"):
+        raise ConfigError(f"unknown solver method {opts['method']!r}")
+    if not 0.0 < opts["safety"] <= 1.0:
         raise ConfigError("solver safety must lie in (0, 1]")
-    return {
-        "safety": safety,
-        "method": method,
-        "startup_ramp": bool(section.get("startup_ramp", True)),
-    }
+    return opts
 
 
 def _times(cfg: dict) -> tuple[float, tuple[float, ...]]:
     section = _need(cfg, "times", "config")
-    t_final = float(_need(section, "t_final", "config.times"))
-    snapshots = tuple(float(t) for t in section.get("snapshots", []))
+    t_final = _need(section, "t_final", "config.times")
+    snapshots = section.get("snapshots", ())
     if t_final < 0 or any(t < 0 for t in snapshots):
         raise ConfigError("times must be nonnegative")
     return t_final, snapshots
 
 
-def _build_operator(cfg: dict, grid: Grid, boundary: BoundaryModel) -> DiscreteOperator:
-    spec = build_kernel(cfg)
-    cert = validate_hypothesis(spec)
-    if not cert.verified:
-        raise ConfigError(
-            "kernel fails its declared hypothesis constants "
-            f"(upper margin {cert.upper_margin:.3g}, lower margin "
-            f"{cert.lower_margin:.3g}, near moment {cert.near_moment:.3g})"
-        )
-    return discretize(spec, grid, boundary, certificate=cert)
+def _run_simulation(
+    cfg: dict, opts: dict, threads: int, grid: Grid | None = None, output_times=None
+) -> tuple[Trajectory, DiscreteOperator, InitialDatum]:
+    """Evolve the configured datum to ``t_final`` with the ``evolve`` keywords ``opts``.
 
-
-def _run_simulation(cfg: dict, threads: int) -> tuple[Trajectory, DiscreteOperator, InitialDatum]:
+    ``grid`` defaults to the config grid and ``output_times`` to the config
+    snapshots. ``discretize`` rejects a kernel that fails its hypothesis
+    certificate.
+    """
     datum = build_datum(cfg)
-    grid = build_grid(_need(cfg, "grid", "config"))
-    boundary = build_boundary(cfg, datum.a)
-    op = _build_operator(cfg, grid, boundary)
+    if grid is None:
+        grid = build_grid(_need(cfg, "grid", "config"))
+    op = discretize(build_kernel(cfg), grid, build_boundary(cfg, datum.a))
     t_final, snapshots = _times(cfg)
-    opts = _solver_options(cfg)
     traj = evolve(
         op,
         datum.sample(grid),
         t_final,
-        output_times=snapshots,
-        safety=opts["safety"],
-        startup_ramp=opts["startup_ramp"],
-        method=opts["method"],
+        snapshots if output_times is None else output_times,
         workers=threads,
+        **opts,
     )
     return traj, op, datum
 
@@ -300,28 +277,19 @@ def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
                 fh.write(f"{ts},{_fmt(xi)},{_fmt(ui)}\n")
 
 
-def _write_trajectory_json(path: Path, traj: Trajectory) -> None:
-    x = traj.grid.points()
-    payload = [
-        {"t": float(t), "x": [float(v) for v in x], "u": [float(v) for v in st.values]}
-        for t, st in zip(traj.times, traj.states)
-    ]
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _metadata(cfg: dict, op: DiscreteOperator, traj: Trajectory | None) -> dict:
+def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, safety: float) -> dict:
     cert = op.certificate
-    meta = {
+    return {
         "package_version": __version__,
-        "config": cfg,
+        "config": raw_cfg,
         "derived": {
             "h": op.grid.h,
             "row_sum": op.row_sum,
-            "dt_stable": stable_dt(op, _solver_options(cfg)["safety"]),
+            "dt_stable": stable_dt(op, safety),
             "kernel_certificate": {
                 "verified": cert.verified,
                 "upper_margin": cert.upper_margin,
@@ -329,20 +297,26 @@ def _metadata(cfg: dict, op: DiscreteOperator, traj: Trajectory | None) -> dict:
                 "near_moment": cert.near_moment,
                 "sample_count": cert.sample_count,
             },
+            "snapshot_times": [float(t) for t in traj.times],
         },
     }
-    if traj is not None:
-        meta["derived"]["snapshot_times"] = [float(t) for t in traj.times]
-    return meta
 
 
-def cmd_simulate(cfg: dict, out: Path, fmt: str, threads: int) -> int:
-    traj, op, _ = _run_simulation(cfg, threads)
+def cmd_simulate(cfg: dict, out: Path, fmt: str, args) -> int:
+    opts = _solver_options(cfg)
+    traj, op, _ = _run_simulation(cfg, opts, args.threads)
     if fmt in ("csv", "both"):
         _write_trajectory_csv(out / "trajectory.csv", traj)
     if fmt in ("json", "both"):
-        _write_trajectory_json(out / "trajectory.json", traj)
-    _write_json(out / "metadata.json", _metadata(cfg, op, traj))
+        x = [float(v) for v in traj.grid.points()]
+        _write_json(
+            out / "trajectory.json",
+            [
+                {"t": float(t), "x": x, "u": [float(v) for v in st.values]}
+                for t, st in zip(traj.times, traj.states)
+            ],
+        )
+    _write_json(out / "metadata.json", _metadata(args.raw_config, op, traj, opts["safety"]))
     log.info("wrote %d snapshots to %s", len(traj.times), out)
     return EXIT_OK
 
@@ -360,36 +334,31 @@ def _report_exit(reports: list[VerificationReport], out: Path) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-def cmd_verify_flattening(cfg: dict, out: Path, fmt: str, threads: int) -> int:
+def cmd_verify_flattening(cfg: dict, out: Path, fmt: str, args) -> int:
     section = cfg.get("checks", {}).get("flattening", {})
-    traj, op, datum = _run_simulation(cfg, threads)
-    t = float(section.get("t", traj.times[-1]))
-    window = section.get("window")
-    if window is not None:
-        window = (float(window[0]), float(window[1]))
+    traj, op, datum = _run_simulation(cfg, _solver_options(cfg), args.threads)
     report = flattening_ratio(
         traj,
         op.spec,
-        t,
-        window,
+        section.get("t", float(traj.times[-1])),
+        section.get("window"),
         a=datum.a,
         b=datum.b,
-        tol_rel=float(section.get("tol_rel", 0.1)),
+        tol_rel=section.get("tol_rel", 0.1),
     )
     return _report_exit([report], out)
 
 
-def cmd_verify_proposition(cfg: dict, out: Path, fmt: str, threads: int) -> int:
+def cmd_verify_proposition(cfg: dict, out: Path, fmt: str, args) -> int:
     checks = cfg.get("checks", {})
-    traj, op, datum = _run_simulation(cfg, threads)
-    tol = checks.get("halfline", {}).get("tol")
+    opts = _solver_options(cfg)
+    traj, op, datum = _run_simulation(cfg, opts, args.threads)
     reports = [
         halfline_bound_check(
-            traj, datum.a, datum.plateau_edge, None if tol is None else float(tol)
+            traj, datum.a, datum.plateau_edge, checks.get("halfline", {}).get("tol")
         )
     ]
     mirror = checks.get("mirror", {})
-    t_final, _ = _times(cfg)
     grid = (
         build_grid(mirror["grid"], "config.checks.mirror.grid")
         if "grid" in mirror
@@ -401,12 +370,12 @@ def cmd_verify_proposition(cfg: dict, out: Path, fmt: str, threads: int) -> int:
                 op.spec,
                 datum.a,
                 datum.b,
-                float(mirror.get("eps", 0.5)),
-                float(mirror.get("t_final", t_final)),
-                float(mirror.get("tol", 0.02 * datum.a)),
+                mirror.get("eps", 0.5),
+                mirror.get("t_final", cfg["times"]["t_final"]),
+                mirror.get("tol", 0.02 * datum.a),
                 grid,
-                method=_solver_options(cfg)["method"],
-                safety=_solver_options(cfg)["safety"],
+                method=opts["method"],
+                safety=opts["safety"],
             )
         )
     except ValueError as exc:
@@ -414,81 +383,62 @@ def cmd_verify_proposition(cfg: dict, out: Path, fmt: str, threads: int) -> int:
     return _report_exit(reports, out)
 
 
-def cmd_verify_subsolution(cfg: dict, out: Path, fmt: str, threads: int) -> int:
+def cmd_verify_subsolution(cfg: dict, out: Path, fmt: str, args) -> int:
     spec = build_kernel(cfg)
     section = cfg.get("checks", {}).get("subsolution", {})
-    c = float(_need(section, "c", "config.checks.subsolution"))
+    c = _need(section, "c", "config.checks.subsolution")
     params = SubsolutionParams.from_kernel(spec, c)
-    t_star, r_star = scaling_constants(spec, c)
-    x_max = section.get("x_max")
     samples = residual_grid(
         spec,
         params,
-        nt=int(section.get("nt", 20)),
-        nx=int(section.get("nx", 20)),
-        x_max=None if x_max is None else float(x_max),
-        quad_tol=float(section.get("quad_tol", 1e-8)),
+        nt=section.get("nt", 20),
+        nx=section.get("nx", 20),
+        x_max=section.get("x_max"),
+        quad_tol=section.get("quad_tol", 1e-8),
     )
-    worst = max(s.residual - s.budget for s in samples)
-    all_pass = all(s.passed for s in samples)
+    worst = max(samples, key=lambda s: s.residual - s.budget)
     report = VerificationReport(
         check="subsolution_residual_grid",
-        passed=all_pass,
-        measured=worst,
+        passed=all(s.passed for s in samples),
+        measured=worst.residual - worst.budget,
         bound=0.0,
         tolerance=0.0,
         relation="upper_bound",
-        worst_t=max(samples, key=lambda s: s.residual - s.budget).t,
-        worst_x=max(samples, key=lambda s: s.residual - s.budget).x,
+        worst_t=worst.t,
+        worst_x=worst.x,
         details={
             "kernel": spec.describe(),
             "kappa": params.kappa,
             "c": c,
-            "t_star": t_star,
-            "r_star": r_star,
+            "t_star": params.t_star,
+            "r_star": params.r_star,
             "samples": [s.as_row() for s in samples],
         },
     )
     return _report_exit([report], out)
 
 
-def cmd_reference_compare(cfg: dict, out: Path, fmt: str, threads: int) -> int:
+def cmd_reference_compare(cfg: dict, out: Path, fmt: str, args) -> int:
     section = cfg.get("reference", {})
-    levels = int(section.get("refine_levels", 2))
+    levels = section.get("refine_levels", 2)
     if levels < 1:
         raise ConfigError("refine_levels must be at least 1")
-    datum = build_datum(cfg)
     base = build_grid(_need(cfg, "grid", "config"))
-    spec = build_kernel(cfg)
-    interior = section.get("interior")
-    if interior is None:
-        interior = (base.x_min + 50.0, 0.8 * base.x_max)
-    else:
-        interior = (float(interior[0]), float(interior[1]))
-    t_final, snapshots = _times(cfg)
+    interior = section.get("interior", (base.x_min + 50.0, 0.8 * base.x_max))
+    t_final, _ = _times(cfg)
     if t_final <= 0:
         raise ConfigError("reference comparison needs t_final > 0")
+    opts = _solver_options(cfg)
     rows = []
     for level in range(levels):
         factor = 2**level
         grid = Grid(base.x_min * factor, base.x_max * factor, (base.n - 1) * factor**2 + 1)
-        boundary = build_boundary(cfg, datum.a)
-        op = _build_operator(cfg, grid, boundary)
-        opts = _solver_options(cfg)
-        traj = evolve(
-            op,
-            datum.sample(grid),
-            t_final,
-            safety=opts["safety"],
-            startup_ramp=opts["startup_ramp"],
-            method=opts["method"],
-            workers=threads,
-        )
+        traj, op, datum = _run_simulation(cfg, opts, args.threads, grid, output_times=())
         x = grid.points()
         sel = (x >= interior[0]) & (x <= interior[1])
         if not np.any(sel):
             raise ConfigError("interior window contains no grid points")
-        exact = reference_solution(spec.s, datum.a, datum.b, t_final, x[sel])
+        exact = reference_solution(op.spec.s, datum.a, datum.b, t_final, x[sel])
         err = float(np.max(np.abs(traj.state_at(t_final).values[sel] - exact)))
         rows.append((grid.h, grid.x_max - grid.x_min, err))
         log.info("level %d: h=%.5g err=%.3e", level, grid.h, err)
@@ -533,13 +483,15 @@ def run_bench(
     return rows
 
 
-def cmd_bench(cfg: dict, out: Path, fmt: str, threads: int, seed: int) -> int:
+def cmd_bench(cfg: dict, out: Path, fmt: str, args) -> int:
     section = cfg.get("bench", {})
-    sizes = [int(n) for n in section.get("sizes", [256, 1024, 4096])]
-    reps = int(section.get("reps", 5))
-    domain = section.get("domain", [-10.0, 10.0])
-    spec = build_kernel(cfg)
-    rows = run_bench(spec, sizes, reps, (float(domain[0]), float(domain[1])), seed)
+    rows = run_bench(
+        build_kernel(cfg),
+        section.get("sizes", (256, 1024, 4096)),
+        section.get("reps", 5),
+        section.get("domain", (-10.0, 10.0)),
+        args.seed,
+    )
     with (out / "bench.csv").open("w") as fh:
         fh.write("n,direct_ms,fft_ms,speedup\n")
         for row in rows:
@@ -558,6 +510,16 @@ def cmd_bench(cfg: dict, out: Path, fmt: str, threads: int, seed: int) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "simulate": (cmd_simulate, "run the solver and dump snapshots"),
+    "verify-subsolution": (cmd_verify_subsolution, "certify the barrier residual sign"),
+    "verify-flattening": (cmd_verify_flattening, "measure the tail flattening bound"),
+    "verify-proposition": (cmd_verify_proposition, "half-line persistence and mirror identity"),
+    "reference-compare": (cmd_reference_compare, "solver error against the exact solution"),
+    "bench": (cmd_bench, "time direct vs FFT operator application"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flatdiff",
@@ -565,14 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("simulate", "run the solver and dump snapshots"),
-        ("verify-subsolution", "certify the barrier residual sign"),
-        ("verify-flattening", "measure the tail flattening bound"),
-        ("verify-proposition", "half-line persistence and mirror identity"),
-        ("reference-compare", "solver error against the exact solution"),
-        ("bench", "time direct vs FFT operator application"),
-    ]:
+    for name, (_, helptext) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory")
@@ -593,26 +548,15 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        cfg = load_config(args.config)
+        args.raw_config, cfg = load_config(args.config)
         out_section = cfg.get("output", {})
         out = Path(args.out or out_section.get("directory", "."))
         fmt = args.format or out_section.get("format", "csv")
         if fmt not in ("csv", "json", "both"):
             raise ConfigError(f"unknown output format {fmt!r}")
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out, fmt, args.threads)
-        if args.command == "verify-flattening":
-            return cmd_verify_flattening(cfg, out, fmt, args.threads)
-        if args.command == "verify-proposition":
-            return cmd_verify_proposition(cfg, out, fmt, args.threads)
-        if args.command == "verify-subsolution":
-            return cmd_verify_subsolution(cfg, out, fmt, args.threads)
-        if args.command == "reference-compare":
-            return cmd_reference_compare(cfg, out, fmt, args.threads)
-        if args.command == "bench":
-            return cmd_bench(cfg, out, fmt, args.threads, args.seed)
-        raise ConfigError(f"unknown command {args.command!r}")
+        command, _ = _COMMANDS[args.command]
+        return command(cfg, out, fmt, args)
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG

@@ -34,8 +34,6 @@ __all__ = [
     "eval_kernel",
     "interval_mass",
     "exterior_mass",
-    "tail_mass",
-    "near_second_moment",
     "restricted_second_moment",
     "validate_hypothesis",
 ]
@@ -261,16 +259,6 @@ def exterior_mass(spec: KernelSpec, radius: float) -> float:
     return near + amp / (2.0 * s)
 
 
-def tail_mass(spec: KernelSpec, radius: float) -> float:
-    """Two-sided tail mass ``int_{|z| >= radius} J(z) dz``, ``radius >= 1``.
-
-    For the pure fractional family this is ``A / (s radius^{2s})``.
-    """
-    if radius < 1.0:
-        raise ValueError("tail mass is defined for radius >= 1")
-    return 2.0 * exterior_mass(spec, radius)
-
-
 def restricted_second_moment(spec: KernelSpec, radius: float) -> float:
     """``int_{|z| <= radius} z^2 J(z) dz`` in closed form.
 
@@ -307,11 +295,6 @@ def restricted_second_moment(spec: KernelSpec, radius: float) -> float:
     else:
         near = c * (r_n**3 / 3.0 - r_n**4 / 4.0)
     return 2.0 * (near + power_part(1.0, max(radius, 1.0)))
-
-
-def near_second_moment(spec: KernelSpec) -> float:
-    """``int_{|z| <= 1} z^2 J(z) dz``; errors out when divergent."""
-    return restricted_second_moment(spec, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +349,7 @@ def validate_hypothesis(spec: KernelSpec, sample_count: int = 1000) -> Hypothesi
     mask = radii >= spec.declared_r0
     lower_margin = float(np.min(values[mask] - (1.0 / j0) * envelope[mask]))
     try:
-        near = near_second_moment(spec)
+        near = restricted_second_moment(spec, 1.0)
     except HypothesisViolationError:
         near = float("inf")
     verified = (

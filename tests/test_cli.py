@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +115,35 @@ def test_missing_and_malformed_config(tmp_path):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+MALFORMED = [
+    ("kernel.s", None, "config.kernel.s must be a number"),
+    ("kernel.s", "0.5", "config.kernel.s must be a number"),
+    ("times.snapshots", 5, "config.times.snapshots must be a list"),
+    ("checks.flattening.window", 5, "config.checks.flattening.window must be a pair"),
+    ("solver.startup_ramp", "false", "config.solver.startup_ramp must be true or false"),
+    ("grid.n", 401.7, "config.grid.n must be an integer"),
+    ("checks.mirror.grid.x_mid", 0.0, "['x_mid'] in config.checks.mirror.grid"),
+    ("checks.subsolution.samples", 4, "['samples'] in config.checks.subsolution"),
+    ("bench.warmup", 1, "['warmup'] in config.bench"),
+    ("output.compress", True, "['compress'] in config.output"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, message", MALFORMED, ids=[f"{k}={v!r}" for k, v, _ in MALFORMED]
+)
+def test_malformed_value_exits_2_naming_its_path(tmp_path, caplog, key, value, message):
+    sections = json.loads(Path(base_config(tmp_path)).read_text())
+    *parents, leaf = key.split(".")
+    section = sections
+    for name in parents:
+        section = section.setdefault(name, {})
+    section[leaf] = value
+    cfg = write_config(tmp_path, "malformed.json", **sections)
+    assert main(["verify-flattening", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in caplog.text
+
+
 def test_unknown_kernel_family_rejected(tmp_path):
     kernel = dict(CAUCHY_KERNEL, family="levy_flight")
     cfg = base_config(tmp_path, kernel=kernel)
@@ -126,6 +157,17 @@ def test_hypothesis_violating_kernel_rejected(tmp_path):
 
 
 # -- verify subcommands ------------------------------------------------------
+
+
+def test_readme_example_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"Example config:\s*```json\n(.*?)```", readme, re.DOTALL)
+    cfg = write_config(tmp_path, "readme.json", **json.loads(example.group(1)))
+    out = tmp_path / "readme"
+    assert main(["verify-flattening", "--config", cfg, "--out", str(out)]) == 0
+    rep = read_reports(out)[0]
+    assert rep["bound"] == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-12)
+    assert rep["measured"] == pytest.approx(1.0 / math.pi, rel=0.02)
 
 
 def test_verify_flattening_report(tmp_path):

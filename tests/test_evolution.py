@@ -278,3 +278,14 @@ def test_fft_path_keeps_order_and_bounds(rng, n, family, right):
         for state in traj.states:
             assert state.values.min() >= 0.0
             assert state.values.max() <= ceiling + 1e-12
+    # a nonincreasing datum between the right and left extensions stays monotone;
+    # the refitted algebraic tail can lie above the last grid value, so the
+    # extended datum is not monotone there and that model is left out
+    if right != "algebraic_tail":
+        floor = bm.right_value if right == "constant" else 0.0
+        mono0 = np.clip(np.sort(rng.uniform(0.0, 0.6, n))[::-1], floor, bm.left_value)
+        mono = fd.evolve(
+            op, fd.Field(grid, 0.0, mono0), t_final, (t_final / 2,), method="fft"
+        )
+        for state in mono.states:
+            assert np.all(np.diff(state.values) <= 1e-12)

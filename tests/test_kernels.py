@@ -69,13 +69,9 @@ def test_symmetry_property(family, s, amplitude, z):
 
 
 def test_tail_mass_examples(unit_spec):
-    assert fd.tail_mass(unit_spec, 1.0) == pytest.approx(2.0, rel=1e-12)
-    assert fd.tail_mass(unit_spec, 16.0) == pytest.approx(0.125, rel=1e-12)
-
-
-def test_tail_mass_rejects_small_radius(unit_spec):
-    with pytest.raises(ValueError):
-        fd.tail_mass(unit_spec, 0.5)
+    # two-sided tail mass int_{|z| >= R} J = 2 * exterior mass, A / (s R^2s) here
+    assert 2.0 * fd.exterior_mass(unit_spec, 1.0) == pytest.approx(2.0, rel=1e-12)
+    assert 2.0 * fd.exterior_mass(unit_spec, 16.0) == pytest.approx(0.125, rel=1e-12)
 
 
 def test_tail_mass_compact_example_vs_brute_quadrature():
@@ -86,7 +82,7 @@ def test_tail_mass_compact_example_vs_brute_quadrature():
     brute, _ = integrate.quad(
         lambda v: fd.eval_kernel(spec, 1.0 / v) / v**2, 0.0, 0.5, limit=200
     )
-    assert fd.tail_mass(spec, 2.0) == pytest.approx(2.0 * brute, rel=1e-9)
+    assert 2.0 * fd.exterior_mass(spec, 2.0) == pytest.approx(2.0 * brute, rel=1e-9)
 
 
 def test_cell_weight_example(unit_spec):
@@ -119,15 +115,15 @@ def test_exterior_mass_splits_at_any_point(family, s, lo, width):
 def test_tail_mass_ordering(family, r1, r2):
     spec = any_spec(family, 0.6, 1.0)
     lo, hi = min(r1, r2), max(r1, r2)
-    assert fd.tail_mass(spec, lo) >= fd.tail_mass(spec, hi) - 1e-15
+    assert 2.0 * fd.exterior_mass(spec, lo) >= 2.0 * fd.exterior_mass(spec, hi) - 1e-15
 
 
 def test_near_second_moment_examples():
-    assert fd.near_second_moment(
-        fd.pure_fractional(0.5, 1.0, j0=1.0, j1=1.0, r0=2.0)
+    assert fd.restricted_second_moment(
+        fd.pure_fractional(0.5, 1.0, j0=1.0, j1=1.0, r0=2.0), 1.0
     ) == pytest.approx(2.0, rel=1e-12)
-    assert fd.near_second_moment(
-        fd.pure_fractional(0.25, 1.0, j0=1.0, j1=1.0, r0=2.0)
+    assert fd.restricted_second_moment(
+        fd.pure_fractional(0.25, 1.0, j0=1.0, j1=1.0, r0=2.0), 1.0
     ) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
@@ -138,7 +134,7 @@ def test_near_second_moment_compact_vs_brute_quadrature():
     brute, _ = integrate.quad(
         lambda z: z * z * fd.eval_kernel(spec, z), 0.0, 1.0, limit=200
     )
-    assert fd.near_second_moment(spec) == pytest.approx(2.0 * brute, rel=1e-9)
+    assert fd.restricted_second_moment(spec, 1.0) == pytest.approx(2.0 * brute, rel=1e-9)
 
 
 def test_near_moment_divergence_for_strong_singularity():
@@ -188,7 +184,7 @@ def test_validator_flags_truncated_tail():
 def test_certified_tail_mass_envelope(r):
     # integrating the pointwise envelope: J0^-1/(s R^2s) <= tail <= J0/(s R^2s)
     spec = fd.pure_fractional(0.5, 1.0 / math.pi, j0=math.pi, j1=1.0, r0=2.0)
-    tm = fd.tail_mass(spec, r)
+    tm = 2.0 * fd.exterior_mass(spec, r)
     s, j0 = spec.s, spec.declared_j0
     assert tm <= j0 / (s * r ** (2 * s)) * (1 + 1e-12)
     assert tm >= 1.0 / (j0 * s * r ** (2 * s)) * (1 - 1e-12)

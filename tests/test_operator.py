@@ -251,7 +251,7 @@ def test_exterior_vectors_match_padded_assembly(unit_spec, unit_cert, rng, right
     assert np.max(np.abs(op.apply_fft(u).values - ref)) <= tol
 
 
-def test_fft_cache_reused_across_fields(unit_spec, unit_cert, rng):
+def test_fft_matches_direct_on_repeated_fields(unit_spec, unit_cert, rng):
     g = fd.Grid(-10.0, 10.0, 256)
     op = make_op(unit_spec, unit_cert, g, left=0.3)
     for _ in range(3):

@@ -24,6 +24,7 @@ from .kernels import (
     compact_plus_tail,
     eval_kernel,
     exterior_mass,
+    exterior_tail_response,
     interval_mass,
     pure_fractional,
     restricted_second_moment,
@@ -96,6 +97,7 @@ __all__ = [
     "eval_kernel",
     "evolve",
     "exterior_mass",
+    "exterior_tail_response",
     "flattening_ratio",
     "fractional_heat_kernel",
     "halfline_bound_check",

@@ -14,8 +14,9 @@ numerically here, together with the near-field moment bound
 :func:`validate_hypothesis` gate the construction of discrete operators.
 
 All shipped families have closed-form antiderivatives, so cell masses, tail
-masses and near-field moments are evaluated exactly; adaptive quadrature is
-kept as a cross-check route in the test suite.
+masses, near-field moments and the tail response to an algebraic extension
+are evaluated exactly; adaptive quadrature is kept as a cross-check route in
+the test suite.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import exprel, hyp2f1
 
 __all__ = [
     "KernelSpec",
@@ -34,6 +36,7 @@ __all__ = [
     "eval_kernel",
     "interval_mass",
     "exterior_mass",
+    "exterior_tail_response",
     "restricted_second_moment",
     "validate_hypothesis",
 ]
@@ -257,6 +260,62 @@ def exterior_mass(spec: KernelSpec, radius: float) -> float:
         return amp * radius ** (-2.0 * s) / (2.0 * s)
     near = float(_near_profile_interval(spec, radius, 1.0))
     return near + amp / (2.0 * s)
+
+
+def _power_tail_response(amplitude: float, a: float, c: float, x: np.ndarray):
+    """``int_c^inf (x + z)^(-a) A z^(-1-a) dz`` for ``x > -c``.
+
+    With ``z = c / t`` this is the Euler integral (DLMF 15.6.1)
+    ``A c^(-2a) int_0^1 t^(2a-1) (1 + t x / c)^(-a) dt``.
+    """
+    shape = hyp2f1(a, 2.0 * a, 2.0 * a + 1.0, -x / c)
+    return amplitude * c ** (-2.0 * a) / (2.0 * a) * shape
+
+
+def _near_profile_response(spec: KernelSpec, a: float, c: float, x: np.ndarray):
+    """``int_c^1 (x + z)^(-a) profile(z) dz`` for ``0 < c < 1`` and ``x > -c``."""
+    base = x + c
+    log_ratio = np.log1p((1.0 - c) / base)
+
+    def power_integral(b: float) -> np.ndarray:
+        # int_c^1 (x + z)^(-b) dz; exprel carries the logarithmic case b = 1
+        return base ** (1.0 - b) * log_ratio * exprel((1.0 - b) * log_ratio)
+
+    if spec.near_profile == "flat":
+        return spec.near_scale * power_integral(a)
+    # triangle: 1 - z = (1 + x) - (x + z)
+    return spec.near_scale * ((1.0 + x) * power_integral(a) - power_integral(a - 1.0))
+
+
+def exterior_tail_response(spec: KernelSpec, radius: float, x) -> np.ndarray:
+    """``int_radius^inf (x + z)^(-2s) J(z) dz`` at every ``x > -radius`` (vectorized).
+
+    This is the one-sided exterior mass weighted by the extension ``y^(-2s)``
+    seen from ``x``. The power tail is a Gauss hypergeometric function,
+    ``A c^(-4s) / (4s) 2F1(2s, 4s; 4s + 1; -x / c)`` for the tail beyond ``c``;
+    a truncated tail is the difference of two, and the near profile of
+    ``compact_plus_tail`` on ``[radius, 1]`` is elementary. Adaptive
+    quadrature of the same integral is kept as a cross-check in the tests.
+    """
+    if radius <= 0:
+        raise ValueError("exterior tail response requires a positive radius")
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= -radius):
+        raise ValueError("exterior tail response requires x > -radius")
+    a, amp = 2.0 * spec.s, spec.amplitude
+    if spec.family == "pure_fractional":
+        return _power_tail_response(amp, a, radius, x)
+    if spec.family == "truncated_fractional":
+        if radius >= spec.cutoff:
+            return np.zeros_like(x)
+        return _power_tail_response(amp, a, radius, x) - _power_tail_response(
+            amp, a, spec.cutoff, x
+        )
+    if radius >= 1.0:
+        return _power_tail_response(amp, a, radius, x)
+    return _near_profile_response(spec, a, radius, x) + _power_tail_response(
+        amp, a, 1.0, x
+    )
 
 
 def restricted_second_moment(spec: KernelSpec, radius: float) -> float:

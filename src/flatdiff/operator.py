@@ -20,12 +20,21 @@ Toeplitz matrix of the stencil on the grid, ``W`` the row sum, and ``l`` and
 ``rho`` are exterior vectors fixed at construction, holding the stencil mass
 that lands beyond either end of the window plus the far-tail terms. ``r`` is
 ``right_value`` or, for the algebraic tail, the amplitude fitted on each call.
-Both apply paths add the same exterior vectors: ``apply`` forms ``T u`` by a
-sliding correlation with the zero-padded field, ``apply_fft`` by circulant
-embedding at length ``~2n``, and the two agree to roundoff.
+For that extension ``amp y^(-2s)`` the displacements beyond the cells give
+row ``i`` the far shape ``int_cut^inf (x_i + z)^(-2s) J(z) dz`` with
+``cut = (n - 1/2) h``. For the power tail ``A z^(-1-2s)`` it is the Euler
+integral ``A cut^(-4s) / (4s) 2F1(2s, 4s; 4s + 1; -x_i / cut)`` (DLMF
+15.6.1), evaluated for all rows at once by
+:func:`~flatdiff.kernels.exterior_tail_response`; ``tests/test_operator.py``
+cross-checks it node by node against adaptive quadrature. Both apply paths
+add the same exterior vectors: ``apply`` forms ``T u`` by a sliding
+correlation with the zero-padded field, ``apply_fft`` by circulant embedding
+at length ``~2n``, and the two agree to roundoff.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -33,14 +42,13 @@ import scipy.fft
 from .kernels import (
     KernelSpec,
     HypothesisCertificate,
-    eval_kernel,
     exterior_mass,
+    exterior_tail_response,
     interval_mass,
     restricted_second_moment,
     validate_hypothesis,
 )
 from .mesh import BoundaryModel, Field, Grid
-from .quadrature import integrate_interval, integrate_tail
 
 __all__ = ["DiscreteOperator", "UnverifiedKernelError", "discretize"]
 
@@ -66,6 +74,8 @@ class DiscreteOperator:
         self.grid = grid
         self.boundary = boundary
         self.certificate = certificate
+        if boundary.right == "algebraic_tail" and grid.x_max <= 0:
+            raise ValueError("algebraic tail extension requires x_max > 0")
         n, h = grid.n, grid.h
 
         k = np.arange(1, n)
@@ -87,7 +97,6 @@ class DiscreteOperator:
 
         self._stencil = stencil
         self._fft_len = scipy.fft.next_fast_len(2 * n - 1, real=True)
-        self._spectrum = scipy.fft.rfft(stencil, self._fft_len)
         # stencil mass landing on the i-th row's left pad; by symmetry the
         # right pad of row i carries the mass of the left pad of row n-1-i
         pad_mass = np.concatenate([np.cumsum(stencil[: n - 1])[::-1], [0.0]])
@@ -99,31 +108,28 @@ class DiscreteOperator:
         else:
             self._right = self._algebraic_right(tail_cut)
 
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        # only the FFT path needs it, so small direct-path operators never pay
+        return scipy.fft.rfft(self._stencil, self._fft_len)
+
     def _algebraic_right(self, tail_cut: float) -> np.ndarray:
         """Response of every row to the unit-amplitude extension ``x^(-2s)``.
 
         Row ``i`` sees the pad sample at ``x_max + q h`` through stencil entry
         ``i - q`` of the left half, a convolution evaluated by FFT, plus the
-        per-node integral ``int_tail (x_i + z)^(-2s) J(z) dz`` beyond the cells.
+        far shape ``int_cut^inf (x_i + z)^(-2s) J(z) dz`` beyond the cells,
+        ``A cut^(-4s) / (4s) 2F1(2s, 4s; 4s + 1; -x_i / cut)`` for the power
+        tail, from :func:`~flatdiff.kernels.exterior_tail_response`.
+        ``tests/test_operator.py`` cross-checks it node by node against
+        adaptive quadrature.
         """
-        spec, n, ex = self.spec, self.grid.n, 2.0 * self.spec.s
+        n, ex = self.grid.n, 2.0 * self.spec.s
         shape = self.grid.x_max + self.grid.h * np.arange(1, n)
         m = self._fft_len
         half = scipy.fft.rfft(self._stencil[: n - 1], m)
         pad = scipy.fft.irfft(half * scipy.fft.rfft(shape**-ex, m), m)
-        # a truncated kernel vanishes beyond its cutoff; integrating across
-        # that jump makes the tail quadrature fail to converge
-        hi = spec.cutoff if spec.family == "truncated_fractional" else np.inf
-        far = np.zeros(n)
-        for i, xi in enumerate(self.grid.points() if tail_cut < hi else ()):
-
-            def f(z: float) -> float:
-                return (xi + z) ** (-ex) * eval_kernel(spec, z)
-
-            if np.isinf(hi):
-                far[i] = integrate_tail(f, tail_cut, rel_tol=1e-10)[0]
-            else:
-                far[i] = integrate_interval(f, tail_cut, hi, rel_tol=1e-10)[0]
+        far = exterior_tail_response(self.spec, tail_cut, self.grid.points())
         return np.append(0.0, pad[: n - 1]) + far
 
     def rate(

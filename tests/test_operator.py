@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import flatdiff as fd
+from flatdiff.quadrature import integrate_interval, integrate_tail
 
 
 def make_op(spec, cert, grid, left=0.0, right="zero", right_value=0.0):
@@ -249,6 +250,72 @@ def test_exterior_vectors_match_padded_assembly(unit_spec, unit_cert, rng, right
     tol = 1e-12 * np.max(np.abs(ref))
     assert np.max(np.abs(op.apply(u).values - ref)) <= tol
     assert np.max(np.abs(op.apply_fft(u).values - ref)) <= tol
+
+
+FAR_SHAPE_KERNELS = {
+    "pure-0.5": fd.pure_fractional(0.5, 1.0, j0=1.0, j1=1.0, r0=2.0),
+    "pure-0.75": fd.pure_fractional(0.75, 1.3, j0=1.5, j1=1.0, r0=2.0),
+    "truncated-5": fd.truncated_fractional(0.75, 1.0, 5.0, j0=1.0, j1=1.0, r0=2.0),
+    "truncated-30": fd.truncated_fractional(0.75, 1.0, 30.0, j0=1.0, j1=1.0, r0=2.0),
+    **{
+        f"{profile}-{s}": fd.compact_plus_tail(
+            s, 0.8, profile, 2.0, j0=1.0, j1=1.0, r0=2.0
+        )
+        for profile in ("flat", "triangle")
+        for s in (0.5, 1.0, 1.5)
+    },
+}
+
+
+def quadrature_far_shape(spec, cut, x):
+    """``int_cut^inf (x + z)^(-2s) J(z) dz`` by adaptive quadrature, split at
+    the kernel's jumps (the truncation cutoff, the near-profile edge at 1)."""
+    ex = 2.0 * spec.s
+
+    def f(z):
+        return (x + z) ** (-ex) * fd.eval_kernel(spec, z)
+
+    if spec.family == "truncated_fractional":
+        if cut >= spec.cutoff:
+            return 0.0
+        return integrate_interval(f, cut, spec.cutoff, rel_tol=1e-11)[0]
+    if spec.family == "compact_plus_tail" and cut < 1.0:
+        near = integrate_interval(f, cut, 1.0, rel_tol=1e-11)[0]
+        return near + integrate_tail(f, 1.0, rel_tol=1e-11)[0]
+    return integrate_tail(f, cut, rel_tol=1e-11)[0]
+
+
+# (100, 110) puts -x/cut below -1, (-10, 0.05) takes it close to 1, and the
+# short window has cut < 1, where the compact near profile enters
+@pytest.mark.parametrize(
+    "window",
+    [(-10.0, 10.0, 32), (100.0, 110.0, 32), (-10.0, 0.05, 32), (0.1, 0.6, 32)],
+    ids=["centred", "far-right", "x_max-near-0", "short"],
+)
+@pytest.mark.parametrize("kernel", sorted(FAR_SHAPE_KERNELS))
+def test_far_shape_matches_quadrature(kernel, window):
+    spec = FAR_SHAPE_KERNELS[kernel]
+    g = fd.Grid(*window)
+    cut = (g.n - 0.5) * g.h
+    closed = fd.exterior_tail_response(spec, cut, g.points())
+    ref = np.array([quadrature_far_shape(spec, cut, xi) for xi in g.points()])
+    assert closed.shape == (g.n,)
+    assert np.all(np.abs(closed - ref) <= 1e-9 * np.abs(ref))
+
+
+def test_far_shape_rejects_points_beyond_the_cut(unit_spec):
+    with pytest.raises(ValueError):
+        fd.exterior_tail_response(unit_spec, 0.0, np.array([1.0]))
+    with pytest.raises(ValueError):
+        fd.exterior_tail_response(unit_spec, 2.0, np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize(
+    "window", [(-10.0, -1.0, 64), (-10.0, 0.0, 64)], ids=["x_max<0", "x_max=0"]
+)
+def test_algebraic_tail_needs_positive_x_max(unit_spec, unit_cert, window):
+    with pytest.raises(ValueError, match="requires x_max > 0"):
+        make_op(unit_spec, unit_cert, fd.Grid(*window), right="algebraic_tail")
 
 
 def test_fft_matches_direct_on_repeated_fields(unit_spec, unit_cert, rng):

@@ -51,9 +51,7 @@ from .subsolution import (
     nonlocal_apply_to_barrier,
     residual_certificate,
     residual_grid,
-    scaling_constants,
     shifted_subsolution,
-    subsolution_residual,
     symmetric_increment,
     w_eval,
     w_time_derivative,
@@ -113,12 +111,10 @@ __all__ = [
     "residual_certificate",
     "residual_grid",
     "restricted_second_moment",
-    "scaling_constants",
     "shifted_subsolution",
     "solution_tail_constant",
     "stable_dt",
     "step",
-    "subsolution_residual",
     "symmetric_increment",
     "tail_exponent_fit",
     "truncated_fractional",

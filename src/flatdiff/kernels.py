@@ -249,17 +249,7 @@ def exterior_mass(spec: KernelSpec, radius: float) -> float:
     """One-sided tail mass ``int_radius^inf J(z) dz`` for any ``radius > 0``."""
     if radius <= 0:
         raise ValueError("exterior mass requires a positive radius")
-    s, amp = spec.s, spec.amplitude
-    if spec.family == "pure_fractional":
-        return amp * radius ** (-2.0 * s) / (2.0 * s)
-    if spec.family == "truncated_fractional":
-        if radius >= spec.cutoff:
-            return 0.0
-        return float(_power_interval(amp, s, radius, spec.cutoff))
-    if radius >= 1.0:
-        return amp * radius ** (-2.0 * s) / (2.0 * s)
-    near = float(_near_profile_interval(spec, radius, 1.0))
-    return near + amp / (2.0 * s)
+    return interval_mass(spec, radius, np.inf)
 
 
 def _power_tail_response(amplitude: float, a: float, c: float, x: np.ndarray):

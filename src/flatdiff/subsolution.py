@@ -16,11 +16,21 @@ plateau on a half line into the algebraic lower bound
 
 The residual is evaluated by adaptive quadrature of the defining integral in
 the continuum; it is deliberately independent of the grid discretization so
-the two can cross-validate each other.
+the two can cross-validate each other. With ``p = |x|`` the operator splits as
+
+    D w(x) = int_0^p Delta(z) J(z) dz + (1/2 - w(x)) int_p^inf J(z) dz
+             + int_p^inf (w(x + z) - w(x)) J(z) dz,
+
+where ``Delta(z) = w(x + z) + w(x - z) - 2 w(x)`` pairs ``+z`` with ``-z`` to
+tame the kernel singularity and ``w(x - z) = 1/2`` once ``z >= p``. For
+``x < 0`` the first two terms vanish. ``Delta`` is evaluated without
+cancellation (see :func:`symmetric_increment`), which lets the quadrature
+converge on the ``z^(-1-2s)`` singularity up to ``s -> 1``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +41,10 @@ from .quadrature import integrate_interval, integrate_tail
 __all__ = [
     "SubsolutionParams",
     "kappa",
-    "scaling_constants",
     "w_eval",
     "w_time_derivative",
     "symmetric_increment",
     "nonlocal_apply_to_barrier",
-    "subsolution_residual",
     "ResidualSample",
     "residual_certificate",
     "residual_grid",
@@ -53,17 +61,6 @@ def _kappa(s: float, j0: float) -> float:
 def kappa(spec: KernelSpec) -> float:
     """Barrier growth rate ``1 / (8 s J0)`` from the declared tail envelope."""
     return _kappa(spec.s, spec.declared_j0)
-
-
-def scaling_constants(spec: KernelSpec, c: float) -> tuple[float, float]:
-    """Validity scales ``(t_star, r_star)`` for barrier scale ``c``.
-
-    ``t_star * kappa = 2 c`` and ``r_star^(2s) = 8 c J0^2`` hold exactly.
-    """
-    if c <= 0:
-        raise ValueError("barrier scale must be positive")
-    params = SubsolutionParams.from_kernel(spec, c)
-    return params.t_star, params.r_star
 
 
 @dataclass(frozen=True)
@@ -140,14 +137,41 @@ def w_time_derivative(params: SubsolutionParams, t: float, x: float) -> float:
 
 
 def symmetric_increment(
-    params: SubsolutionParams, t: float, x: float, z
-) -> np.ndarray | float:
-    """``w(x+z) + w(x-z) - 2 w(x)``; nonnegative where the profile is convex."""
-    return (
-        w_eval(params, t, np.asarray(x) + np.asarray(z))
-        + w_eval(params, t, np.asarray(x) - np.asarray(z))
-        - 2.0 * w_eval(params, t, x)
+    params: SubsolutionParams, t: float, x: float, z: float
+) -> float:
+    """``w(x+z) + w(x-z) - 2 w(x)``; nonnegative where the profile is convex.
+
+    For ``x > 0`` and ``|z| < x`` the three values nearly cancel as
+    ``z -> 0``, so the increment is formed from the differences
+    ``d+- = g(x +- |z|) - g(x)`` of ``g(y) = y^a + 2 kappa t``, ``a = 2s``:
+
+        Delta = -kappa t (g(x) e + 2 d+ d-) / (g(x+z) g(x-z) g(x)),
+
+    with ``u = |z|/x``, ``d+- = x^a expm1(a log1p(+-u))`` and
+    ``e = d+ + d- = 2 x^a (expm1(S) cosh D + 2 sinh(D/2)^2)``, where
+    ``S = (a/2) log1p(-u^2)`` and ``D = a atanh(u)``. Elsewhere the direct
+    sum of three barrier values has no cancellation and is used as is.
+    """
+    if t <= 0:
+        raise ValueError("barrier is defined for t > 0")
+    z = abs(z)
+    if x <= 0 or z >= x:
+        return (
+            w_eval(params, t, x + z)
+            + w_eval(params, t, x - z)
+            - 2.0 * w_eval(params, t, x)
+        )
+    a, kt, u = 2.0 * params.s, params.kappa * t, z / x
+    xa = x**a
+    d_plus = xa * math.expm1(a * math.log1p(u))
+    d_minus = xa * math.expm1(a * math.log1p(-u))
+    big_s, big_d = 0.5 * a * math.log1p(-u * u), a * math.atanh(u)
+    e = 2.0 * xa * (
+        math.expm1(big_s) * math.cosh(big_d) + 2.0 * math.sinh(0.5 * big_d) ** 2
     )
+    g = xa + 2.0 * kt
+    g_plus, g_minus = (x + z) ** a + 2.0 * kt, (x - z) ** a + 2.0 * kt
+    return -kt * (g * e + 2.0 * d_plus * d_minus) / (g_plus * g_minus * g)
 
 
 def nonlocal_apply_to_barrier(
@@ -159,76 +183,29 @@ def nonlocal_apply_to_barrier(
 ) -> float:
     """Evaluate ``(D w)(t, x)`` by adaptive quadrature in the continuum.
 
-    The integration domain is split at the natural breakpoints: a symmetric
-    inner window that pairs ``+z`` with ``-z`` (taming the kernel
-    singularity), the finite annulus out to ``max(x, r_star)``, the left far
-    field where the barrier equals 1/2 so only a closed-form tail mass is
-    needed, and the right far field handled by the 1/z substitution.
+    With ``p = |x|``: the symmetric increment against ``J`` on ``(0, p)``,
+    split at the kernel's jump radii (1 and the cutoff, when inside); the
+    closed-form exterior mass beyond ``p`` times ``1/2 - w(x)``, since the
+    left branch sees only the plateau there; and the right far field from
+    ``p`` by the 1/z substitution. For ``x < 0`` the first two terms vanish.
     """
     if t <= 0:
         raise ValueError("barrier is defined for t > 0")
     if x == 0.0:
         raise ValueError("the profile kink makes the operator singular at x = 0")
     w_x = float(w_eval(params, t, x))
+    p = abs(x)
 
-    def j(z: float) -> float:
-        return float(eval_kernel(spec, z))
+    def near_f(z: float) -> float:
+        return symmetric_increment(params, t, x, z) * eval_kernel(spec, z)
 
-    if x < 0:
-        lo = -x
-        mid_hi = lo + params.r_star
+    def far_f(z: float) -> float:
+        return (w_eval(params, t, x + z) - w_x) * eval_kernel(spec, z)
 
-        def right_branch(z: float) -> float:
-            return (float(w_eval(params, t, x + z)) - 0.5) * j(z)
-
-        near, _ = integrate_interval(right_branch, lo, mid_hi, rel_tol=quad_tol)
-        far, _ = integrate_tail(right_branch, mid_hi, rel_tol=quad_tol)
-        return near + far
-
-    r = params.r_star
-    m, big = min(x, r), max(x, r)
-
-    def sym(z: float) -> float:
-        return float(symmetric_increment(params, t, x, z)) * j(z)
-
-    inner, _ = integrate_interval(sym, 0.0, m, rel_tol=quad_tol)
-
-    annulus = 0.0
-    if big > m:
-        def one_sided(sign: float):
-            def f(z: float) -> float:
-                return (float(w_eval(params, t, x + sign * z)) - w_x) * j(z)
-            return f
-
-        right_val, _ = integrate_interval(one_sided(+1.0), m, big, rel_tol=quad_tol)
-        left_val, _ = integrate_interval(one_sided(-1.0), m, big, rel_tol=quad_tol)
-        annulus = right_val + left_val
-
-    # beyond max(x, r_star) the left branch sees only the 1/2 plateau
-    left_far = (0.5 - w_x) * exterior_mass(spec, big)
-
-    def right_far_f(z: float) -> float:
-        return (float(w_eval(params, t, x + z)) - w_x) * j(z)
-
-    right_far, _ = integrate_tail(right_far_f, big, rel_tol=quad_tol)
-    return inner + annulus + left_far + right_far
-
-
-def subsolution_residual(
-    spec: KernelSpec,
-    params: SubsolutionParams,
-    t: float,
-    x: float,
-    quad_tol: float = 1e-8,
-) -> float:
-    """``d_t w - D w`` with analytic time derivative and quadrature operator.
-
-    Nonpositive (up to quadrature budget) for ``0 < t < t_star`` and
-    ``x >= r0 + r_star``; carries no sign claim elsewhere.
-    """
-    return w_time_derivative(params, t, x) - nonlocal_apply_to_barrier(
-        spec, params, t, x, quad_tol
-    )
+    jumps = [r for r in (1.0, spec.cutoff) if r is not None]
+    near, _ = integrate_interval(near_f, 0.0, p, rel_tol=quad_tol, breakpoints=jumps)
+    far, _ = integrate_tail(far_f, p, rel_tol=quad_tol)
+    return near + (0.5 - w_x) * exterior_mass(spec, p) + far
 
 
 @dataclass(frozen=True)

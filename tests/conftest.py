@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 import flatdiff as fd
 
@@ -30,6 +31,18 @@ def cauchy_spec():
 @pytest.fixture(scope="session")
 def cauchy_cert(cauchy_spec):
     return fd.validate_hypothesis(cauchy_spec)
+
+
+@pytest.fixture(scope="session")
+def fractional_laplacian():
+    """Factory for the kernel of (-Laplacian)^s, declared (J0=1/A, J1=2A, R0=2)."""
+
+    def make(s):
+        amp = 4.0**s * special.gamma(0.5 + s)
+        amp /= math.sqrt(math.pi) * abs(special.gamma(-s))
+        return fd.pure_fractional(s, amp, j0=1.0 / amp, j1=2.0 * amp, r0=2.0)
+
+    return make
 
 
 @pytest.fixture(scope="session")

@@ -246,6 +246,28 @@ def test_verify_subsolution_report(tmp_path):
     assert {row["t"] for row in rows} == {16.0 / 3.0, 32.0 / 3.0}
 
 
+def test_verify_subsolution_steep_fractional_laplacian(tmp_path, fractional_laplacian):
+    spec = fractional_laplacian(0.75)
+    kernel = {
+        "family": spec.family,
+        "s": spec.s,
+        "amplitude": spec.amplitude,
+        "j0": spec.declared_j0,
+        "j1": spec.declared_j1,
+        "r0": spec.declared_r0,
+    }
+    cfg = write_config(
+        tmp_path,
+        kernel=kernel,
+        checks={"subsolution": {"c": 2.0, "nt": 3, "nx": 3, "x_max": 200.0}},
+    )
+    out = tmp_path / "sub"
+    assert main(["verify-subsolution", "--config", cfg, "--out", str(out)]) == 0
+    rep = read_reports(out)[0]
+    assert rep["pass"] is True
+    assert len(rep["details"]["samples"]) == 9
+
+
 def test_verify_subsolution_window_below_onset_exits_2(tmp_path):
     cfg = write_config(
         tmp_path,

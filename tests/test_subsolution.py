@@ -1,5 +1,7 @@
 """Barrier profile, its constants, and the quadrature residual certificate."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,12 +27,16 @@ def test_kappa_examples(unit_spec, cauchy_spec):
 
 
 def test_scaling_constants_examples(unit_spec):
-    assert fd.scaling_constants(unit_spec, 2.0) == (16.0, 16.0)
-    assert fd.scaling_constants(unit_spec, 0.5) == (4.0, 4.0)
+    def scales(spec, c):
+        params = fd.SubsolutionParams.from_kernel(spec, c)
+        return params.t_star, params.r_star
+
+    assert scales(unit_spec, 2.0) == (16.0, 16.0)
+    assert scales(unit_spec, 0.5) == (4.0, 4.0)
     quarter = fd.pure_fractional(0.25, 1.0, j0=1.0, j1=1.0, r0=2.0)
-    assert fd.scaling_constants(quarter, 2.0) == (8.0, 256.0)
+    assert scales(quarter, 2.0) == (8.0, 256.0)
     with pytest.raises(ValueError):
-        fd.scaling_constants(unit_spec, 0.0)
+        scales(unit_spec, 0.0)
 
 
 def test_params_from_kernel(unit_spec, unit_params):
@@ -143,6 +149,34 @@ def test_symmetric_increment_nonnegative_on_convex_branch(unit_params, x, z, t):
     assert fd.symmetric_increment(unit_params, t, x, z) >= -1e-15
 
 
+def decimal_increment(params, t, x, z):
+    """``w(x+z) + w(x-z) - 2 w(x)`` summed naively in 60-digit decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, kt = Decimal(2.0 * params.s), Decimal(params.kappa * t)
+
+        def w(y):
+            return kt / (y**a + 2 * kt) if y > 0 else Decimal("0.5")
+
+        x, z = Decimal(x), Decimal(z)
+        return w(x + z) + w(x - z) - 2 * w(x)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.75, 0.95])
+@pytest.mark.parametrize("ratio", [1e-12, 1e-8, 1e-5, 1e-3, 0.1, 0.9])
+def test_symmetric_increment_matches_decimal_oracle(s, ratio):
+    # the three barrier values agree to ~ratio^2 relative, so a float sum of
+    # them keeps no digits at small ratios; the increment must keep them all
+    p = fd.SubsolutionParams(s=s, j0=1.0, c=2.0)
+    x = 20.0
+    for t in (0.25 * p.t_star, 0.75 * p.t_star):
+        for z in (ratio * x, -ratio * x):
+            got = fd.symmetric_increment(p, t, x, z)
+            assert isinstance(got, float)
+            exact = decimal_increment(p, t, x, z)
+            assert abs((Decimal(got) - exact) / exact) <= Decimal("1e-13")
+
+
 # -- operator on the barrier -------------------------------------------------
 
 
@@ -197,11 +231,35 @@ def test_operator_quadrature_tolerance_refinement(unit_spec, unit_params):
     assert abs(loose - tight) <= 10.0 * 1e-8 * abs(tight)
 
 
+@pytest.mark.parametrize("x", [-3.0, 0.5, 6.0, 50.0])
+def test_operator_matches_split_oracle_for_kernel_with_jump(x):
+    # flat near profile: J = 1 on |z| <= 1 and z^-3 beyond, a jump at z = 1
+    spec = fd.compact_plus_tail(
+        1.0, 1.0, near_profile="flat", near_scale=1.0, j0=1.0, j1=1.0, r0=2.0
+    )
+    p = fd.SubsolutionParams.from_kernel(spec, c=2.0)
+    t = 8.0
+    w_x = fd.w_eval(p, t, x)
+
+    def integrand(z):
+        sym = fd.w_eval(p, t, x + z) + fd.w_eval(p, t, x - z) - 2.0 * w_x
+        return sym * (1.0 if z <= 1.0 else z**-3)
+
+    lo, hi = sorted((1.0, abs(x)))
+    pieces = [(0.0, lo), (lo, hi), (hi, np.inf)]
+    oracle = sum(
+        quad(integrand, a, b, limit=400, epsabs=1e-14, epsrel=1e-12)[0]
+        for a, b in pieces
+    )
+    ours = fd.nonlocal_apply_to_barrier(spec, p, t, x, quad_tol=1e-10)
+    assert ours == pytest.approx(oracle, rel=1e-8)
+
+
 # -- residual certificate ----------------------------------------------------
 
 
 def test_residual_is_negative_inside_validity_set(unit_spec, unit_params):
-    res = fd.subsolution_residual(unit_spec, unit_params, 8.0, 30.0)
+    res = fd.residual_certificate(unit_spec, unit_params, 8.0, 30.0).residual
     assert -0.02 < res < -0.005
 
 
@@ -227,6 +285,16 @@ def test_residual_grid_covers_validity_rectangle(unit_spec, unit_params):
     assert {s.t for s in samples} == {4.0, 8.0, 12.0}
     xs = sorted({s.x for s in samples})
     assert xs[0] == 18.0 and xs[-1] == 60.0
+
+
+@pytest.mark.parametrize("s", [0.75, 0.95])
+def test_residual_grid_certified_for_steep_fractional_laplacian(fractional_laplacian, s):
+    # the kernel singularity z^(-1-2s) amplifies any noise in the increment
+    spec = fractional_laplacian(s)
+    params = fd.SubsolutionParams.from_kernel(spec, c=2.0)
+    samples = fd.residual_grid(spec, params, nt=3, nx=3, x_max=200.0)
+    assert len(samples) == 9
+    assert all(sample.passed for sample in samples)
 
 
 def test_residual_grid_default_span_and_guards(unit_spec, unit_params):

@@ -173,27 +173,52 @@ def compact_plus_tail(
     )
 
 
-def _near_profile_values(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    c = spec.near_scale
+def _power_law(spec: KernelSpec, r):
+    """``A r^(-1-2s)`` at ``r > 0``, for a float or an array.
+
+    ``np.power`` takes a float through the same loop as an array element, so
+    both give the same bits. Bare ``**`` on a float calls the C library's
+    ``pow``, which differs from numpy's vectorized power in the last bit on
+    some hosts, and raises ``OverflowError`` where numpy returns ``inf``.
+    """
+    return spec.amplitude * np.power(r, -1.0 - 2.0 * spec.s)
+
+
+def _near_profile(spec: KernelSpec, r):
+    """Near-field profile of ``compact_plus_tail`` at ``0 < r <= 1``."""
     if spec.near_profile == "flat":
-        return np.full_like(r, c)
+        return spec.near_scale
     # triangle: c * (1 - r) on [0, 1]
-    return c * (1.0 - r)
+    return spec.near_scale * (1.0 - r)
 
 
 def eval_kernel(spec: KernelSpec, z) -> np.ndarray | float:
-    """Evaluate ``J(z)``; accepts scalars or arrays, rejects ``z = 0``."""
+    """Evaluate ``J(z)``; accepts scalars or arrays, rejects ``z = 0``.
+
+    A ``float`` in (``np.float64`` included) gives a ``float`` out, computed
+    without building an array and with the same bits as the array path;
+    quadrature integrands call it once per node.
+    """
+    if isinstance(z, float):
+        if z == 0.0:
+            raise ValueError("kernel is undefined at z = 0")
+        r = abs(z)
+        if spec.family == "truncated_fractional" and not r <= spec.cutoff:
+            return 0.0
+        if spec.family == "compact_plus_tail" and not r > 1.0:
+            return float(_near_profile(spec, r))
+        return float(_power_law(spec, r))
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr == 0.0):
         raise ValueError("kernel is undefined at z = 0")
     r = np.abs(z_arr)
-    power = spec.amplitude * r ** (-1.0 - 2.0 * spec.s)
+    power = _power_law(spec, r)
     if spec.family == "pure_fractional":
         out = power
     elif spec.family == "truncated_fractional":
         out = np.where(r <= spec.cutoff, power, 0.0)
     else:
-        out = np.where(r > 1.0, power, _near_profile_values(spec, r))
+        out = np.where(r > 1.0, power, _near_profile(spec, r))
     if z_arr.ndim == 0:
         return float(out)
     return out

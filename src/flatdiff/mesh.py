@@ -74,7 +74,8 @@ class BoundaryModel:
       nonnegative exterior values can only decrease the operator output,
     * ``constant``: extends by ``right_value``,
     * ``algebraic_tail``: extends by ``amp * x^(-2s)`` with the amplitude
-      refitted from the last decade of grid values on every apply.
+      refitted from the last decade of grid values on every apply, capped so
+      the extension starts no higher than the last grid value.
     """
 
     left_value: float
@@ -92,7 +93,13 @@ class BoundaryModel:
             raise ValueError("right boundary constant must be finite and nonnegative")
 
     def fit_tail_amplitude(self, grid: Grid, values: np.ndarray, exponent: float) -> float:
-        """Least-squares amplitude of ``amp * x^-exponent`` over the last decade."""
+        """Least-squares amplitude of ``amp * x^-exponent`` over the last decade.
+
+        The fit is capped at ``values[-1] * x_max^exponent``, so the extension
+        never lies above the last grid value and a nonincreasing field stays
+        nonincreasing across the edge; both bounds are nondecreasing in the
+        values, so the capped amplitude keeps the comparison principle.
+        """
         if grid.x_max <= 0:
             raise ValueError("algebraic tail extension requires x_max > 0")
         x = grid.points()
@@ -100,4 +107,5 @@ class BoundaryModel:
         u = values[window]
         if u.size == 0 or np.any(u <= 0):
             return 0.0
-        return float(np.exp(np.mean(np.log(u) + exponent * np.log(x[window]))))
+        fit = np.exp(np.mean(np.log(u) + exponent * np.log(x[window])))
+        return float(min(fit, values[-1] * grid.x_max**exponent))

@@ -108,19 +108,31 @@ class SubsolutionParams:
         )
 
 
+def _barrier_right(kt: float, a: float, x):
+    """``kt / (x^a + 2 kt)`` at ``x > 0``, for a float or an array.
+
+    ``np.power`` gives a float the same bits as an array element and
+    overflows to ``inf`` (so ``w = 0``) where bare ``**`` raises.
+    """
+    return kt / (np.power(x, a) + 2.0 * kt)
+
+
 def w_eval(params: SubsolutionParams, t: float, x) -> np.ndarray | float:
     """Barrier value; 1/2 on the left half line, decaying algebraically right.
 
     Continuous at the junction, strictly decreasing in ``x`` on ``(0, inf)``,
-    nondecreasing in ``t``, with ``x^(2s) w(t, x) -> kappa t``.
+    nondecreasing in ``t``, with ``x^(2s) w(t, x) -> kappa t``. A ``float``
+    ``x`` (``np.float64`` included) gives a ``float`` out, computed without
+    building an array and with the same bits as the array path.
     """
     if t <= 0:
         raise ValueError("barrier is defined for t > 0")
+    kt, a = params.kappa * t, 2.0 * params.s
+    if isinstance(x, float):
+        return float(_barrier_right(kt, a, x)) if x > 0 else 0.5
     x_arr = np.asarray(x, dtype=float)
-    kt = params.kappa * t
     xp = np.where(x_arr > 0, x_arr, 1.0)
-    right = kt / (xp ** (2.0 * params.s) + 2.0 * kt)
-    out = np.where(x_arr > 0, right, 0.5)
+    out = np.where(x_arr > 0, _barrier_right(kt, a, xp), 0.5)
     if x_arr.ndim == 0:
         return float(out)
     return out
@@ -193,7 +205,7 @@ def nonlocal_apply_to_barrier(
         raise ValueError("barrier is defined for t > 0")
     if x == 0.0:
         raise ValueError("the profile kink makes the operator singular at x = 0")
-    w_x = float(w_eval(params, t, x))
+    w_x = w_eval(params, t, x)
     p = abs(x)
 
     def near_f(z: float) -> float:

@@ -282,23 +282,23 @@ def check_fft_order_and_bounds(rng, n, family, right):
     return op, t_final
 
 
+def check_fft_keeps_monotone(rng, op, t_final):
+    """A nonincreasing datum between the right and left extensions stays
+    nonincreasing on the FFT path."""
+    grid, bm = op.grid, op.boundary
+    floor = bm.right_value if bm.right == "constant" else 0.0
+    mono0 = np.clip(np.sort(rng.uniform(0.0, 0.6, grid.n))[::-1], floor, bm.left_value)
+    mono = fd.evolve(op, fd.Field(grid, 0.0, mono0), t_final, (t_final / 2,), method="fft")
+    for state in mono.states:
+        assert np.all(np.diff(state.values) <= 1e-12)
+
+
 @pytest.mark.parametrize("right", ["zero", "constant", "algebraic_tail"])
 @pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
 @pytest.mark.parametrize("n", [512, 2048])
 def test_fft_path_keeps_order_and_bounds(rng, n, family, right):
     op, t_final = check_fft_order_and_bounds(rng, n, family, right)
-    grid, bm = op.grid, op.boundary
-    # a nonincreasing datum between the right and left extensions stays monotone;
-    # the refitted algebraic tail can lie above the last grid value, so the
-    # extended datum is not monotone there and that model is left out
-    if right != "algebraic_tail":
-        floor = bm.right_value if right == "constant" else 0.0
-        mono0 = np.clip(np.sort(rng.uniform(0.0, 0.6, n))[::-1], floor, bm.left_value)
-        mono = fd.evolve(
-            op, fd.Field(grid, 0.0, mono0), t_final, (t_final / 2,), method="fft"
-        )
-        for state in mono.states:
-            assert np.all(np.diff(state.values) <= 1e-12)
+    check_fft_keeps_monotone(rng, op, t_final)
 
 
 @settings(max_examples=8, deadline=None)
@@ -308,5 +308,6 @@ def test_fft_path_keeps_order_and_bounds(rng, n, family, right):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_fft_path_keeps_order_and_bounds_algebraic_tail_any_n(n, family, seed):
-    # the monotone check stays out for this model, as explained above
-    check_fft_order_and_bounds(np.random.default_rng(seed), n, family, "algebraic_tail")
+    rng = np.random.default_rng(seed)
+    op, t_final = check_fft_order_and_bounds(rng, n, family, "algebraic_tail")
+    check_fft_keeps_monotone(rng, op, t_final)

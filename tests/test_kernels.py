@@ -53,6 +53,54 @@ def test_eval_rejects_origin(unit_spec):
         fd.eval_kernel(unit_spec, np.array([1.0, 0.0, 2.0]))
 
 
+SCALAR_SPECS = {
+    "pure": fd.pure_fractional(0.75, 1.3, j0=4.0, j1=2.0, r0=2.0),
+    "truncated": fd.truncated_fractional(0.75, 1.0, 30.0, j0=1.0, j1=1.0, r0=2.0),
+    "flat": fd.compact_plus_tail(
+        1.0, 1.0, near_profile="flat", near_scale=0.7, j0=1.0, j1=1.0, r0=2.0
+    ),
+    "triangle": fd.compact_plus_tail(
+        0.5, 1.0, near_profile="triangle", near_scale=0.8, j0=4.0, j1=2.0, r0=2.0
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_SPECS))
+def test_scalar_input_gives_the_array_bits(name):
+    spec = SCALAR_SPECS[name]
+    jumps = [1.0] + ([spec.cutoff] if spec.cutoff is not None else [])
+    radii = np.concatenate(
+        [
+            np.logspace(-300, 300, 1201),
+            np.geomspace(1e-3, 1e3, 2000),
+            [np.nextafter(r, side) for r in jumps for side in (0.0, np.inf)],
+            jumps,
+        ]
+    )
+    zs = np.concatenate([radii, -radii])
+    with np.errstate(over="ignore"):
+        whole = fd.eval_kernel(spec, zs)
+        for z, bulk in zip(zs.tolist(), whole):
+            scalar = fd.eval_kernel(spec, z)
+            assert type(scalar) is float
+            assert scalar == fd.eval_kernel(spec, np.array([z]))[0] == bulk
+            assert fd.eval_kernel(spec, np.float64(z)) == scalar
+    for zero in (0.0, -0.0):
+        with pytest.raises(ValueError):
+            fd.eval_kernel(spec, zero)
+        with pytest.raises(ValueError):
+            fd.eval_kernel(spec, np.array([zero]))
+
+
+def test_scalar_input_overflows_like_numpy():
+    spec = SCALAR_SPECS["pure"]
+    for z in (1e-300, np.array([1e-300])):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert fd.eval_kernel(spec, z) == math.inf
+    assert fd.eval_kernel(spec, 1e300) == 0.0
+    assert fd.eval_kernel(spec, np.array([1e300]))[0] == 0.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     family=st.sampled_from(FAMILIES),

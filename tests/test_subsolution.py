@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import flatdiff as fd
+from flatdiff import subsolution
 from flatdiff.subsolution import RESIDUAL_BUDGET_FLOOR
 
 
@@ -105,14 +106,27 @@ def test_profile_monotonicity(unit_params):
 
 
 def test_profile_vectorization_matches_scalar(unit_params):
-    p = unit_params
-    xs = np.array([-1.0, 0.0, 0.5, 2.0, 100.0])
-    vec = fd.w_eval(p, 3.0, xs)
-    assert vec.shape == xs.shape
-    for xi, vi in zip(xs, vec):
-        scalar = fd.w_eval(p, 3.0, float(xi))
-        assert isinstance(scalar, float)
-        assert scalar == vi
+    """A float gives the same bits as the array path, for 2s = 1, 1.5, 2."""
+    xs = np.concatenate(
+        [[-5.0, -1.0, -0.0, 0.0, 0.5, 2.0, 100.0], np.logspace(-300, 300, 1201)]
+    )
+    for s in (0.5, 0.75, 1.0):
+        p = fd.SubsolutionParams(s=s, j0=unit_params.j0, c=unit_params.c)
+        with np.errstate(over="ignore"):
+            vec = fd.w_eval(p, 3.0, xs)
+            assert vec.shape == xs.shape
+            for xi, vi in zip(xs.tolist(), vec):
+                scalar = fd.w_eval(p, 3.0, xi)
+                assert type(scalar) is float
+                assert scalar == fd.w_eval(p, 3.0, np.array([xi]))[0] == vi
+                assert fd.w_eval(p, 3.0, np.float64(xi)) == scalar
+
+
+def test_profile_scalar_input_overflows_like_numpy():
+    p = fd.SubsolutionParams(s=0.75, j0=1.0, c=2.0)
+    for x in (1e300, np.array([1e300])):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert fd.w_eval(p, 3.0, x) == 0.0
 
 
 def test_profile_requires_positive_time(unit_params):
@@ -304,6 +318,44 @@ def test_residual_grid_default_span_and_guards(unit_spec, unit_params):
         fd.residual_grid(unit_spec, unit_params, nt=0, nx=2)
     with pytest.raises(ValueError):
         fd.residual_grid(unit_spec, unit_params, nt=2, nx=2, x_max=10.0)
+
+
+@pytest.mark.parametrize("kernel", ["unit", "laplacian_075", "compact_1", "truncated_075"])
+def test_residual_certificate_same_through_array_path(
+    monkeypatch, unit_spec, fractional_laplacian, kernel
+):
+    """The scalar branches of ``eval_kernel`` and ``w_eval`` change no residual
+    bit: routing every integrand call through the array path gives the same
+    residuals."""
+    spec = {
+        "unit": unit_spec,
+        "laplacian_075": fractional_laplacian(0.75),
+        "compact_1": fd.compact_plus_tail(
+            1.0, 1.0, near_profile="flat", near_scale=1.0, j0=1.0, j1=1.0, r0=2.0
+        ),
+        "truncated_075": fd.truncated_fractional(
+            0.75, 1.0, 30.0, j0=1.0, j1=1.0, r0=2.0
+        ),
+    }[kernel]
+    params = fd.SubsolutionParams.from_kernel(spec, c=2.0)
+    scalar = [r.residual for r in fd.residual_grid(spec, params, nt=3, nx=3)]
+
+    used = set()
+    kernel_values, barrier_values = subsolution.eval_kernel, subsolution.w_eval
+
+    def eval_kernel_via_array(spec, z):
+        used.add("eval_kernel")
+        return float(kernel_values(spec, np.array([z]))[0])
+
+    def w_eval_via_array(params, t, x):
+        used.add("w_eval")
+        return float(barrier_values(params, t, np.array([x]))[0])
+
+    monkeypatch.setattr(subsolution, "eval_kernel", eval_kernel_via_array)
+    monkeypatch.setattr(subsolution, "w_eval", w_eval_via_array)
+    routed = [r.residual for r in fd.residual_grid(spec, params, nt=3, nx=3)]
+    assert used == {"eval_kernel", "w_eval"}
+    assert routed == scalar
 
 
 # -- shifted lower bound -----------------------------------------------------

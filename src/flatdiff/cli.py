@@ -121,7 +121,7 @@ _SCHEMA = {
     "boundary": {"left_value": _number, "right": _string, "right_value": _number},
     "initial": {"kind": _string, "a": _number, "b": _number, "eps": _number},
     "times": {"t_final": _number, "snapshots": _list_of(_number)},
-    "solver": {"safety": _number, "method": _string, "startup_ramp": _boolean},
+    "solver": {"safety": _number, "startup_ramp": _boolean},
     "checks": {
         "flattening": {"t": _number, "window": _pair, "tol_rel": _number},
         "halfline": {"tol": _number},
@@ -224,10 +224,8 @@ def build_datum(cfg: dict) -> InitialDatum:
 
 
 def _solver_options(cfg: dict) -> dict:
-    """The ``evolve`` keywords ``safety``, ``method`` and ``startup_ramp``."""
-    opts = {"safety": 0.45, "method": "auto", "startup_ramp": True, **cfg.get("solver", {})}
-    if opts["method"] not in ("auto", "direct", "fft"):
-        raise ConfigError(f"unknown solver method {opts['method']!r}")
+    """``evolve``'s ``safety`` and ``startup_ramp``; the grid size picks the apply path."""
+    opts = {"safety": 0.45, "startup_ramp": True, **cfg.get("solver", {})}
     if not 0.0 < opts["safety"] <= 1.0:
         raise ConfigError("solver safety must lie in (0, 1]")
     return opts
@@ -374,7 +372,6 @@ def cmd_verify_proposition(cfg: dict, out: Path, fmt: str, args) -> int:
                 mirror.get("t_final", cfg["times"]["t_final"]),
                 mirror.get("tol", 0.02 * datum.a),
                 grid,
-                method=opts["method"],
                 safety=opts["safety"],
             )
         )

@@ -212,13 +212,15 @@ def eval_kernel(spec: KernelSpec, z) -> np.ndarray | float:
     if np.any(z_arr == 0.0):
         raise ValueError("kernel is undefined at z = 0")
     r = np.abs(z_arr)
-    power = _power_law(spec, r)
     if spec.family == "pure_fractional":
-        out = power
+        out = _power_law(spec, r)
     elif spec.family == "truncated_fractional":
-        out = np.where(r <= spec.cutoff, power, 0.0)
+        out = np.where(r <= spec.cutoff, _power_law(spec, r), 0.0)
     else:
-        out = np.where(r > 1.0, power, _near_profile(spec, r))
+        # the power law only at r > 1, so a tiny near-field r cannot overflow
+        far = r > 1.0
+        power = _power_law(spec, np.where(far, r, 1.0))
+        out = np.where(far, power, _near_profile(spec, r))
     if z_arr.ndim == 0:
         return float(out)
     return out

@@ -169,15 +169,16 @@ class DiscreteOperator:
 
     def apply(self, u: Field) -> Field:
         """Direct correlation sum; O(n^2), the reference path."""
-        self._check_field(u)
+        self.check_field(u)
         return u.with_values(self.rate(u.values, "direct"))
 
     def apply_fft(self, u: Field, workers: int = 1) -> Field:
         """Same operator via circulant-embedded FFT; O(n log n)."""
-        self._check_field(u)
+        self.check_field(u)
         return u.with_values(self.rate(u.values, "fft", workers))
 
-    def _check_field(self, u: Field) -> None:
+    def check_field(self, u: Field) -> None:
+        """Raise ``ValueError`` unless ``u`` lives on this operator's grid."""
         if u.grid != self.grid:
             raise ValueError("field grid does not match operator grid")
 

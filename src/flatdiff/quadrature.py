@@ -9,6 +9,11 @@ import numpy as np
 from scipy import integrate
 
 
+_ABS_FLOOR = 1e-14
+_OSC_TOL = 1e-12
+_MAX_CYCLES = 20000
+
+
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge to the requested tolerance."""
 
@@ -18,7 +23,6 @@ def integrate_interval(
     a: float,
     b: float,
     rel_tol: float = 1e-10,
-    abs_floor: float = 1e-14,
     breakpoints: Sequence[float] | None = None,
 ) -> tuple[float, float]:
     """Integrate ``f`` over the finite interval ``[a, b]``.
@@ -36,7 +40,7 @@ def integrate_interval(
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             val, err = integrate.quad(
-                f, a, b, epsabs=abs_floor, epsrel=rel_tol, limit=400, points=pts
+                f, a, b, epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=400, points=pts
             )
         except integrate.IntegrationWarning as exc:
             raise QuadratureError(
@@ -49,7 +53,6 @@ def integrate_tail(
     f: Callable[[float], float],
     a: float,
     rel_tol: float = 1e-10,
-    abs_floor: float = 1e-14,
 ) -> tuple[float, float]:
     """Integrate ``f`` over ``[a, inf)`` for ``a > 0``.
 
@@ -63,18 +66,15 @@ def integrate_tail(
         z = 1.0 / v
         return f(z) * z * z
 
-    return integrate_interval(g, 0.0, 1.0 / a, rel_tol=rel_tol, abs_floor=abs_floor)
+    return integrate_interval(g, 0.0, 1.0 / a, rel_tol=rel_tol)
 
 
 def fourier_oscillatory_tail(
     f: Callable[[float], float],
     omega: float,
-    a: float = 0.0,
     kind: str = "cos",
-    abs_tol: float = 1e-12,
-    max_cycles: int = 20000,
 ) -> tuple[float, float]:
-    """Compute ``int_a^inf f(xi) * cos/sin(omega xi) dxi`` for decaying ``f``.
+    """Compute ``int_0^inf f(xi) * cos/sin(omega xi) dxi`` for decaying ``f``.
 
     Integrates cycle by cycle between zeros of the oscillating weight and
     accelerates the resulting alternating series (QUADPACK's QAWF). The cycle
@@ -82,12 +82,12 @@ def fourier_oscillatory_tail(
     """
     if omega <= 0:
         raise ValueError("oscillation frequency must be positive")
-    cycles = min(max_cycles, max(80, int(16.0 * omega) + 80))
+    cycles = min(_MAX_CYCLES, max(80, int(16.0 * omega) + 80))
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             val, err = integrate.quad(
-                f, a, np.inf, weight=kind, wvar=omega, epsabs=abs_tol, limlst=cycles
+                f, 0.0, np.inf, weight=kind, wvar=omega, epsabs=_OSC_TOL, limlst=cycles
             )
         except integrate.IntegrationWarning as exc:
             raise QuadratureError(

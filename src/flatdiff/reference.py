@@ -57,7 +57,7 @@ def solution_tail_constant(s: float) -> float:
     return heat_kernel_tail_constant(s) / (2.0 * s)
 
 
-def _profile(s: float, y: float, abs_tol: float = 1e-12) -> tuple[float, float]:
+def _profile(s: float, y: float) -> tuple[float, float]:
     """Standardized density p(1, y) and quadrature error for 0 < s < 1."""
     y = abs(y)
     if y == 0.0:
@@ -66,7 +66,7 @@ def _profile(s: float, y: float, abs_tol: float = 1e-12) -> tuple[float, float]:
     def damped(xi: float) -> float:
         return math.exp(-(xi ** (2.0 * s)))
 
-    val, err = fourier_oscillatory_tail(damped, omega=y, kind="cos", abs_tol=abs_tol)
+    val, err = fourier_oscillatory_tail(damped, omega=y, kind="cos")
     return max(val, 0.0) / math.pi, err / math.pi
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -87,15 +88,15 @@ class SubsolutionParams:
         if self.r0 <= 1:
             raise ValueError("lower-envelope onset radius must exceed 1")
 
-    @property
+    @cached_property
     def kappa(self) -> float:
         return _kappa(self.s, self.j0)
 
-    @property
+    @cached_property
     def t_star(self) -> float:
         return 2.0 * self.c / self.kappa
 
-    @property
+    @cached_property
     def r_star(self) -> float:
         return (8.0 * self.c * self.j0**2) ** (1.0 / (2.0 * self.s))
 

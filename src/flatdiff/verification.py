@@ -252,15 +252,14 @@ def mirror_identity_check(
     *,
     output_times=(),
     safety: float = 0.45,
-    method: str = "auto",
 ) -> VerificationReport:
     """Evolve a symmetrically mollified edge and measure the mirror defect.
 
     The datum ramps from a to 0 symmetrically about b; with constant-a left
     and zero right extensions the continuum solution satisfies
     ``v(t, b + x) + v(t, b - x) = a`` exactly. The check runs its own
-    simulation on the supplied grid (which must be symmetric about b) and
-    reports the worst absolute defect over all snapshots.
+    simulation on ``grid`` (symmetric about b; its size picks the apply
+    path) and reports the worst absolute defect over all snapshots.
     """
     if not grid.is_symmetric_about(b):
         raise ValueError("mirror check needs a grid symmetric about the edge")
@@ -274,9 +273,7 @@ def mirror_identity_check(
         certificate=cert,
     )
     datum = InitialDatum.mollified_step(a, b, eps).sample(grid)
-    traj = evolve(
-        op, datum, t_final, output_times=output_times, safety=safety, method=method
-    )
+    traj = evolve(op, datum, t_final, output_times=output_times, safety=safety)
     x = grid.points()
     worst = -math.inf
     worst_t = worst_x = math.nan

@@ -126,6 +126,7 @@ MALFORMED = [
     ("checks.subsolution.samples", 4, "['samples'] in config.checks.subsolution"),
     ("bench.warmup", 1, "['warmup'] in config.bench"),
     ("output.compress", True, "['compress'] in config.output"),
+    ("solver.method", "fft", "['method'] in config.solver"),
 ]
 
 

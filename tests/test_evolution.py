@@ -50,6 +50,9 @@ def test_step_refuses_unstable_dt(small_op):
         fd.step(small_op, u, 1.01 / small_op.row_sum)
     with pytest.raises(ValueError):
         fd.step(small_op, u, -0.1)
+    small_op.row_sum = 0.0
+    with pytest.raises(ValueError, match="degenerate"):
+        fd.step(small_op, u, 0.1)
 
 
 def test_step_advances_time_and_leaves_input_alone(small_op):
@@ -145,6 +148,24 @@ def test_divergence_is_detected(unit_spec, unit_cert):
     u0 = decreasing_datum(grid)
     with pytest.raises(fd.SimulationDivergedError):
         fd.evolve(op, u0, 400.0, startup_ramp=False)
+    dt, u = fd.stable_dt(op, 0.45), u0
+    with pytest.raises(fd.SimulationDivergedError):
+        for _ in range(1000):
+            u = fd.step(op, u, dt)
+
+
+@pytest.mark.parametrize("n", [128, 1024])
+def test_one_step_evolve_is_step(unit_spec, unit_cert, n):
+    # both sides of the size rule that picks the direct or the FFT apply
+    grid = fd.Grid(-5.0, 5.0, n)
+    op = fd.discretize(
+        unit_spec, grid, fd.BoundaryModel(left_value=0.5), certificate=unit_cert
+    )
+    u0 = decreasing_datum(op.grid)
+    dt = fd.stable_dt(op, 0.45)
+    traj = fd.evolve(op, u0, dt, startup_ramp=False)
+    assert traj.times.tolist() == [0.0, dt]
+    assert np.array_equal(traj.states[-1].values, fd.step(op, u0, dt).values)
 
 
 # -- trajectory container ----------------------------------------------------
@@ -270,7 +291,7 @@ def check_fft_order_and_bounds(rng, n, family, right):
     upper0 = lower0 + rng.uniform(0.0, 0.5, n)
     t_final = 60 * fd.stable_dt(op, 0.45)
     upper, lower = (
-        fd.evolve(op, fd.Field(grid, 0.0, v), t_final, (t_final / 2,), method="fft")
+        fd.evolve(op, fd.Field(grid, 0.0, v), t_final, (t_final / 2,))
         for v in (upper0, lower0)
     )
     assert fd.discrete_comparison_check(upper, lower, tol=1e-12).passed
@@ -288,7 +309,7 @@ def check_fft_keeps_monotone(rng, op, t_final):
     grid, bm = op.grid, op.boundary
     floor = bm.right_value if bm.right == "constant" else 0.0
     mono0 = np.clip(np.sort(rng.uniform(0.0, 0.6, grid.n))[::-1], floor, bm.left_value)
-    mono = fd.evolve(op, fd.Field(grid, 0.0, mono0), t_final, (t_final / 2,), method="fft")
+    mono = fd.evolve(op, fd.Field(grid, 0.0, mono0), t_final, (t_final / 2,))
     for state in mono.states:
         assert np.all(np.diff(state.values) <= 1e-12)
 

@@ -1,6 +1,7 @@
 """Kernel families, mass integrals, and the hypothesis validator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,14 @@ def test_scalar_input_overflows_like_numpy():
             assert fd.eval_kernel(spec, z) == math.inf
     assert fd.eval_kernel(spec, 1e300) == 0.0
     assert fd.eval_kernel(spec, np.array([1e300]))[0] == 0.0
+    # compact_plus_tail's power law applies only at r > 1: no overflow below
+    zs = np.array([1e-300, 0.5, 2.0])
+    for name in ("flat", "triangle"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = fd.eval_kernel(SCALAR_SPECS[name], zs)
+        floats = [fd.eval_kernel(SCALAR_SPECS[name], float(z)) for z in zs]
+        assert np.array_equal(values, floats)
 
 
 @settings(max_examples=40, deadline=None)

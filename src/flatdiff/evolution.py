@@ -17,6 +17,7 @@ __all__ = [
     "evolve",
     "ComparisonReport",
     "discrete_comparison_check",
+    "worst_node",
 ]
 
 class SimulationDivergedError(RuntimeError):
@@ -141,15 +142,31 @@ def evolve(
     return Trajectory(op.grid, np.asarray(times), tuple(states), operator=op)
 
 
+def worst_node(times, rows, x, largest: bool = False) -> tuple[float, float, float]:
+    """Smallest (or largest) entry of snapshot rows and where it lies.
+
+    ``rows[k][i]`` is a value at time ``times[k]`` and node ``x[i]``; returns
+    ``(value, t, x)``. Ties go to the earliest snapshot, then the leftmost
+    node.
+    """
+    table = np.stack(rows)
+    flat = np.argmax(table) if largest else np.argmin(table)
+    k, i = np.unravel_index(flat, table.shape)
+    return float(table[k, i]), float(times[k]), float(x[i])
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     """Worst-case ordering margin between two trajectories."""
 
-    passed: bool
     margin: float
     tolerance: float
     worst_t: float
     worst_x: float
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= -self.tolerance
 
 
 def discrete_comparison_check(
@@ -169,21 +186,11 @@ def discrete_comparison_check(
     if init.min() < -tol:
         raise ValueError("initial data are not ordered within tolerance")
 
-    margin = np.inf
-    worst_t = upper.times[0]
-    worst_x = upper.grid.x_min
-    xs = upper.grid.points()
-    for t, us, ls in zip(upper.times, upper.states, lower.states):
-        diff = us.values - ls.values
-        i = int(np.argmin(diff))
-        if diff[i] < margin:
-            margin = float(diff[i])
-            worst_t = float(t)
-            worst_x = float(xs[i])
+    margin, worst_t, worst_x = worst_node(
+        upper.times,
+        [us.values - ls.values for us, ls in zip(upper.states, lower.states)],
+        upper.grid.points(),
+    )
     return ComparisonReport(
-        passed=margin >= -tol,
-        margin=margin,
-        tolerance=tol,
-        worst_t=worst_t,
-        worst_x=worst_x,
+        margin=margin, tolerance=tol, worst_t=worst_t, worst_x=worst_x
     )

@@ -31,7 +31,7 @@ converge on the ``z^(-1-2s)`` singularity up to ``s -> 1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 RESIDUAL_BUDGET_FLOOR = 1e-10
+DEFAULT_QUAD_TOL = 1e-8
 
 
 def _kappa(s: float, j0: float) -> float:
@@ -192,7 +193,7 @@ def nonlocal_apply_to_barrier(
     params: SubsolutionParams,
     t: float,
     x: float,
-    quad_tol: float = 1e-8,
+    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> float:
     """Evaluate ``(D w)(t, x)`` by adaptive quadrature in the continuum.
 
@@ -223,22 +224,22 @@ def nonlocal_apply_to_barrier(
 
 @dataclass(frozen=True)
 class ResidualSample:
-    """One certified residual evaluation with its quadrature budget."""
+    """One certified residual evaluation with its quadrature budget.
+
+    ``passed`` is ``residual <= budget``, so a NaN residual fails.
+    """
 
     t: float
     x: float
     residual: float
     budget: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.residual <= self.budget
 
     def as_row(self) -> dict:
-        return {
-            "t": self.t,
-            "x": self.x,
-            "residual": self.residual,
-            "budget": self.budget,
-            "pass": self.passed,
-        }
+        return {**asdict(self), "pass": self.passed}
 
 
 def residual_certificate(
@@ -246,15 +247,13 @@ def residual_certificate(
     params: SubsolutionParams,
     t: float,
     x: float,
-    quad_tol: float = 1e-8,
+    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> ResidualSample:
     """Residual plus the tolerance budget ``max(10 tol |D w|, floor)``."""
     dw = nonlocal_apply_to_barrier(spec, params, t, x, quad_tol)
     residual = w_time_derivative(params, t, x) - dw
     budget = max(10.0 * quad_tol * abs(dw), RESIDUAL_BUDGET_FLOOR)
-    return ResidualSample(
-        t=t, x=x, residual=residual, budget=budget, passed=residual <= budget
-    )
+    return ResidualSample(t=t, x=x, residual=residual, budget=budget)
 
 
 def residual_grid(
@@ -263,7 +262,7 @@ def residual_grid(
     nt: int = 20,
     nx: int = 20,
     x_max: float | None = None,
-    quad_tol: float = 1e-8,
+    quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> list[ResidualSample]:
     """Certify the residual sign on an ``nt x nx`` sample of the validity set.
 

@@ -1,5 +1,6 @@
 """End-to-end command line runs: artifacts, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import re
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from flatdiff import subsolution
 from flatdiff.cli import main
 
 CAUCHY_KERNEL = {
@@ -185,6 +187,20 @@ def test_verify_flattening_report(tmp_path):
     assert rep["details"]["window"][0] == pytest.approx(25.0)
 
 
+def test_verify_flattening_at_a_time_between_snapshots(tmp_path):
+    cfg = base_config(tmp_path, checks={"flattening": {"t": 0.3}})
+    out = tmp_path / "flat"
+    assert main(["verify-flattening", "--config", cfg, "--out", str(out)]) == 0
+    assert read_reports(out)[0]["worst_t"] == 0.3
+
+
+@pytest.mark.parametrize("t", [0.7, 0.0, -0.3])
+def test_verify_flattening_time_outside_the_run_exits_2(tmp_path, caplog, t):
+    cfg = base_config(tmp_path, checks={"flattening": {"t": t}})
+    assert main(["verify-flattening", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config.checks.flattening.t" in caplog.text
+
+
 def test_verify_proposition_reports(tmp_path):
     cfg = base_config(
         tmp_path,
@@ -245,6 +261,29 @@ def test_verify_subsolution_report(tmp_path):
     assert len(rows) == 6
     assert all(row["pass"] for row in rows)
     assert {row["t"] for row in rows} == {16.0 / 3.0, 32.0 / 3.0}
+
+
+def test_verify_subsolution_nan_residual_fails(tmp_path, monkeypatch):
+    certify = subsolution.residual_certificate
+    calls = []
+
+    def nan_on_second_sample(*args, **kwargs):
+        sample = certify(*args, **kwargs)
+        calls.append(sample)
+        return dataclasses.replace(sample, residual=math.nan) if len(calls) == 2 else sample
+
+    monkeypatch.setattr(subsolution, "residual_certificate", nan_on_second_sample)
+    cfg = write_config(
+        tmp_path,
+        kernel=UNIT_KERNEL,
+        checks={"subsolution": {"c": 2.0, "nt": 2, "nx": 2, "x_max": 200.0}},
+    )
+    out = tmp_path / "sub"
+    assert main(["verify-subsolution", "--config", cfg, "--out", str(out)]) == 1
+    rep = read_reports(out)[0]
+    assert rep["pass"] is False
+    assert math.isnan(rep["measured"])
+    assert [row["pass"] for row in rep["details"]["samples"]] == [True, False, True, True]
 
 
 def test_verify_subsolution_steep_fractional_laplacian(tmp_path, fractional_laplacian):

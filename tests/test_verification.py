@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import flatdiff as fd
+from flatdiff.evolution import worst_node
 from flatdiff.verification import DEFAULT_MOLLIFIER_RADIUS
 
 
@@ -79,16 +80,11 @@ def test_datum_validation():
 def test_report_consistency_is_enforced():
     with pytest.raises(ValueError):
         fd.VerificationReport(
-            check="demo", passed=True, measured=0.1, bound=0.5, tolerance=0.01,
-            relation="lower_bound", worst_t=1.0, worst_x=0.0,
-        )
-    with pytest.raises(ValueError):
-        fd.VerificationReport(
-            check="demo", passed=True, measured=0.9, bound=0.5, tolerance=0.01,
+            check="demo", measured=0.9, bound=0.5, tolerance=0.01,
             relation="sideways", worst_t=1.0, worst_x=0.0,
         )
     ok = fd.VerificationReport(
-        check="demo", passed=False, measured=0.1, bound=0.5, tolerance=0.01,
+        check="demo", measured=0.1, bound=0.5, tolerance=0.01,
         relation="lower_bound", worst_t=1.0, worst_x=0.0,
     )
     d = ok.as_dict()
@@ -111,6 +107,52 @@ def test_halfline_bound_on_mini_run(mini_run):
     assert 0.5 < report.measured < 0.65
     assert report.worst_x == pytest.approx(-0.2, rel=1e-12)
     assert report.worst_t in (0.25, 0.5)
+
+
+def test_report_pass_is_derived_from_its_numbers():
+    cases = [
+        ("lower_bound", 0.49, True), ("lower_bound", 0.48999, False),
+        ("upper_bound", 0.51, True), ("upper_bound", 0.51001, False),
+        ("lower_bound", math.nan, False), ("upper_bound", math.nan, False),
+    ]
+    for relation, measured, expected in cases:
+        report = fd.VerificationReport(
+            check="demo", measured=measured, bound=0.5, tolerance=0.01,
+            relation=relation, worst_t=1.0, worst_x=0.0,
+        )
+        assert report.passed is expected
+        assert report.as_dict()["pass"] is expected
+
+
+def tied_trajectory(grid, low):
+    """Three snapshots on ``grid`` where the rows at t = 0.5 and t = 1 both
+    reach ``low`` at nodes 3 and 7 and nowhere else."""
+    rows = []
+    for t in (0.0, 0.5, 1.0):
+        v = np.ones(grid.n)
+        if t > 0:
+            v[[3, 7]] = low
+        rows.append(fd.Field(grid, t, v))
+    return fd.Trajectory(grid, np.array([0.0, 0.5, 1.0]), tuple(rows))
+
+
+def test_worst_location_ties_go_to_earliest_time_then_leftmost_node():
+    grid = fd.Grid(-8.0, 8.0, 17)
+    x = grid.points()
+    report = fd.halfline_bound_check(tied_trajectory(grid, 0.6), a=1.0, b=5.0)
+    assert (report.measured, report.worst_t, report.worst_x) == (0.6, 0.5, x[3])
+    upper = fd.Trajectory(
+        grid,
+        np.array([0.0, 0.5, 1.0]),
+        tuple(fd.Field(grid, t, np.ones(grid.n)) for t in (0.0, 0.5, 1.0)),
+    )
+    report = fd.discrete_comparison_check(upper, tied_trajectory(grid, 1.5))
+    assert (report.margin, report.worst_t, report.worst_x) == (-0.5, 0.5, x[3])
+    # the mirror check's scan: largest defect, same tie rule
+    rows = [np.where(np.arange(grid.n) % 4 == 3, 0.25, 0.0)] * 3
+    assert worst_node(np.array([0.0, 0.5, 1.0]), rows, x, largest=True) == (
+        0.25, 0.0, x[3]
+    )
 
 
 def test_halfline_bound_custom_tolerance(mini_run):
@@ -195,6 +237,22 @@ def test_flattening_window_guards(mini_run, cauchy_spec):
         fd.flattening_ratio(mini_run, cauchy_spec, 0.3, (15.0, 32.0), a=1.0)
     with pytest.raises(ValueError):
         fd.flattening_ratio(mini_run, cauchy_spec, 0.0, (15.0, 32.0), a=1.0)
+    with pytest.raises(ValueError, match="positive times"):
+        fd.flattening_ratio(mini_run, cauchy_spec, -0.3, (15.0, 32.0), a=1.0)
+
+
+def test_flattening_ratio_exactly_at_the_threshold(unit_spec):
+    # bound * (1 - tol_rel) rounds one ulp above bound - bound * tol_rel here
+    grid = fd.Grid(0.0, 200.0, 201)
+    ratio = 0.11281499999999998
+    u = np.full(grid.n, ratio / 128.0)
+    traj = fd.Trajectory(
+        grid, np.array([0.0, 1.0]), (fd.Field(grid, 0.0, u), fd.Field(grid, 1.0, u))
+    )
+    report = fd.flattening_ratio(traj, unit_spec, 1.0, (127.5, 128.5), a=0.5014)
+    assert (report.measured, report.worst_x) == (ratio, 128.0)
+    assert report.passed == (report.measured >= report.bound - report.tolerance)
+    assert report.passed
 
 
 def test_flattening_on_exact_solution_is_time_stable(cauchy_spec):

@@ -36,10 +36,8 @@ from .operator import DiscreteOperator, UnverifiedKernelError, discretize
 from .quadrature import QuadratureError
 from .reference import (
     HeatKernelBoundsFit,
-    HeatKernelEval,
     fractional_heat_kernel,
     heat_kernel_bounds_fit,
-    heat_kernel_profile,
     heat_kernel_tail_constant,
     reference_solution,
     solution_tail_constant,
@@ -76,7 +74,6 @@ __all__ = [
     "Field",
     "Grid",
     "HeatKernelBoundsFit",
-    "HeatKernelEval",
     "HypothesisCertificate",
     "HypothesisViolationError",
     "InitialDatum",
@@ -100,7 +97,6 @@ __all__ = [
     "fractional_heat_kernel",
     "halfline_bound_check",
     "heat_kernel_bounds_fit",
-    "heat_kernel_profile",
     "heat_kernel_tail_constant",
     "interval_mass",
     "kappa",

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .evolution import Trajectory, evolve, stable_dt
+from .evolution import DEFAULT_SAFETY, Trajectory, evolve, stable_dt
 from .kernels import (
     KernelSpec,
     compact_plus_tail,
@@ -229,9 +229,12 @@ def build_datum(cfg: dict) -> InitialDatum:
 
 
 def _solver_options(cfg: dict) -> dict:
-    """``evolve``'s ``safety`` and ``startup_ramp``; the grid size picks the apply path."""
-    opts = {"safety": 0.45, "startup_ramp": True, **cfg.get("solver", {})}
-    if not 0.0 < opts["safety"] <= 1.0:
+    """The ``evolve`` keywords the config sets (``safety``, ``startup_ramp``).
+
+    Unset ones take ``evolve``'s defaults; the grid size picks the apply path.
+    """
+    opts = _given(cfg.get("solver", {}), "safety", "startup_ramp")
+    if not 0.0 < opts.get("safety", DEFAULT_SAFETY) <= 1.0:
         raise ConfigError("solver safety must lie in (0, 1]")
     return opts
 
@@ -284,7 +287,7 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, safety: float) -> dict:
+def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, opts: dict) -> dict:
     cert = op.certificate
     return {
         "package_version": __version__,
@@ -292,7 +295,7 @@ def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, safety: flo
         "derived": {
             "h": op.grid.h,
             "row_sum": op.row_sum,
-            "dt_stable": stable_dt(op, safety),
+            "dt_stable": stable_dt(op, opts.get("safety", DEFAULT_SAFETY)),
             "kernel_certificate": {
                 "verified": cert.verified,
                 "upper_margin": cert.upper_margin,
@@ -319,7 +322,7 @@ def cmd_simulate(cfg: dict, out: Path, fmt: str, args) -> int:
                 for t, st in zip(traj.times, traj.states)
             ],
         )
-    _write_json(out / "metadata.json", _metadata(args.raw_config, op, traj, opts["safety"]))
+    _write_json(out / "metadata.json", _metadata(args.raw_config, op, traj, opts))
     log.info("wrote %d snapshots to %s", len(traj.times), out)
     return EXIT_OK
 
@@ -382,7 +385,7 @@ def cmd_verify_proposition(cfg: dict, out: Path, fmt: str, args) -> int:
                 datum.b,
                 mirror.get("t_final", cfg["times"]["t_final"]),
                 grid,
-                safety=opts["safety"],
+                **opts,
                 **_given(mirror, "eps", "tol"),
             )
         )

@@ -20,6 +20,10 @@ __all__ = [
     "worst_node",
 ]
 
+# fraction of the convex-combination bound 1/W taken per step by default
+DEFAULT_SAFETY = 0.45
+
+
 class SimulationDivergedError(RuntimeError):
     """Non-finite values appeared during time stepping."""
 
@@ -102,7 +106,7 @@ def evolve(
     t_final: float,
     output_times: tuple[float, ...] | list[float] = (),
     *,
-    safety: float = 0.45,
+    safety: float = DEFAULT_SAFETY,
     startup_ramp: bool = True,
     workers: int = 1,
 ) -> Trajectory:

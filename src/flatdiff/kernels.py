@@ -385,15 +385,22 @@ class HypothesisCertificate:
     ``upper_margin`` is the worst slack of the upper envelope over sampled
     ``|z| > 1``; ``lower_margin`` the worst slack of the lower envelope over
     sampled ``|z| >= R0``. ``verified`` is true exactly when both margins are
-    nonnegative and ``near_moment <= 2 * J1``.
+    nonnegative and ``near_moment <= 2 * J1``; it holds for ``spec`` only.
     """
 
-    spec_id: str
-    verified: bool
+    spec: KernelSpec
     upper_margin: float
     lower_margin: float
     near_moment: float
     sample_count: int
+
+    @property
+    def verified(self) -> bool:
+        return bool(
+            self.upper_margin >= 0.0
+            and self.lower_margin >= 0.0
+            and self.near_moment <= 2.0 * self.spec.declared_j1
+        )
 
 
 def _sample_radii(spec: KernelSpec, sample_count: int) -> np.ndarray:
@@ -428,14 +435,8 @@ def validate_hypothesis(spec: KernelSpec, sample_count: int = 1000) -> Hypothesi
         near = restricted_second_moment(spec, 1.0)
     except HypothesisViolationError:
         near = float("inf")
-    verified = (
-        upper_margin >= 0.0
-        and lower_margin >= 0.0
-        and near <= 2.0 * spec.declared_j1
-    )
     return HypothesisCertificate(
-        spec_id=spec.describe(),
-        verified=verified,
+        spec=spec,
         upper_margin=upper_margin,
         lower_margin=lower_margin,
         near_moment=near,

@@ -198,13 +198,18 @@ def discretize(
 ) -> DiscreteOperator:
     """Build the discrete operator, gated on kernel admissibility.
 
-    A certificate is computed if not supplied. An unverified kernel is
-    rejected unless ``force=True`` (useful for kernels that violate the tail
-    envelopes but still define a perfectly good monotone scheme, such as
-    truncated tails).
+    A certificate is computed if not supplied; a supplied one must be for
+    ``spec``, even under ``force``, since the operator reports it. An
+    unverified kernel is rejected unless ``force=True`` (useful for kernels
+    that violate the tail envelopes but still define a perfectly good
+    monotone scheme, such as truncated tails).
     """
     if certificate is None:
         certificate = validate_hypothesis(spec)
+    if certificate.spec != spec:
+        raise ValueError(
+            f"certificate is for kernel {certificate.spec!r}, not {spec!r}"
+        )
     if not certificate.verified and not force:
         raise UnverifiedKernelError(
             f"kernel {spec.describe()} failed admissibility validation "

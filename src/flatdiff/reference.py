@@ -27,9 +27,7 @@ from scipy import special
 from .quadrature import fourier_oscillatory_tail
 
 __all__ = [
-    "HeatKernelEval",
     "fractional_heat_kernel",
-    "heat_kernel_profile",
     "reference_solution",
     "heat_kernel_tail_constant",
     "solution_tail_constant",
@@ -70,72 +68,34 @@ def _profile(s: float, y: float) -> tuple[float, float]:
     return max(val, 0.0) / math.pi, err / math.pi
 
 
-def fractional_heat_kernel(s: float, t: float, x: float) -> float:
-    """Heat kernel of the order-2s fractional Laplacian at time t, point x."""
-    _check_order(s)
-    if t <= 0:
-        raise ValueError("kernel evaluation requires t > 0")
-    if s == 0.5:
-        return t / (math.pi * (t * t + x * x))
-    if s == 1.0:
-        return math.exp(-x * x / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-    scale = t ** (-1.0 / (2.0 * s))
-    val, _ = _profile(s, scale * x)
-    return scale * val
+def fractional_heat_kernel(s: float, t: float, x):
+    """Heat kernel of the order-2s fractional Laplacian at time t, points x.
 
-
-@dataclass(frozen=True)
-class HeatKernelEval:
-    """Kernel values on a set of points, tagged with the evaluation route."""
-
-    s: float
-    t: float
-    x: np.ndarray
-    p: np.ndarray
-    method: str
-    error_estimate: float
-
-    def __post_init__(self) -> None:
-        if self.method not in ("closed_form", "fourier_inversion"):
-            raise ValueError(f"unknown evaluation method {self.method!r}")
-        if self.x.shape != self.p.shape:
-            raise ValueError("point and value arrays must align")
-        if np.any(self.p < 0):
-            raise ValueError("kernel values must be nonnegative")
-
-
-def heat_kernel_profile(s: float, t: float, x) -> HeatKernelEval:
-    """Evaluate the kernel on an array of points.
-
-    Closed forms are used for s in {1/2, 1}; otherwise each point runs the
-    oscillatory inversion and the reported error is the worst estimate.
+    Closed forms for s in {1/2, 1}; otherwise each point runs the
+    oscillatory inversion after rescaling to t = 1. Accepts scalar or array
+    x: a scalar gives a float, an array an array of the same shape.
     """
     _check_order(s)
     if t <= 0:
         raise ValueError("kernel evaluation requires t > 0")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = np.asarray(x, dtype=float)
     if s == 0.5:
         p = t / (math.pi * (t * t + x_arr * x_arr))
-        return HeatKernelEval(s, t, x_arr, p, "closed_form", 0.0)
-    if s == 1.0:
+    elif s == 1.0:
         p = np.exp(-x_arr * x_arr / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-        return HeatKernelEval(s, t, x_arr, p, "closed_form", 0.0)
-    scale = t ** (-1.0 / (2.0 * s))
-    vals = np.empty_like(x_arr)
-    worst = 0.0
-    for i, xi in enumerate(x_arr):
-        val, err = _profile(s, scale * xi)
-        vals[i] = scale * val
-        worst = max(worst, scale * err)
-    return HeatKernelEval(s, t, x_arr, vals, "fourier_inversion", worst)
+    else:
+        scale = t ** (-1.0 / (2.0 * s))
+        p = scale * np.vectorize(lambda y: _profile(s, y)[0], otypes=[float])(
+            scale * x_arr
+        )
+    if np.ndim(x) == 0:
+        return float(p)
+    return p
 
 
 def _survival(s: float, zeta: float) -> float:
-    """Upper tail mass ``int_zeta^inf p(1, y) dy`` of the standardized kernel."""
-    if s == 0.5:
-        return 0.5 - math.atan(zeta) / math.pi
-    if s == 1.0:
-        return 0.5 * special.erfc(zeta / 2.0)
+    """Upper tail mass ``int_zeta^inf p(1, y) dy`` of the standardized kernel
+    for 0 < s < 1 (the closed forms live in :func:`reference_solution`)."""
     if zeta == 0.0:
         return 0.5
     if zeta < 0.0:
@@ -172,7 +132,7 @@ def reference_solution(s: float, a: float, b: float, t: float, x):
     elif s == 1.0:
         out = a * 0.5 * special.erfc(zeta / 2.0)
     else:
-        out = a * np.vectorize(lambda z: _survival(s, z))(zeta)
+        out = a * np.vectorize(lambda z: _survival(s, z), otypes=[float])(zeta)
     if np.ndim(x) == 0:
         return float(out)
     return np.asarray(out, dtype=float)
@@ -187,7 +147,8 @@ class HeatKernelBoundsFit:
     ``g(t, x) = 1 / (t^(1/(2s)) (1 + |t^(-1/(2s)) x|^(1+2s)))``.
     ``limit_value`` is ``x^(2s) u(t, x) / t`` for the unit plateau datum at
     the farthest self-similar sample; the envelope forces it to stay above
-    ``1/c1`` up to the finite-sample slack.
+    ``limit_floor = 1/c1`` up to the relative finite-sample slack
+    ``rel_slack``, which ``limit_ok`` checks.
     """
 
     s: float
@@ -197,7 +158,11 @@ class HeatKernelBoundsFit:
     tail_constant: float
     limit_value: float
     limit_floor: float
-    limit_ok: bool
+    rel_slack: float
+
+    @property
+    def limit_ok(self) -> bool:
+        return self.limit_value >= self.limit_floor * (1.0 - self.rel_slack)
 
 
 def heat_kernel_bounds_fit(
@@ -222,11 +187,11 @@ def heat_kernel_bounds_fit(
     c1 = 1.0
     for t in ts:
         scale = t ** (-1.0 / (2.0 * s))
-        eval_ = heat_kernel_profile(s, float(t), xs)
+        p = fractional_heat_kernel(s, float(t), xs)
         y = scale * np.abs(xs)
         ys.append(y[y > 0])
         envelope = scale / (1.0 + y ** (1.0 + 2.0 * s))
-        ratio = eval_.p / envelope
+        ratio = p / envelope
         c1 = max(c1, float(np.max(ratio)), float(np.max(1.0 / ratio)))
 
     all_y = np.concatenate(ys)
@@ -250,5 +215,5 @@ def heat_kernel_bounds_fit(
         tail_constant=solution_tail_constant(s),
         limit_value=limit_value,
         limit_floor=limit_floor,
-        limit_ok=limit_value >= limit_floor * (1.0 - rel_slack),
+        rel_slack=rel_slack,
     )

@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .evolution import Trajectory, evolve, worst_node
-from .kernels import KernelSpec, validate_hypothesis
+from .evolution import DEFAULT_SAFETY, Trajectory, evolve, worst_node
+from .kernels import KernelSpec
 from .mesh import BoundaryModel, Field, Grid
 from .operator import discretize
 from .subsolution import SubsolutionParams, kappa
@@ -231,7 +231,8 @@ def mirror_identity_check(
     eps: float = DEFAULT_MOLLIFIER_RADIUS,
     tol: float | None = None,
     output_times=(),
-    safety: float = 0.45,
+    safety: float = DEFAULT_SAFETY,
+    startup_ramp: bool = True,
 ) -> VerificationReport:
     """Evolve a symmetrically mollified edge and measure the mirror defect.
 
@@ -240,7 +241,8 @@ def mirror_identity_check(
     satisfies ``v(t, b + x) + v(t, b - x) = a`` exactly. The check runs its
     own simulation on ``grid`` (symmetric about b; its size picks the apply
     path) and reports the worst absolute defect over all snapshots against
-    ``tol``, which defaults to 0.02 a.
+    ``tol``, which defaults to 0.02 a. ``safety`` and ``startup_ramp`` go
+    to ``evolve``.
     """
     if tol is None:
         tol = 0.02 * a
@@ -248,15 +250,16 @@ def mirror_identity_check(
         raise ValueError("mirror check needs a grid symmetric about the edge")
     if t_final <= 0:
         raise ValueError("final time must be positive")
-    cert = validate_hypothesis(spec)
-    op = discretize(
-        spec,
-        grid,
-        BoundaryModel(left_value=a, right="zero"),
-        certificate=cert,
-    )
+    op = discretize(spec, grid, BoundaryModel(left_value=a, right="zero"))
     datum = InitialDatum.mollified_step(a, b, eps).sample(grid)
-    traj = evolve(op, datum, t_final, output_times=output_times, safety=safety)
+    traj = evolve(
+        op,
+        datum,
+        t_final,
+        output_times=output_times,
+        safety=safety,
+        startup_ramp=startup_ramp,
+    )
     worst, worst_t, worst_x = worst_node(
         traj.times,
         [np.abs(state.values + state.values[::-1] - a) for state in traj.states],

@@ -176,7 +176,7 @@ def test_criterion_08_reference_kernel_self_consistency():
 
     # kernel tail decays like |x|^-(1+2s) at s = 1/2
     grid = fd.Grid(1.0, 5000.0, 4000)
-    f = fd.Field(grid, 1.0, fd.heat_kernel_profile(0.5, 1.0, grid.points()).p)
+    f = fd.Field(grid, 1.0, fd.fractional_heat_kernel(0.5, 1.0, grid.points()))
     fit = fd.tail_exponent_fit(f, (100.0, 1000.0))
     assert fit.slope == pytest.approx(-2.0, rel=0.05)
 
@@ -189,7 +189,7 @@ def test_criterion_08_reference_kernel_self_consistency():
 )
 def test_criterion_08_gaussian_tail_slope_unresolvable():
     grid = fd.Grid(1.0, 5000.0, 4000)
-    f = fd.Field(grid, 1.0, fd.heat_kernel_profile(1.0, 1.0, grid.points()).p)
+    f = fd.Field(grid, 1.0, fd.fractional_heat_kernel(1.0, 1.0, grid.points()))
     fit = fd.tail_exponent_fit(f, (100.0, 1000.0))
     assert fit.slope == pytest.approx(-3.0, rel=0.05)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from flatdiff import subsolution
+from flatdiff import subsolution, verification
 from flatdiff.cli import main
 
 CAUCHY_KERNEL = {
@@ -240,6 +240,29 @@ def test_verify_proposition_failing_check_exits_1(tmp_path):
     reports = read_reports(out)
     assert reports[0]["pass"] is True
     assert reports[1]["pass"] is False
+
+
+def test_verify_proposition_mirror_run_takes_the_solver_section(tmp_path, monkeypatch):
+    # the mirror defect reads ~1e-14 with or without the ramp, so record the
+    # keywords the mirror check's own evolve receives instead
+    seen = []
+    real_evolve = verification.evolve
+
+    def recording_evolve(*args, **kwargs):
+        seen.append(kwargs)
+        return real_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "evolve", recording_evolve)
+    cfg = base_config(
+        tmp_path,
+        solver={"safety": 0.3, "startup_ramp": False},
+        checks={"mirror": {"eps": 0.5, "t_final": 0.25}},
+    )
+    out = tmp_path / "prop_solver"
+    assert main(["verify-proposition", "--config", cfg, "--out", str(out)]) == 0
+    assert len(seen) == 1
+    assert seen[0]["startup_ramp"] is False
+    assert seen[0]["safety"] == 0.3
 
 
 def test_verify_subsolution_report(tmp_path):

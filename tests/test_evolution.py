@@ -316,7 +316,7 @@ def check_fft_keeps_monotone(rng, op, t_final):
 
 @pytest.mark.parametrize("right", ["zero", "constant", "algebraic_tail"])
 @pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
-@pytest.mark.parametrize("n", [512, 2048])
+@pytest.mark.parametrize("n", [256, 512, 2048])
 def test_fft_path_keeps_order_and_bounds(rng, n, family, right):
     op, t_final = check_fft_order_and_bounds(rng, n, family, right)
     check_fft_keeps_monotone(rng, op, t_final)
@@ -324,7 +324,7 @@ def test_fft_path_keeps_order_and_bounds(rng, n, family, right):
 
 @settings(max_examples=8, deadline=None)
 @given(
-    n=st.integers(min_value=512, max_value=8192),
+    n=st.integers(min_value=256, max_value=8192),
     family=st.sampled_from(sorted(KERNEL_FAMILIES)),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )

@@ -1,5 +1,6 @@
 """Kernel families, mass integrals, and the hypothesis validator."""
 
+import dataclasses
 import math
 import warnings
 
@@ -216,6 +217,15 @@ def test_validator_rejects_loose_upper_constant():
     cert = fd.validate_hypothesis(spec)
     assert not cert.verified
     assert cert.upper_margin < 0
+
+
+def test_verified_follows_the_margins(unit_cert):
+    assert unit_cert.verified is True
+    assert unit_cert.spec == fd.pure_fractional(0.5, 1.0, j0=1.0, j1=1.0, r0=2.0)
+    for field in ("upper_margin", "lower_margin"):
+        assert dataclasses.replace(unit_cert, **{field: -1e-3}).verified is False
+    # the unit kernel declares J1 = 1, so the moment bound is 2
+    assert dataclasses.replace(unit_cert, near_moment=2.0 + 1e-9).verified is False
 
 
 def test_validator_cauchy_normalized(cauchy_cert):

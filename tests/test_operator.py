@@ -84,6 +84,22 @@ def test_certificate_computed_when_omitted(unit_spec, h01_grid):
     assert op.certificate.verified
 
 
+@pytest.mark.parametrize("force", [False, True])
+def test_certificate_of_another_kernel_refused(h01_grid, force):
+    # the certificate of a kernel with tight constants must not admit the
+    # same kernel declared with an understated j0
+    tight = fd.pure_fractional(0.5, 1.0, j0=1.0, j1=1.0, r0=2.0)
+    bad = fd.pure_fractional(0.5, 1.0, j0=0.5, j1=1.0, r0=2.0)
+    with pytest.raises(ValueError, match="certificate is for kernel"):
+        fd.discretize(
+            bad,
+            h01_grid,
+            fd.BoundaryModel(left_value=0.0),
+            certificate=fd.validate_hypothesis(tight),
+            force=force,
+        )
+
+
 # -- apply -------------------------------------------------------------------
 
 
@@ -203,6 +219,14 @@ def test_fft_agrees_with_direct(unit_spec, unit_cert, rng, right, n):
     fast = op.apply_fft(u).values
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(direct - fast)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n,path", [(255, "apply"), (256, "apply_fft")])
+def test_rate_switches_to_the_fft_at_the_crossover(unit_spec, unit_cert, rng, n, path):
+    g = fd.Grid(-10.0, 10.0, n)
+    op = make_op(unit_spec, unit_cert, g, left=0.8, right="algebraic_tail")
+    u = fd.Field(g, 0.0, rng.uniform(0.0, 1.0, n))
+    assert np.array_equal(op.rate(u.values), getattr(op, path)(u).values)
 
 
 def padded_reference(op, u):

@@ -56,26 +56,18 @@ def test_kernel_validation():
         fd.fractional_heat_kernel(0.5, 0.0, 0.0)
 
 
-@pytest.mark.parametrize("s,expected_method", [(0.5, "closed_form"), (0.75, "fourier_inversion")])
-def test_profile_evaluation_method_tags(s, expected_method):
-    ev = fd.heat_kernel_profile(s, 1.0, np.array([-2.0, -0.5, 0.0, 0.5, 2.0]))
-    assert ev.method == expected_method
-    assert np.all(ev.p >= 0)
-    assert np.array_equal(ev.p, ev.p[::-1])
-    if expected_method == "closed_form":
-        assert ev.error_estimate == 0.0
-    else:
-        assert 0 < ev.error_estimate < 1e-10
-
-
-def test_profile_eval_container_validation():
-    x = np.zeros(3)
-    with pytest.raises(ValueError):
-        fd.HeatKernelEval(0.5, 1.0, x, np.zeros(2), "closed_form", 0.0)
-    with pytest.raises(ValueError):
-        fd.HeatKernelEval(0.5, 1.0, x, np.array([0.1, -0.1, 0.1]), "closed_form", 0.0)
-    with pytest.raises(ValueError):
-        fd.HeatKernelEval(0.5, 1.0, x, np.zeros(3), "magic", 0.0)
+@pytest.mark.parametrize("s", [0.5, 0.75, 1.0])
+def test_oracles_take_scalars_and_arrays(s):
+    assert type(fd.fractional_heat_kernel(s, 0.7, 2.0)) is float
+    x = np.array([[-7.0, -2.0, -0.5, 0.0], [7.0, 2.0, 0.5, 0.0]])
+    p = fd.fractional_heat_kernel(s, 0.7, x)
+    assert p.shape == x.shape
+    pointwise = [fd.fractional_heat_kernel(s, 0.7, float(v)) for v in x.ravel()]
+    assert np.array_equal(p.ravel(), pointwise)
+    assert np.all(p > 0)
+    assert np.array_equal(p[0], p[1])
+    assert fd.fractional_heat_kernel(s, 0.7, np.array([])).shape == (0,)
+    assert fd.reference_solution(s, 1.0, 0.0, 1.0, np.array([])).shape == (0,)
 
 
 def test_unit_mass_closed_forms():
@@ -113,8 +105,11 @@ def test_generic_survival_differentiates_to_kernel():
 
 def test_survival_symmetry_and_center():
     for s in (0.5, 0.75, 1.0):
-        assert _survival(s, 0.0) == 0.5
-        assert _survival(s, -2.0) == pytest.approx(1.0 - _survival(s, 2.0), rel=1e-12)
+        def tail(z):
+            return fd.reference_solution(s, 1.0, 0.0, 1.0, z)
+
+        assert tail(0.0) == 0.5
+        assert tail(-2.0) == pytest.approx(1.0 - tail(2.0), rel=1e-12)
 
 
 # -- plateau reference solution ----------------------------------------------

@@ -312,7 +312,7 @@ def test_tail_fit_on_closed_form_solution_and_kernel():
     grid = fd.Grid(1.0, 5000.0, 4000)
     x = grid.points()
     solution = fd.Field(grid, 1.0, fd.reference_solution(0.5, 1.0, 0.0, 1.0, x))
-    kernel = fd.Field(grid, 1.0, fd.heat_kernel_profile(0.5, 1.0, x).p)
+    kernel = fd.Field(grid, 1.0, fd.fractional_heat_kernel(0.5, 1.0, x))
     window = (100.0, 1000.0)
     assert fd.tail_exponent_fit(solution, window).slope == pytest.approx(-1.0, abs=0.01)
     assert fd.tail_exponent_fit(kernel, window).slope == pytest.approx(-2.0, abs=0.01)

@@ -304,6 +304,8 @@ def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, opts: dict)
                 "sample_count": cert.sample_count,
             },
             "snapshot_times": [float(t) for t in traj.times],
+            "steps": traj.steps,
+            "applies": traj.applies,
         },
     }
 

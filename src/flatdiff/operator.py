@@ -11,7 +11,7 @@ for ``1 <= |k| <= n-1`` and ``c0 = h^-2 int_{|z|<=h/2} z^2 J(z) dz`` replaces
 the innermost singular cell by a second difference of matching local mass.
 Displacements beyond the outermost cells are folded into two scalar tail
 coefficients weighting the boundary extension values. Every off-diagonal
-coefficient is nonnegative, so a forward Euler step with ``dt * W <= 1``
+coefficient is nonnegative, so a forward Euler stage with ``dt * W <= 1``
 (``W`` the diagonal coefficient) is a convex combination of field values;
 comparison and maximum principles hold by construction.
 

@@ -74,6 +74,13 @@ def test_criterion_02_interior_accuracy_under_refinement(base_run, refined_run):
     assert fine_err <= base_err / 1.5
 
 
+def test_base_run_apply_budget(base_run):
+    # SSPRK(k,2) steps that grow with t: 43 applies where forward Euler at
+    # half the stage bound took 84
+    assert base_run.applies <= 45
+    assert base_run.steps < base_run.applies
+
+
 def test_criterion_03_halfline_persistence(base_run):
     report = fd.halfline_bound_check(base_run, a=1.0, b=0.0, tol=0.02)
     assert report.passed

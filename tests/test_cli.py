@@ -67,6 +67,10 @@ def test_simulate_writes_csv_and_metadata(tmp_path):
     assert meta["derived"]["snapshot_times"] == [0.0, 0.25, 0.5]
     assert meta["derived"]["kernel_certificate"]["verified"] is True
     assert meta["derived"]["h"] == pytest.approx(0.2, rel=1e-14)
+    # every step runs at least two Euler stages, one apply each
+    steps, applies = meta["derived"]["steps"], meta["derived"]["applies"]
+    assert isinstance(steps, int) and isinstance(applies, int)
+    assert 0 < 2 * steps <= applies
     assert not (out / "trajectory.json").exists()
 
 

@@ -154,18 +154,56 @@ def test_divergence_is_detected(unit_spec, unit_cert):
             u = fd.step(op, u, dt)
 
 
+@pytest.mark.parametrize("safety", [0.8, 0.9])
+def test_step_divergence_is_typed_not_a_warning(unit_spec, unit_cert, safety):
+    # overflow inside a stage surfaces as the typed error, not as a numpy
+    # RuntimeWarning (which this suite turns into an error of its own)
+    grid = fd.Grid(-5.0, 5.0, 64)
+    op = fd.discretize(
+        unit_spec, grid, fd.BoundaryModel(left_value=0.5), certificate=unit_cert
+    )
+    op.row_sum *= 0.01
+    dt, u = fd.stable_dt(op, safety), decreasing_datum(grid)
+    with pytest.raises(fd.SimulationDivergedError, match="non-finite"):
+        for _ in range(1000):
+            u = fd.step(op, u, dt)
+
+
 @pytest.mark.parametrize("n", [128, 1024])
-def test_one_step_evolve_is_step(unit_spec, unit_cert, n):
-    # both sides of the size rule that picks the direct or the FFT apply
+def test_one_evolve_step_is_ssprk22_of_step(unit_spec, unit_cert, n):
+    # both sides of the size rule that picks the direct or the FFT apply; a
+    # step of one stage bound is SSPRK(2,2): two Euler stages, then the mean
     grid = fd.Grid(-5.0, 5.0, n)
     op = fd.discretize(
         unit_spec, grid, fd.BoundaryModel(left_value=0.5), certificate=unit_cert
     )
     u0 = decreasing_datum(op.grid)
-    dt = fd.stable_dt(op, 0.45)
-    traj = fd.evolve(op, u0, dt, startup_ramp=False)
+    dt = fd.stable_dt(op, 0.9)
+    traj = fd.evolve(op, u0, dt, safety=0.9, startup_ramp=False)
     assert traj.times.tolist() == [0.0, dt]
-    assert np.array_equal(traj.states[-1].values, fd.step(op, u0, dt).values)
+    assert (traj.steps, traj.applies) == (1, 2)
+    stage = fd.step(op, fd.step(op, u0, dt), dt).values
+    assert np.array_equal(traj.states[-1].values, u0.values / 2 + 1 / 2 * stage)
+
+
+def test_applies_count_rate_calls(unit_spec, unit_cert, monkeypatch):
+    grid = fd.Grid(-5.0, 5.0, 300)
+    op = fd.discretize(
+        unit_spec, grid, fd.BoundaryModel(left_value=0.5), certificate=unit_cert
+    )
+    calls = []
+    rate = op.rate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rate(*args, **kwargs)
+
+    monkeypatch.setattr(op, "rate", counted)
+    traj = fd.evolve(op, decreasing_datum(grid), 1.0, output_times=(0.1, 0.5))
+    assert traj.applies == len(calls)
+    # every step has at least two stages, each no longer than the stage bound
+    assert 2 * traj.steps <= traj.applies
+    assert traj.applies * fd.stable_dt(op, 0.9) >= 1.0
 
 
 # -- trajectory container ----------------------------------------------------
@@ -332,3 +370,42 @@ def test_fft_path_keeps_order_and_bounds_algebraic_tail_any_n(n, family, seed):
     rng = np.random.default_rng(seed)
     op, t_final = check_fft_order_and_bounds(rng, n, family, "algebraic_tail")
     check_fft_keeps_monotone(rng, op, t_final)
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+@pytest.mark.parametrize("n", [256, 1024])
+def test_fft_path_invariants_at_full_stage_bound(rng, n, family):
+    # safety 1.0: every Euler stage sits on the convex-combination bound 1/W;
+    # the steps double with t, so the last one runs 31 stages
+    spec, force = KERNEL_FAMILIES[family]
+    grid = fd.Grid(-10.0, 10.0, n)
+    bm = fd.BoundaryModel(left_value=0.5, right="constant", right_value=0.25)
+    op = fd.discretize(spec, grid, bm, force=force)
+    t_final = 60 * fd.stable_dt(op, 1.0)
+    times = (t_final / 4, t_final / 2)
+
+    def run(values):
+        return fd.evolve(op, fd.Field(grid, 0.0, values), t_final, times, safety=1.0)
+
+    lower0 = rng.uniform(0.0, 0.5, n)
+    upper0 = lower0 + rng.uniform(0.0, 0.5, n)
+    lower, upper = run(lower0), run(upper0)
+    assert lower.applies > 2 * lower.steps
+    for traj in (lower, upper):
+        assert all(state.values.min() >= 0.0 for state in traj.states)
+    # the supremum never increases while it lies above the boundary values,
+    # as the upper run's does from the start, and never rises above them
+    ceiling = max(bm.left_value, bm.right_value)
+    assert upper0.max() > ceiling
+    for traj in (lower, upper):
+        sups = [float(state.values.max()) for state in traj.states]
+        for prev, cur in zip(sups, sups[1:]):
+            assert cur <= max(prev, ceiling) * (1.0 + 1e-12)
+    assert fd.discrete_comparison_check(upper, lower).margin >= -1e-12
+
+    mono0 = np.clip(np.sort(rng.uniform(0.0, 0.6, n))[::-1], 0.25, 0.5)
+    for state in run(mono0).states:
+        assert np.all(np.diff(state.values) <= 1e-12)
+
+    resumed = fd.evolve(op, lower.state_at(t_final / 2), t_final, safety=1.0)
+    assert np.array_equal(resumed.states[-1].values, lower.states[-1].values)

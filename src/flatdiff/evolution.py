@@ -35,6 +35,19 @@ __all__ = [
 
 # fraction of the convex-combination bound 1/W taken per Euler stage by default
 DEFAULT_SAFETY = 0.9
+# step growth of the startup ramp: a step is max(THETA * t, stable_dt).
+# L-inf error against the exact solution / op.rate calls per solve, measured
+# with the hat-weight operator on three step-datum solves:
+#   theta                          1.0           0.75          0.6           0.5
+#   s = 1/2, 84 001 nodes, t = 1   1.22e-3 / 38  6.52e-4 / 42  4.74e-4 / 44  4.71e-4 / 43
+#   s = 0.75, 8001 nodes, t = 1    9.96e-5 / 175 1.02e-4 / 180 6.36e-5 / 183 6.42e-5 / 185
+#   s = 1/2, 128 nodes, t = 0.2    4.53e-3 / 12  2.95e-3 / 13  2.65e-3 / 13  3.46e-3 / 14
+# The target was no row worse than under the cell-mass weights, which read
+# 1.06e-3, 5.29e-3 and 3.21e-3 at theta = 1. Theta = 1 misses rows 1 and 3,
+# where the time error now dominates, and 0.5 misses row 3, which is not
+# monotone in theta because its time and space errors partly cancel. Of 0.75
+# and 0.6, which both meet it, 0.75 takes fewer applies.
+THETA = 0.75
 
 
 class SimulationDivergedError(RuntimeError):
@@ -162,13 +175,14 @@ def evolve(
 
     Each step is one SSPRK(k,2) step (see the module docstring) whose Euler
     stages take at most ``stable_dt(op, safety)``. With ``startup_ramp`` the
-    step is ``max(t, stable_dt)``: it starts at one stage bound, short while
-    the front is steepest, and grows with the time reached, the time scale
-    on which a self-similar front changes. Without it every step is
-    ``stable_dt``. Steps are truncated (never interpolated) so that each
-    snapshot time is hit exactly. The step depends on the absolute time
-    only, so a restart from a snapshot reproduces the rest of the run bit
-    for bit. ``op.rate`` picks the apply path from the grid size. The
+    step is ``max(THETA * t, stable_dt)``: it starts at one stage bound,
+    short while the front is steepest, and grows with the time reached, the
+    time scale on which a self-similar front changes. ``THETA`` (0.75) is a
+    module constant, not a keyword; its comment gives the measured errors it
+    was chosen from. Without ``startup_ramp`` every step is ``stable_dt``.
+    Steps are truncated (never interpolated) so that each snapshot time is
+    hit exactly. The step depends on the absolute time only, so a restart
+    from a snapshot reproduces the rest of the run bit for bit. ``op.rate`` picks the apply path from the grid size. The
     trajectory always holds the initial and final states and counts the
     steps and applies taken.
     """
@@ -187,7 +201,7 @@ def evolve(
     t = u0.t
     for target in snaps:
         while t < target:
-            dt = max(t, dt_stable) if startup_ramp else dt_stable
+            dt = max(THETA * t, dt_stable) if startup_ramp else dt_stable
             if t + dt >= target - 1e-15 * max(1.0, abs(target)):
                 dt = target - t
                 t = target

@@ -13,10 +13,11 @@ numerically here, together with the near-field moment bound
 ``int_{|z|<=1} z^2 J(z) dz <= 2 J1``. Certificates produced by
 :func:`validate_hypothesis` gate the construction of discrete operators.
 
-All shipped families have closed-form antiderivatives, so cell masses, tail
-masses, near-field moments and the tail response to an algebraic extension
-are evaluated exactly; adaptive quadrature is kept as a cross-check route in
-the test suite.
+All shipped families have closed-form antiderivatives, so interval masses,
+tail masses, the interval moments of ``z^2 J`` and ``z^3 J`` behind the
+operator's hat weights, near-field moments and the tail response to an
+algebraic extension are evaluated exactly; adaptive quadrature is kept as a
+cross-check route in the test suite.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "interval_mass",
     "exterior_mass",
     "exterior_tail_response",
+    "interval_moments",
     "restricted_second_moment",
     "validate_hypothesis",
 ]
@@ -238,21 +240,24 @@ def _power_interval(amplitude: float, s: float, lo, hi):
     return amplitude * (lo ** (-2.0 * s) - hi ** (-2.0 * s)) / (2.0 * s)
 
 
-def _near_profile_interval(spec: KernelSpec, lo, hi):
-    """``int_lo^hi profile(z) dz`` on ``0 <= lo <= hi <= 1``."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+def _near_profile_moment(spec: KernelSpec, power: int, lo, hi):
+    """``int_lo^hi z^power profile(z) dz`` on ``0 <= lo <= hi <= 1``."""
     c = spec.near_scale
+
+    def monomial(m: int):
+        return (hi ** (m + 1) - lo ** (m + 1)) / (m + 1)
+
     if spec.near_profile == "flat":
-        return c * (hi - lo)
-    return c * ((hi - lo) - 0.5 * (hi * hi - lo * lo))
+        return c * monomial(power)
+    return c * (monomial(power) - monomial(power + 1))
 
 
 def interval_mass(spec: KernelSpec, lo, hi):
     """One-sided mass ``int_lo^hi J(z) dz`` with ``0 < lo <= hi`` (vectorized)."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if np.any(lo <= 0) or np.any(hi < lo):
+    # one reduction: operator set-up and every residual sample call this
+    if ((lo <= 0) | (hi < lo)).any():
         raise ValueError("interval must satisfy 0 < lo <= hi")
     if spec.family == "pure_fractional":
         out = _power_interval(spec.amplitude, spec.s, lo, hi)
@@ -263,7 +268,7 @@ def interval_mass(spec: KernelSpec, lo, hi):
     else:
         lo_n = np.minimum(lo, 1.0)
         hi_n = np.minimum(hi, 1.0)
-        near = _near_profile_interval(spec, lo_n, hi_n)
+        near = _near_profile_moment(spec, 0, lo_n, hi_n)
         lo_t = np.maximum(lo, 1.0)
         hi_t = np.maximum(hi, 1.0)
         out = near + _power_interval(spec.amplitude, spec.s, lo_t, hi_t)
@@ -332,6 +337,71 @@ def exterior_tail_response(spec: KernelSpec, radius: float, x) -> np.ndarray:
         return _power_tail_response(amp, a, radius, x)
     return _near_profile_response(spec, a, radius, x) + _power_tail_response(
         amp, a, 1.0, x
+    )
+
+
+def _power_moments(spec: KernelSpec, lo: np.ndarray, hi: np.ndarray):
+    """``int_lo^hi z^p A z^(-1-2s) dz`` for ``p = 2, 3``, 1-d ``0 <= lo <= hi``, ``hi > 0``.
+
+    With ``q = p - 2s`` and ``r = log(lo / hi) <= 0`` each is
+    ``-A hi^q expm1(q r) / q``, or ``-A r`` at ``q = 0``: relative accuracy
+    on short intervals, also for ``q`` near 0, and ``lo = 0`` needs no case
+    of its own (``r = -inf``). Both share ``r``. ``lo = 0`` needs ``2s < 2``;
+    otherwise the second moment diverges at the origin.
+    """
+    q2 = 2.0 - 2.0 * spec.s
+    if q2 <= 0.0 and lo.min() == 0.0:
+        raise HypothesisViolationError(
+            "near-field second moment diverges for an unbounded "
+            f"kernel with s = {spec.s:g} >= 1"
+        )
+    # fresh arrays transformed in place: the operator calls this on every
+    # grid interval
+    log_ratio = lo / hi
+    with np.errstate(divide="ignore"):
+        np.log(log_ratio, out=log_ratio)
+    hi_q = hi**q2
+    moments = []
+    for q in (q2, q2 + 1.0):
+        if q == 0.0:
+            out = -spec.amplitude * log_ratio
+        else:
+            out = log_ratio * q
+            np.expm1(out, out=out)
+            out *= hi_q
+            out *= -spec.amplitude / q
+        moments.append(out)
+        hi_q *= hi
+    return tuple(moments)
+
+
+def interval_moments(spec: KernelSpec, lo: np.ndarray, hi: np.ndarray):
+    """``int_lo^hi z^2 J(z) dz`` and ``int_lo^hi z^3 J(z) dz`` per interval.
+
+    ``lo`` and ``hi`` are 1-d arrays of one length with ``0 <= lo <= hi <
+    inf`` and ``hi > 0``. A hat function is linear on each half, so ``int phi z^2 J`` over
+    a half is a combination of these two moments. Intervals are split at the
+    kernel's jumps (the truncation cutoff, the near-profile edge at 1).
+    Raises :class:`HypothesisViolationError` when an interval starting at 0
+    meets a divergent second moment, as for the unbounded families once
+    ``s >= 1``.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.ndim != 1 or hi.shape != lo.shape:
+        raise ValueError("lo and hi must be 1-d arrays of one length")
+    if ((lo < 0.0) | (hi < lo) | ~np.isfinite(hi) | (hi <= 0.0)).any():
+        raise ValueError("intervals must satisfy 0 <= lo <= hi < inf, 0 < hi")
+    if spec.family == "pure_fractional":
+        return _power_moments(spec, lo, hi)
+    if spec.family == "truncated_fractional":
+        cut = spec.cutoff
+        return _power_moments(spec, np.minimum(lo, cut), np.minimum(hi, cut))
+    lo_n, hi_n = np.minimum(lo, 1.0), np.minimum(hi, 1.0)
+    tail = _power_moments(spec, np.maximum(lo, 1.0), np.maximum(hi, 1.0))
+    return tuple(
+        _near_profile_moment(spec, power, lo_n, hi_n) + far
+        for power, far in zip((2, 3), tail)
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,10 +103,24 @@ class BoundaryModel:
         """
         if grid.x_max <= 0:
             raise ValueError("algebraic tail extension requires x_max > 0")
-        x = grid.points()
-        window = x >= max(grid.x_max / 10.0, 10.0 * grid.h)
-        u = values[window]
+        start, log_x = _fit_window(grid, exponent)
+        u = values[start:]
         if u.size == 0 or np.any(u <= 0):
             return 0.0
-        fit = np.exp(np.mean(np.log(u) + exponent * np.log(x[window])))
+        fit = np.exp(np.mean(np.log(u) + log_x))
         return float(min(fit, values[-1] * grid.x_max**exponent))
+
+
+@lru_cache(maxsize=8)
+def _fit_window(grid: Grid, exponent: float) -> tuple[int, np.ndarray]:
+    """First node of the tail fit window ``x >= max(x_max / 10, 10 h)`` and
+    ``exponent * log x`` over the window, which is a suffix of the grid.
+
+    Every apply of an algebraic-tail operator fits on the same grid, so this
+    is computed once per grid and exponent; the array is read-only.
+    """
+    x = grid.points()
+    start = int(np.searchsorted(x, max(grid.x_max / 10.0, 10.0 * grid.h)))
+    log_x = exponent * np.log(x[start:])
+    log_x.flags.writeable = False
+    return start, log_x

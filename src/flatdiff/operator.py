@@ -2,29 +2,43 @@
 
 The operator acts on a grid function ``u`` as
 
-    (D u)(x_i) = sum_k w_k (u(x_i + k h) - u(x_i))
-               + (c0 / 2) (u(x_i + h) + u(x_i - h) - 2 u(x_i))
-               + far-tail boundary terms,
+    (D u)(x_i) = sum_{1 <= |k| <= n-1} w_k (u(x_i + k h) - u(x_i))
+               + far-tail boundary terms.
 
-where ``w_k`` is the exact kernel mass of the cell ``((k-1/2)h, (k+1/2)h)``
-for ``1 <= |k| <= n-1`` and ``c0 = h^-2 int_{|z|<=h/2} z^2 J(z) dz`` replaces
-the innermost singular cell by a second difference of matching local mass.
-Displacements beyond the outermost cells are folded into two scalar tail
-coefficients weighting the boundary extension values. Every off-diagonal
-coefficient is nonnegative, so a forward Euler stage with ``dt * W <= 1``
-(``W`` the diagonal coefficient) is a convex combination of field values;
-comparison and maximum principles hold by construction.
+The weights are the piecewise-linear quadrature of Huang & Oberman (2014,
+SIAM J. Numer. Anal. 52:3056). With ``D u(x) = int_0^inf g(z) z^2 J(z) dz``
+and ``g(z) = (u(x + z) + u(x - z) - 2 u(x)) / z^2``, ``g`` is interpolated
+by the hats ``phi_k`` centred on the nodes ``k h``, which gives
+
+    w_k = (k h)^-2 int_0^inf phi_k(z) z^2 J(z) dz,
+
+and the half hat at 0 folds into ``k = 1`` (``g(0) ~ g(h)``). A hat is linear
+on each half, so every ``w_k`` is a combination of the closed-form interval
+moments ``int z^2 J`` and ``int z^3 J`` of
+:func:`~flatdiff.kernels.interval_moments`. The weights are nonnegative and
+finite exactly under the near-field hypothesis ``int_{|z|<=1} z^2 J < inf``.
+The consistency error is of order ``h^2`` for smooth ``u``, where exact
+kernel masses of grid cells give ``h^(2-2s)``; ``tests/test_operator.py``
+measures the order on an ``s = 0.75`` step solution. For ``A |z|^(-1-2s)`` they are ``A h^(-2s) F_k / k^2`` with
+``beta = 3 - 2s`` and ``F_k = ((k+1)^beta - 2 k^beta + (k-1)^beta) /
+((beta - 1) beta)``, plus ``1 / ((beta - 1) beta)`` at ``k = 1``.
+
+The last hat ends at ``n h``; displacements beyond it are folded into two
+scalar tail coefficients weighting the boundary extension values. Every
+off-diagonal coefficient is nonnegative, so a forward Euler stage with
+``dt * W <= 1`` (``W`` the diagonal coefficient) is a convex combination of
+field values; comparison and maximum principles hold by construction.
 
 The rate is ``T u - W u + left_value l + r rho``: ``T`` is the symmetric
 Toeplitz matrix of the stencil on the grid, ``W`` the row sum, and ``l`` and
 ``rho`` are exterior vectors fixed at construction, holding the stencil mass
 that lands beyond either end of the window plus the far-tail terms. ``r`` is
 ``right_value`` or, for the algebraic tail, the amplitude fitted on each call.
-For that extension ``amp y^(-2s)`` the displacements beyond the cells give
+For that extension ``amp y^(-2s)`` the displacements beyond the last hat give
 row ``i`` the far shape ``int_cut^inf (x_i + z)^(-2s) J(z) dz`` with
-``cut = (n - 1/2) h``. For the power tail ``A z^(-1-2s)`` it is the Euler
-integral ``A cut^(-4s) / (4s) 2F1(2s, 4s; 4s + 1; -x_i / cut)`` (DLMF
-15.6.1), evaluated for all rows at once by
+``cut = n h``. For the power tail ``A z^(-1-2s)`` it is the Euler integral
+``A cut^(-4s) / (4s) 2F1(2s, 4s; 4s + 1; -x_i / cut)`` (DLMF 15.6.1),
+evaluated for all rows at once by
 :func:`~flatdiff.kernels.exterior_tail_response`; ``tests/test_operator.py``
 cross-checks it node by node against adaptive quadrature. Both apply paths
 add the same exterior vectors: ``apply`` forms ``T u`` by a sliding
@@ -44,8 +58,7 @@ from .kernels import (
     HypothesisCertificate,
     exterior_mass,
     exterior_tail_response,
-    interval_mass,
-    restricted_second_moment,
+    interval_moments,
     validate_hypothesis,
 )
 from .mesh import BoundaryModel, Field, Grid
@@ -83,19 +96,34 @@ class DiscreteOperator:
             raise ValueError("algebraic tail extension requires x_max > 0")
         n, h = grid.n, grid.h
 
-        k = np.arange(1, n)
-        w = interval_mass(spec, (k - 0.5) * h, (k + 0.5) * h)
-        c0 = restricted_second_moment(spec, h / 2.0) / (h * h)
+        # z^2 J moments over the intervals [j h, (j + 1) h], j = 0 .. n - 1.
+        # Formed in place: n reaches 10^5 and more, where every fresh array
+        # costs page faults.
+        nodes = np.arange(n + 1, dtype=float)
+        nodes *= h
+        lo, hi = nodes[:-1], nodes[1:]
+        m2, m3 = interval_moments(spec, lo, hi)
+        # h times the moments against the rising and the falling half of a
+        # hat over each interval
+        rising = lo * m2
+        np.subtract(m3, rising, out=rising)
+        falling = np.multiply(hi, m2, out=m2)
+        falling -= m3
+        # hat k rises over interval k - 1 and falls over interval k, and the
+        # half hat at 0 folds into k = 1; w_k = (rising + falling) / (h (k h)^2)
+        w = rising[:-1]
+        w += falling[1:]
+        w[0] += falling[0]
+        w /= hi[:-1]
+        w /= hi[:-1]
+        w /= h
 
         stencil = np.zeros(2 * n - 1)
         stencil[n:] = w
         stencil[: n - 1] = w[::-1]
-        stencil[n] += 0.5 * c0
-        stencil[n - 2] += 0.5 * c0
 
         self.near_weights = w
-        self.inner_coefficient = c0
-        tail_cut = (n - 0.5) * h
+        tail_cut = n * h
         t_left = t_right = exterior_mass(spec, tail_cut)
         self.far_tail_coefficients = (t_left, t_right)
         self.row_sum = float(stencil.sum()) + t_left + t_right
@@ -105,7 +133,8 @@ class DiscreteOperator:
         # stencil mass landing on the i-th row's left pad; by symmetry the
         # right pad of row i carries the mass of the left pad of row n-1-i
         pad_mass = np.concatenate([np.cumsum(stencil[: n - 1])[::-1], [0.0]])
-        self._left = t_left + pad_mass
+        # the left extension is a constant, so its whole contribution is fixed
+        self._left_term = boundary.left_value * (t_left + pad_mass)
         if boundary.right == "zero":
             self._right = None
         elif boundary.right == "constant":
@@ -123,7 +152,7 @@ class DiscreteOperator:
 
         Row ``i`` sees the pad sample at ``x_max + q h`` through stencil entry
         ``i - q`` of the left half, a convolution evaluated by FFT, plus the
-        far shape ``int_cut^inf (x_i + z)^(-2s) J(z) dz`` beyond the cells,
+        far shape ``int_cut^inf (x_i + z)^(-2s) J(z) dz`` beyond the last hat,
         ``A cut^(-4s) / (4s) 2F1(2s, 4s; 4s + 1; -x_i / cut)`` for the power
         tail, from :func:`~flatdiff.kernels.exterior_tail_response`.
         ``tests/test_operator.py`` cross-checks it node by node against
@@ -154,7 +183,8 @@ class DiscreteOperator:
             method = "fft" if n >= _FFT_THRESHOLD else "direct"
         if method == "fft":
             m = self._fft_len
-            prod = scipy.fft.rfft(values, m, workers=workers) * self._spectrum
+            prod = scipy.fft.rfft(values, m, workers=workers)
+            prod *= self._spectrum
             inner = scipy.fft.irfft(prod, m, workers=workers)[n - 1 : 2 * n - 1]
         elif method == "direct":
             pad = np.zeros(n - 1)
@@ -162,7 +192,11 @@ class DiscreteOperator:
             inner = np.correlate(padded, self._stencil, mode="valid")
         else:
             raise ValueError(f"unknown apply method {method!r}")
-        out = inner - values * self.row_sum + self.boundary.left_value * self._left
+        # (T u - W u) + left + right, formed in the array of W u: a fresh
+        # array of n values, where ``inner`` may view a buffer of twice that
+        out = values * self.row_sum
+        np.subtract(inner, out, out=out)
+        out += self._left_term
         if self._right is not None:
             out += self._right_amplitude(values) * self._right
         return out

@@ -75,9 +75,15 @@ def test_criterion_02_interior_accuracy_under_refinement(base_run, refined_run):
 
 
 def test_base_run_apply_budget(base_run):
-    # SSPRK(k,2) steps that grow with t: 43 applies where forward Euler at
+    # SSPRK(k,2) steps that grow with t: 42 applies where forward Euler at
     # half the stage bound took 84
     assert base_run.applies <= 45
+
+
+def test_base_run_error_with_hat_weights(base_run):
+    # hat weights with steps of 0.75 t read 6.5e-4; steps of t read 1.22e-3,
+    # and cell masses with steps of t read 1.06e-3
+    assert interior_error(base_run, 1.0, (-150.0, 3200.0)) <= 8e-4
     assert base_run.steps < base_run.applies
 
 

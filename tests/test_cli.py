@@ -353,13 +353,16 @@ def test_reference_compare_refines(tmp_path):
     out = tmp_path / "ref"
     assert main(["reference-compare", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "reference_errors.csv").read_text().splitlines()
-    assert lines[0] == "h,domain_size,linf_interior"
+    assert lines[0] == "h,domain_size,linf_interior,linf_interior_safety_over_8"
     assert len(lines) == 3
-    h0, span0, err0 = map(float, lines[1].split(","))
-    h1, span1, err1 = map(float, lines[2].split(","))
+    h0, span0, err0, fine0 = map(float, lines[1].split(","))
+    h1, span1, err1, fine1 = map(float, lines[2].split(","))
     assert h1 == pytest.approx(h0 / 2.0, rel=1e-12)
     assert span1 == pytest.approx(2.0 * span0, rel=1e-12)
     assert 0.0 < err1 < err0
+    assert 0.0 < fine1 < fine0
+    # the small-safety column is a different run, not a copy
+    assert fine0 != err0 and fine1 != err1
 
 
 def test_reference_compare_needs_positive_time(tmp_path):

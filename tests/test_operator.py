@@ -27,18 +27,89 @@ def h01_grid():
 # -- weights -----------------------------------------------------------------
 
 
-def test_cell_weight_offset_ten(unit_spec, unit_cert, h01_grid):
+def test_hat_weight_offset_ten(unit_spec, unit_cert, h01_grid):
     op = make_op(unit_spec, unit_cert, h01_grid)
     assert h01_grid.h == pytest.approx(0.1, rel=1e-14)
-    # offset k=10 integrates the cell around z = 1
-    assert op.near_weights[9] == pytest.approx(1.0 / 0.95 - 1.0 / 1.05, rel=1e-12)
+    # z^2 J = 1 for |z|^-2, so the hat at k h has moment h and w_k = 1 / (k^2 h);
+    # offset k=10 is the hat around z = 1, and k = 1 carries the folded half hat
+    assert op.near_weights[9] == pytest.approx(0.1, rel=1e-12)
+    assert op.near_weights[0] == pytest.approx(1.5 / 0.1, rel=1e-12)
 
 
 def test_weights_nonnegative(unit_spec, unit_cert, h01_grid):
     op = make_op(unit_spec, unit_cert, h01_grid)
     assert np.all(op.near_weights >= 0)
-    assert op.inner_coefficient >= 0
     assert all(c >= 0 for c in op.far_tail_coefficients)
+
+
+HAT_KERNELS = {
+    **{
+        f"pure-{s}": fd.pure_fractional(s, 1.3, j0=1.0, j1=1.0, r0=2.0)
+        for s in (0.25, 0.5, 0.75)
+    },
+    # cutoff 5 lies inside the hats at 16 h and 17 h for h = 0.3
+    "truncated-5": fd.truncated_fractional(0.75, 1.0, 5.0, j0=1.0, j1=1.0, r0=2.0),
+    # the profile edge at 1 lies inside the hats at 3 h and 4 h; s = 1 makes
+    # int z^2 J logarithmic beyond 1, and s = 1.5 makes int z^3 J logarithmic
+    **{
+        f"{profile}-{s}": fd.compact_plus_tail(
+            s, 0.8, profile, 2.0, j0=1.0, j1=1.0, r0=2.0
+        )
+        for profile in ("flat", "triangle")
+        for s in (0.5, 1.0, 1.5)
+    },
+}
+
+
+def quadrature_hat_weight(spec, h, k):
+    """``(k h)^-2 int phi_k(z) z^2 J(z) dz`` by adaptive quadrature, one call
+    per smooth piece (hat halves, the truncation cutoff, the profile edge);
+    for ``k = 1`` the half hat at 0 is added."""
+    jumps = {"truncated_fractional": [spec.cutoff], "compact_plus_tail": [1.0]}.get(
+        spec.family, []
+    )
+
+    def moment(lo, hi, phi):
+        cuts = sorted({lo, hi, *(j for j in jumps if lo < j < hi)})
+        return sum(
+            quad(lambda z: phi(z) * z * z * fd.eval_kernel(spec, z), a, b,
+                 epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            for a, b in zip(cuts[:-1], cuts[1:])
+        )
+
+    c = k * h
+    total = moment(c - h, c, lambda z: (z - c + h) / h)
+    total += moment(c, c + h, lambda z: (c + h - z) / h)
+    if k == 1:
+        total += moment(0.0, h, lambda z: (h - z) / h)
+    return total / (c * c)
+
+
+@pytest.mark.parametrize("kernel", sorted(HAT_KERNELS))
+def test_hat_weights_match_quadrature(kernel):
+    spec = HAT_KERNELS[kernel]
+    g = fd.Grid(-6.0, 6.0, 41)
+    assert g.h == pytest.approx(0.3, rel=1e-14)
+    op = fd.discretize(spec, g, fd.BoundaryModel(left_value=0.0), force=True)
+    ref = np.array([quadrature_hat_weight(spec, g.h, k) for k in range(1, g.n)])
+    assert np.all(op.near_weights >= 0.0)
+    assert np.all(np.abs(op.near_weights - ref) <= 1e-10 * ref)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.75, 0.99])
+def test_pure_hat_weights_match_closed_form_at_large_offsets(s):
+    # A h^-2s F_k / k^2 with F_k the second difference of k^beta / ((beta-1) beta),
+    # beta = 3 - 2s, written with expm1 so that it keeps relative accuracy up
+    # to the last offset of a 84 001-node grid
+    g = fd.Grid(-2100.0, 2100.0, 84001)
+    spec = fd.pure_fractional(s, 1.3, j0=1.0, j1=1.0, r0=2.0)
+    op = fd.discretize(spec, g, fd.BoundaryModel(left_value=0.0), force=True)
+    k = np.arange(2, g.n, dtype=float)
+    beta = 3.0 - 2.0 * s
+    steps = np.expm1(beta * np.log1p(1.0 / k)) + np.expm1(beta * np.log1p(-1.0 / k))
+    f = np.concatenate([[2.0**beta - 1.0], k**beta * steps]) / ((beta - 1.0) * beta)
+    closed = 1.3 * g.h ** (-2.0 * s) * f / np.arange(1, g.n) ** 2
+    assert np.all(np.abs(op.near_weights - closed) <= 1e-8 * closed)
 
 
 def test_zero_amplitude_kernel_all_weights_zero(h01_grid):
@@ -53,14 +124,13 @@ def test_zero_amplitude_kernel_all_weights_zero(h01_grid):
 
 def test_row_sum_matches_direct_weight_summation(unit_spec, unit_cert, h01_grid):
     op = make_op(unit_spec, unit_cert, h01_grid)
-    resummed = (
-        2.0 * float(np.sum(op.near_weights))
-        + op.inner_coefficient
-        + sum(op.far_tail_coefficients)
-    )
+    resummed = 2.0 * float(np.sum(op.near_weights)) + sum(op.far_tail_coefficients)
     assert op.row_sum == pytest.approx(resummed, rel=1e-13)
-    # analytic: cells+tails give 2 int_{h/2}^inf z^-2 = 40, inner cell adds 1/h
-    assert op.row_sum == pytest.approx(40.0 + 10.0, rel=1e-12)
+    # analytic: hats give 2 / h (sum_{k < n} k^-2 + 1/2), the half hat at 0
+    # folded into k = 1, and the tails beyond n h give 2 int_{nh}^inf z^-2
+    n, h = h01_grid.n, h01_grid.h
+    hats = 2.0 / h * (math.fsum(1.0 / k**2 for k in range(1, n)) + 0.5)
+    assert op.row_sum == pytest.approx(hats + 2.0 / (n * h), rel=1e-12)
 
 
 def test_row_sum_grows_when_h_halves(unit_spec, unit_cert):
@@ -77,6 +147,13 @@ def test_unverified_kernel_refused(h01_grid):
     fd.discretize(
         spec, h01_grid, fd.BoundaryModel(left_value=0.0), certificate=cert, force=True
     )
+
+
+def test_divergent_near_moment_refused_even_under_force(h01_grid):
+    # int z^2 |z|^-3 diverges at the origin, so no hat weight at k = 1 exists
+    spec = fd.pure_fractional(1.0, 1.0, j0=1.0, j1=1.0, r0=2.0)
+    with pytest.raises(fd.HypothesisViolationError):
+        fd.discretize(spec, h01_grid, fd.BoundaryModel(left_value=0.0), force=True)
 
 
 def test_certificate_computed_when_omitted(unit_spec, h01_grid):
@@ -110,6 +187,20 @@ def test_constant_field_maps_to_zero(unit_spec, unit_cert, h01_grid):
     assert np.max(np.abs(out.values)) <= 1e-12 * op.row_sum * c
 
 
+@pytest.mark.parametrize("kernel", ["pure-0.75", "truncated-5", "flat-1.0", "triangle-1.5"])
+def test_constant_field_maps_to_zero_on_the_fft_path(kernel):
+    c = 0.7
+    g = fd.Grid(-10.0, 10.0, 512)
+    op = fd.discretize(
+        HAT_KERNELS[kernel],
+        g,
+        fd.BoundaryModel(left_value=c, right="constant", right_value=c),
+        force=True,
+    )
+    out = op.rate(np.full(g.n, c))
+    assert np.max(np.abs(out)) <= 1e-12 * op.row_sum * c
+
+
 def test_delta_field_reads_off_stencil(unit_spec, unit_cert, h01_grid):
     op = make_op(unit_spec, unit_cert, h01_grid)
     n = h01_grid.n
@@ -120,10 +211,8 @@ def test_delta_field_reads_off_stencil(unit_spec, unit_cert, h01_grid):
     assert out[c] == pytest.approx(-op.row_sum, rel=1e-13)
     assert out[c + 5] == pytest.approx(op.near_weights[4], rel=1e-13)
     assert out[c - 5] == pytest.approx(op.near_weights[4], rel=1e-13)
-    # nearest neighbors also carry half the inner-cell coefficient
-    expected = op.near_weights[0] + 0.5 * op.inner_coefficient
-    assert out[c + 1] == pytest.approx(expected, rel=1e-13)
-    assert out[c - 1] == pytest.approx(expected, rel=1e-13)
+    assert out[c + 1] == pytest.approx(op.near_weights[0], rel=1e-13)
+    assert out[c - 1] == pytest.approx(op.near_weights[0], rel=1e-13)
 
 
 def test_odd_field_vanishes_at_center(unit_spec, unit_cert, h01_grid):
@@ -203,6 +292,24 @@ def test_half_laplacian_symbol_on_cosine(cauchy_spec, cauchy_cert):
     assert errs[1] <= 0.7 * errs[0]
 
 
+def test_hat_weights_converge_at_second_order(fractional_laplacian):
+    # s = 0.75 step solution, time error made small by safety 0.05; the error
+    # falls about 3.8x per halving of h (cell masses gave sqrt(2))
+    spec = fractional_laplacian(0.75)
+    errs = []
+    for n in (1051, 2101, 4201):
+        g = fd.Grid(-20.0, 400.0, n)
+        op = make_op(spec, fd.validate_hypothesis(spec), g, left=1.0)
+        u0 = fd.InitialDatum.step(1.0, 0.0).sample(g)
+        u1 = fd.evolve(op, u0, 1.0, safety=0.05).state_at(1.0)
+        x = g.points()
+        sel = (x >= -10.0) & (x <= 30.0)
+        exact = fd.reference_solution(0.75, 1.0, 0.0, 1.0, x[sel])
+        errs.append(np.max(np.abs(u1.values[sel] - exact)))
+    assert errs[0] / errs[1] >= 3.0
+    assert errs[1] / errs[2] >= 3.0
+
+
 # -- fast path ---------------------------------------------------------------
 
 
@@ -234,14 +341,13 @@ def padded_reference(op, u):
 
     The field is padded with ``n - 1`` copies of the left value and ``n - 1``
     samples of the right extension, correlated with the full stencil, and the
-    displacements beyond the outermost cells are added per node by quadrature
-    of the unit kernel ``|z|^-2``.
+    displacements beyond the last hat, at ``n h``, are added per node by
+    quadrature of the unit kernel ``|z|^-2``.
     """
     g, b = op.grid, op.boundary
     n, h = g.n, g.h
-    inner = op.near_weights.copy()
-    inner[0] += 0.5 * op.inner_coefficient
-    stencil = np.concatenate([inner[::-1], [0.0], inner])
+    w = op.near_weights
+    stencil = np.concatenate([w[::-1], [0.0], w])
     t_left, t_right = op.far_tail_coefficients
     x_ext = g.x_max + h * np.arange(1, n)
     far = np.full(n, b.left_value * t_left)
@@ -253,7 +359,7 @@ def padded_reference(op, u):
     else:
         amp = b.fit_tail_amplitude(g, u, 1.0)
         right_pad = amp * x_ext**-1.0
-        cut = (n - 0.5) * h
+        cut = n * h
         far += amp * np.array(
             [
                 quad(lambda z: 1.0 / ((xi + z) * z * z), cut, np.inf, epsrel=1e-12)[0]

@@ -23,6 +23,7 @@ cross-check route in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import exprel, hyp2f1
@@ -473,16 +474,21 @@ class HypothesisCertificate:
         )
 
 
-def _sample_radii(spec: KernelSpec, sample_count: int) -> np.ndarray:
-    hi = TAIL_SPAN_FACTOR * spec.declared_r0
+@lru_cache(maxsize=32)
+def _sample_radii(declared_r0: float, cutoff: float | None, sample_count: int) -> np.ndarray:
+    """Log-uniform sample of ``(1, TAIL_SPAN_FACTOR * R0]`` plus ``R0`` and the
+    radius just past a cutoff; cached, so the array is read-only."""
+    hi = TAIL_SPAN_FACTOR * declared_r0
     decades = np.log10(hi)
     count = max(int(sample_count), int(np.ceil(SAMPLES_PER_DECADE * decades)) + 1)
     base = np.geomspace(np.nextafter(1.0, 2.0), hi, count)
-    extra = [spec.declared_r0]
-    if spec.cutoff is not None and 1.0 < spec.cutoff < hi:
+    extra = [declared_r0]
+    if cutoff is not None and 1.0 < cutoff < hi:
         # straddle the truncation radius so a vanishing tail cannot hide
-        extra += [np.nextafter(spec.cutoff, np.inf)]
-    return np.unique(np.concatenate([base, np.asarray(extra)]))
+        extra += [np.nextafter(cutoff, np.inf)]
+    radii = np.unique(np.concatenate([base, np.asarray(extra)]))
+    radii.flags.writeable = False
+    return radii
 
 
 def validate_hypothesis(spec: KernelSpec, sample_count: int = 1000) -> HypothesisCertificate:
@@ -494,7 +500,7 @@ def validate_hypothesis(spec: KernelSpec, sample_count: int = 1000) -> Hypothesi
     """
     if sample_count < 100:
         raise ValueError("sample_count must be at least 100")
-    radii = _sample_radii(spec, sample_count)
+    radii = _sample_radii(spec.declared_r0, spec.cutoff, int(sample_count))
     j0 = spec.declared_j0
     values = np.asarray(eval_kernel(spec, radii))
     envelope = radii ** (-1.0 - 2.0 * spec.s)

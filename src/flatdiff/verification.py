@@ -301,6 +301,12 @@ def flattening_ratio(
     window past both the barrier onset radius for scale ``kappa t`` and the
     self-similar scale ``50 t^(1/(2s))``; an explicit window must satisfy
     the same guards.
+
+    The details also carry the exact limit ``tail_limit = a A / (2s)`` of
+    the renormalized tail for a kernel whose tail is exactly
+    ``A |z|^(-1-2s)`` (pure and compact-plus-tail families; None for a
+    truncated kernel) and ``measured_over_limit``, so that an overshoot
+    shows. Neither is gated.
     """
     if t <= 0:
         raise ValueError("flattening bound applies to positive times")
@@ -327,6 +333,11 @@ def flattening_ratio(
     i = int(np.argmin(ratio))
     measured = float(ratio[i])
     bound = k * a
+    # a tail exactly A |z|^(-1-2s) gives x^(2s) u / t -> a A / (2s)
+    # (Blumenthal & Getoor 1960); a truncated kernel has no such limit
+    tail_limit = None
+    if spec.family != "truncated_fractional":
+        tail_limit = a * spec.amplitude / (2.0 * s)
     return VerificationReport(
         check="flattening_ratio",
         measured=measured,
@@ -342,6 +353,8 @@ def flattening_ratio(
             "b": b,
             "window": [float(x_lo), float(x_hi)],
             "kappa": k,
+            "tail_limit": tail_limit,
+            "measured_over_limit": measured / tail_limit if tail_limit else None,
         },
     )
 

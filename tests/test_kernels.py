@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import flatdiff as fd
-from flatdiff.kernels import HypothesisViolationError
+from flatdiff.kernels import HypothesisViolationError, _sample_radii
 
 
 def any_spec(family, s, amplitude):
@@ -244,6 +244,19 @@ def test_validator_flags_truncated_tail():
     assert not cert.verified
     assert cert.lower_margin < 0
     assert cert.upper_margin >= 0
+
+
+def test_validator_sample_is_cached_and_read_only():
+    spec = fd.truncated_fractional(0.75, 1.0, 30.0, j0=1.0, j1=1.0, r0=2.0)
+    radii = _sample_radii(spec.declared_r0, spec.cutoff, 1000)
+    assert _sample_radii(spec.declared_r0, spec.cutoff, 1000) is radii
+    assert not radii.flags.writeable
+    with pytest.raises(ValueError):
+        radii[0] = 2.0
+    assert np.all(np.diff(radii) > 0) and radii[0] > 1.0
+    assert 2.0 in radii and np.nextafter(30.0, np.inf) in radii
+    assert fd.validate_hypothesis(spec) == fd.validate_hypothesis(spec)
+    assert fd.validate_hypothesis(spec).sample_count == radii.size
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,4 +1,4 @@
-"""Closed-form and Fourier-inversion oracles for the fractional heat kernel."""
+"""Closed-form, series and Fourier-inversion oracles for the fractional heat kernel."""
 
 import math
 
@@ -8,7 +8,8 @@ from scipy import special
 from scipy.integrate import quad
 
 import flatdiff as fd
-from flatdiff.reference import _profile, _survival
+from flatdiff import reference
+from flatdiff.reference import _bergstrom, _profile, _survival
 
 
 # -- kernel point values -----------------------------------------------------
@@ -109,7 +110,86 @@ def test_survival_symmetry_and_center():
             return fd.reference_solution(s, 1.0, 0.0, 1.0, z)
 
         assert tail(0.0) == 0.5
-        assert tail(-2.0) == pytest.approx(1.0 - tail(2.0), rel=1e-12)
+        # at s = 3/4, z = 2 takes quadrature and z = 8 the series
+        for z in (2.0, 8.0):
+            assert tail(-z) == pytest.approx(1.0 - tail(z), rel=1e-12)
+
+
+# -- Bergström tail series ---------------------------------------------------
+
+
+def two_term_density(s, y):
+    """First two terms of the density's tail series, summed on the test side."""
+    return sum(
+        (-1.0) ** (k + 1)
+        * special.gamma(2.0 * s * k + 1.0)
+        / math.factorial(k)
+        * math.sin(k * math.pi * s)
+        * y ** (-2.0 * s * k - 1.0)
+        for k in (1, 2)
+    ) / math.pi
+
+
+@pytest.mark.parametrize("s", [0.3, 0.45, 0.6, 0.75, 0.9])
+@pytest.mark.parametrize("density", [False, True])
+def test_series_matches_quadrature_beyond_switch_on(s, density):
+    y = np.geomspace(0.1, 30.0, 120)
+    series, accepted = _bergstrom(s, y, density)
+    # the accepted points are one interval [switch-on, inf)
+    on = int(np.argmax(accepted))
+    assert accepted[on] and np.all(accepted[on:])
+    assert y[on] < 12.0
+    for v, value in zip(y[on:], series[on:]):
+        quad_value = _profile(s, float(v))[0] if density else _survival(s, float(v))
+        assert abs(value - quad_value) <= 1e-11 * quad_value
+
+
+def test_series_at_half_order_sums_the_cauchy_closed_forms():
+    y = np.geomspace(2.0, 1e6, 200)
+    survival, ok_s = _bergstrom(0.5, y, False)
+    density, ok_p = _bergstrom(0.5, y, True)
+    assert ok_s.all() and ok_p.all()
+    cauchy_survival = np.arctan(1.0 / y) / math.pi
+    cauchy_density = 1.0 / (math.pi * (1.0 + y * y))
+    np.testing.assert_allclose(survival, cauchy_survival, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(density, cauchy_density, rtol=1e-14, atol=0)
+
+
+def test_rejected_points_take_the_quadrature_route():
+    s, y = 0.9, 2.0
+    for density in (False, True):
+        assert not _bergstrom(s, np.array([y]), density)[1][0]
+    assert fd.reference_solution(s, 1.0, 0.0, 1.0, y) == _survival(s, y)
+    assert fd.reference_solution(s, 1.0, 0.0, 1.0, -y) == _survival(s, -y)
+    assert fd.fractional_heat_kernel(s, 1.0, y) == _profile(s, y)[0]
+
+
+def test_far_tail_density_keeps_relative_accuracy():
+    # the quadrature route misses these by -9.8 % and +2e-3 (abs_tol 1e-12)
+    for s, y in ((0.99, 1e4), (0.95, 8249.0)):
+        assert fd.fractional_heat_kernel(s, 1.0, y) == pytest.approx(
+            two_term_density(s, y), rel=1e-6
+        )
+
+
+def test_quadrature_routes_raise_on_a_negative_result(monkeypatch):
+    def inversion_gives(val, err):
+        monkeypatch.setattr(
+            reference, "fourier_oscillatory_tail", lambda *args, **kw: (val, err)
+        )
+
+    # the sine transform carries a minus sign: S = -val / pi
+    inversion_gives(-1e-3, 1e-9)
+    with pytest.raises(fd.QuadratureError):
+        _profile(0.75, 2.0)
+    inversion_gives(1e-3, 1e-9)
+    with pytest.raises(fd.QuadratureError):
+        _survival(0.75, 2.0)
+    # a value within its error of zero reads as zero
+    inversion_gives(-1e-10, 1e-9)
+    assert _profile(0.75, 2.0)[0] == 0.0
+    inversion_gives(1e-10, 1e-9)
+    assert _survival(0.75, 2.0) == 0.0
 
 
 # -- plateau reference solution ----------------------------------------------
@@ -151,6 +231,15 @@ def test_reference_solution_scalar_vs_array():
     scalar = fd.reference_solution(0.5, 1.0, 0.0, 1.0, 1.0)
     assert isinstance(scalar, float)
     assert out[0] == scalar
+
+
+@pytest.mark.parametrize("s", [0.3, 0.75, 0.9])
+def test_reference_solution_scalar_bits_on_both_routes(s):
+    x = np.array([-40.0, -9.0, -2.0, 0.0, 0.5, 2.0, 9.0, 40.0, 1e4])
+    out = fd.reference_solution(s, 1.0, 0.0, 1.0, x)
+    pointwise = [fd.reference_solution(s, 1.0, 0.0, 1.0, float(v)) for v in x]
+    assert np.array_equal(out, pointwise)
+    assert np.all(np.diff(out) < 0)
 
 
 def test_reference_solution_validation():

@@ -219,6 +219,28 @@ def test_flattening_ratio_on_mini_run(mini_run, cauchy_spec):
     assert report.details["kappa"] == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
 
 
+def test_flattening_reports_the_two_sided_tail_limit(mini_run, cauchy_spec):
+    # at s = 1/2 the arctan closed form approaches a A / (2s) = 1/pi from below
+    report = fd.flattening_ratio(mini_run, cauchy_spec, 0.5, (15.0, 32.0), a=1.0)
+    assert report.details["tail_limit"] == pytest.approx(1.0 / math.pi, rel=1e-14)
+    assert 0.9 < report.details["measured_over_limit"] < 1.0
+    grid = fd.Grid(1.0, 5000.0, 2000)
+    exact = fd.reference_solution(0.5, 2.0, 0.0, 1.0, grid.points())
+    traj = fd.Trajectory(grid, np.array([1.0]), (fd.Field(grid, 1.0, exact),))
+    report = fd.flattening_ratio(traj, cauchy_spec, 1.0, a=2.0)
+    assert report.details["tail_limit"] == pytest.approx(2.0 / math.pi, rel=1e-14)
+    assert 0.98 < report.details["measured_over_limit"] < 1.0
+    compact = fd.compact_plus_tail(
+        1.0, 3.0, near_profile="flat", near_scale=1.0, j0=1.0, j1=1.0, r0=2.0
+    )
+    report = fd.flattening_ratio(traj, compact, 1.0, (1000.0, 2000.0), a=2.0)
+    assert report.details["tail_limit"] == pytest.approx(3.0, rel=1e-14)
+    truncated = fd.truncated_fractional(0.5, 1.0, 30.0, j0=1.0, j1=1.0, r0=2.0)
+    report = fd.flattening_ratio(traj, truncated, 1.0, a=2.0)
+    assert report.details["tail_limit"] is None
+    assert report.details["measured_over_limit"] is None
+
+
 def test_flattening_default_window(mini_run, cauchy_spec):
     report = fd.flattening_ratio(mini_run, cauchy_spec, 0.5, a=1.0)
     assert report.details["window"][0] == pytest.approx(25.0, rel=1e-12)

@@ -3,9 +3,9 @@
 One JSON config file describes the kernel, grid, boundary models, initial
 datum, time stepping, and per-check settings. ``_SCHEMA`` lists every config
 key with the JSON type it takes; an unknown key or a value of the wrong type
-(a string for a number, a float for an integer, anything but true/false for a
-flag) is a configuration error naming its dotted path. ``_COMMANDS`` maps
-each subcommand to its function and help line.
+(a string for a number, a float for an integer) is a configuration error
+naming its dotted path, and so is a kernel key of another family.
+``_COMMANDS`` maps each subcommand to its function and help line.
 
 Artifacts are deterministic for a fixed config (bench timings excepted):
 fixed column orders, floats printed with 17 significant digits, sorted JSON
@@ -28,13 +28,7 @@ import numpy as np
 
 from . import __version__
 from .evolution import DEFAULT_SAFETY, Trajectory, evolve, stable_dt
-from .kernels import (
-    KernelSpec,
-    compact_plus_tail,
-    pure_fractional,
-    truncated_fractional,
-    validate_hypothesis,
-)
+from .kernels import KernelSpec, validate_hypothesis
 from .mesh import BoundaryModel, Field, Grid
 from .operator import DiscreteOperator, discretize
 from .reference import reference_solution
@@ -90,7 +84,6 @@ def _leaf(types: tuple, what: str, convert=None):
 _number = _leaf((int, float), "a number", float)
 _integer = _leaf((int,), "an integer")
 _string = _leaf((str,), "a string")
-_boolean = _leaf((bool,), "true or false")
 
 
 def _list_of(item):
@@ -126,7 +119,7 @@ _SCHEMA = {
     "boundary": {"left_value": _number, "right": _string, "right_value": _number},
     "initial": {"kind": _string, "a": _number, "b": _number, "eps": _number},
     "times": {"t_final": _number, "snapshots": _list_of(_number)},
-    "solver": {"safety": _number, "startup_ramp": _boolean},
+    "solver": {"safety": _number},
     "checks": {
         "flattening": {"t": _number, "window": _pair, "tol_rel": _number},
         "halfline": {"tol": _number},
@@ -174,29 +167,41 @@ def load_config(path: str | Path) -> tuple[dict, dict]:
     return raw, _parse(raw, _SCHEMA, "config")
 
 
+# the kernel keys each family takes beyond the common ones, with their
+# defaults (None: required); a key of another family is rejected
+_FAMILY_KEYS = {
+    "pure_fractional": {},
+    "truncated_fractional": {"cutoff": None},
+    "compact_plus_tail": {"near_profile": "flat", "near_scale": 1.0},
+}
+
+
 def build_kernel(cfg: dict) -> KernelSpec:
     section = _need(cfg, "kernel", "config")
     family = _need(section, "family", "config.kernel")
-    s = _need(section, "s", "config.kernel")
-    amplitude = section.get("amplitude", 1.0)
-    envelope = {k: _need(section, k, "config.kernel") for k in ("j0", "j1", "r0")}
+    if family not in _FAMILY_KEYS:
+        raise ConfigError(f"unknown kernel family {family!r}")
+    keys = _FAMILY_KEYS[family]
+    for other in _FAMILY_KEYS.values():
+        for key in sorted(other.keys() - keys.keys()):
+            if key in section:
+                raise ConfigError(
+                    f"config.kernel.{key} does not apply to family {family!r}"
+                )
+    fields = {
+        "s": _need(section, "s", "config.kernel"),
+        "amplitude": section.get("amplitude", 1.0),
+    }
+    for k in ("j0", "j1", "r0"):
+        fields[f"declared_{k}"] = _need(section, k, "config.kernel")
+    for key, default in keys.items():
+        if default is None:
+            default = _need(section, key, "config.kernel")
+        fields[key] = section.get(key, default)
     try:
-        if family == "pure_fractional":
-            return pure_fractional(s, amplitude, **envelope)
-        if family == "truncated_fractional":
-            cutoff = _need(section, "cutoff", "config.kernel")
-            return truncated_fractional(s, amplitude, cutoff, **envelope)
-        if family == "compact_plus_tail":
-            return compact_plus_tail(
-                s,
-                amplitude,
-                near_profile=section.get("near_profile", "flat"),
-                near_scale=section.get("near_scale", 1.0),
-                **envelope,
-            )
+        return KernelSpec(family, **fields)
     except ValueError as exc:
         raise ConfigError(f"invalid kernel parameters: {exc}") from exc
-    raise ConfigError(f"unknown kernel family {family!r}")
 
 
 def build_grid(section: dict, path: str = "config.grid") -> Grid:
@@ -229,11 +234,11 @@ def build_datum(cfg: dict) -> InitialDatum:
 
 
 def _solver_options(cfg: dict) -> dict:
-    """The ``evolve`` keywords the config sets (``safety``, ``startup_ramp``).
+    """The ``evolve`` keywords the config sets (``safety``).
 
     Unset ones take ``evolve``'s defaults; the grid size picks the apply path.
     """
-    opts = _given(cfg.get("solver", {}), "safety", "startup_ramp")
+    opts = _given(cfg.get("solver", {}), "safety")
     if not 0.0 < opts.get("safety", DEFAULT_SAFETY) <= 1.0:
         raise ConfigError("solver safety must lie in (0, 1]")
     return opts
@@ -249,7 +254,7 @@ def _times(cfg: dict) -> tuple[float, tuple[float, ...]]:
 
 
 def _run_simulation(
-    cfg: dict, opts: dict, threads: int, grid: Grid | None = None, output_times=None
+    cfg: dict, opts: dict, grid: Grid | None = None, output_times=None
 ) -> tuple[Trajectory, DiscreteOperator, InitialDatum]:
     """Evolve the configured datum to ``t_final`` with the ``evolve`` keywords ``opts``.
 
@@ -267,7 +272,6 @@ def _run_simulation(
         datum.sample(grid),
         t_final,
         snapshots if output_times is None else output_times,
-        workers=threads,
         **opts,
     )
     return traj, op, datum
@@ -312,7 +316,7 @@ def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, opts: dict)
 
 def cmd_simulate(cfg: dict, out: Path, fmt: str, args) -> int:
     opts = _solver_options(cfg)
-    traj, op, _ = _run_simulation(cfg, opts, args.threads)
+    traj, op, _ = _run_simulation(cfg, opts)
     if fmt in ("csv", "both"):
         _write_trajectory_csv(out / "trajectory.csv", traj)
     if fmt in ("json", "both"):
@@ -351,7 +355,7 @@ def cmd_verify_flattening(cfg: dict, out: Path, fmt: str, args) -> int:
         )
     t = section.get("t", t_final)
     traj, op, datum = _run_simulation(
-        cfg, _solver_options(cfg), args.threads, output_times=(*snapshots, t)
+        cfg, _solver_options(cfg), output_times=(*snapshots, t)
     )
     report = flattening_ratio(
         traj,
@@ -367,7 +371,7 @@ def cmd_verify_flattening(cfg: dict, out: Path, fmt: str, args) -> int:
 def cmd_verify_proposition(cfg: dict, out: Path, fmt: str, args) -> int:
     checks = cfg.get("checks", {})
     opts = _solver_options(cfg)
-    traj, op, datum = _run_simulation(cfg, opts, args.threads)
+    traj, op, datum = _run_simulation(cfg, opts)
     reports = [
         halfline_bound_check(
             traj, datum.a, datum.plateau_edge, **_given(checks.get("halfline", {}), "tol")
@@ -455,9 +459,7 @@ def cmd_reference_compare(cfg: dict, out: Path, fmt: str, args) -> int:
             raise ConfigError("interior window contains no grid points")
         errs = []
         for run_opts in (opts, fine):
-            traj, op, datum = _run_simulation(
-                cfg, run_opts, args.threads, grid, output_times=()
-            )
+            traj, op, datum = _run_simulation(cfg, run_opts, grid, output_times=())
             exact = reference_solution(op.spec.s, datum.a, datum.b, t_final, x[sel])
             errs.append(float(np.max(np.abs(traj.state_at(t_final).values[sel] - exact))))
         rows.append((grid.h, grid.x_max - grid.x_min, *errs))
@@ -555,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("csv", "json", "both"), default=None,
             help="trajectory artifact format (simulate only)",
         )
-        p.add_argument("--threads", type=int, default=1, help="FFT worker threads")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (bench input)")
         p.add_argument("-v", "--verbose", action="store_true")
     return parser

@@ -35,7 +35,7 @@ __all__ = [
 
 # fraction of the convex-combination bound 1/W taken per Euler stage by default
 DEFAULT_SAFETY = 0.9
-# step growth of the startup ramp: a step is max(THETA * t, stable_dt).
+# step growth: a step is max(THETA * t, stable_dt).
 # L-inf error against the exact solution / op.rate calls per solve, measured
 # with the hat-weight operator on three step-datum solves:
 #   theta                          1.0           0.75          0.6           0.5
@@ -125,7 +125,8 @@ def _euler_stage(
 def step(op: DiscreteOperator, u: Field, dt: float) -> Field:
     """One convex Euler stage (``dt <= stable_dt(op, 1.0)``), divergence-checked.
 
-    This is the building block of every :func:`evolve` step.
+    The checked form of the stage ``_euler_stage`` that :func:`evolve`
+    repeats on raw arrays; it returns a :class:`Field` at ``u.t + dt``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -168,21 +169,20 @@ def evolve(
     output_times: tuple[float, ...] | list[float] = (),
     *,
     safety: float = DEFAULT_SAFETY,
-    startup_ramp: bool = True,
     workers: int = 1,
 ) -> Trajectory:
     """March ``u0`` to ``t_final``, landing on every requested output time.
 
     Each step is one SSPRK(k,2) step (see the module docstring) whose Euler
-    stages take at most ``stable_dt(op, safety)``. With ``startup_ramp`` the
-    step is ``max(THETA * t, stable_dt)``: it starts at one stage bound,
-    short while the front is steepest, and grows with the time reached, the
-    time scale on which a self-similar front changes. ``THETA`` (0.75) is a
-    module constant, not a keyword; its comment gives the measured errors it
-    was chosen from. Without ``startup_ramp`` every step is ``stable_dt``.
-    Steps are truncated (never interpolated) so that each snapshot time is
-    hit exactly. The step depends on the absolute time only, so a restart
-    from a snapshot reproduces the rest of the run bit for bit. ``op.rate`` picks the apply path from the grid size. The
+    stages take at most ``stable_dt(op, safety)``. The step is
+    ``max(THETA * t, stable_dt)``: it starts at one stage bound, short while
+    the front is steepest, and grows with the time reached, the time scale
+    on which a self-similar front changes. ``THETA`` (0.75) is a module
+    constant, not a keyword; its comment gives the measured errors it was
+    chosen from. Steps are truncated (never interpolated) so that each
+    snapshot time is hit exactly. The step depends on the absolute time
+    only, so a restart from a snapshot reproduces the rest of the run bit
+    for bit. ``op.rate`` picks the apply path from the grid size. The
     trajectory always holds the initial and final states and counts the
     steps and applies taken.
     """
@@ -201,7 +201,7 @@ def evolve(
     t = u0.t
     for target in snaps:
         while t < target:
-            dt = max(THETA * t, dt_stable) if startup_ramp else dt_stable
+            dt = max(THETA * t, dt_stable)
             if t + dt >= target - 1e-15 * max(1.0, abs(target)):
                 dt = target - t
                 t = target

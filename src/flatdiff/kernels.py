@@ -22,7 +22,8 @@ cross-check route in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -45,7 +46,8 @@ __all__ = [
 ]
 
 _FAMILIES = ("pure_fractional", "truncated_fractional", "compact_plus_tail")
-_NEAR_PROFILES = ("flat", "triangle")
+# slope of each near profile ``near_scale * (1 - slope * r)`` on ``0 < r <= 1``
+_NEAR_SLOPES = {"flat": 0.0, "triangle": 1.0}
 
 # floor on log-uniform sampling density used by validate_hypothesis
 SAMPLES_PER_DECADE = 100
@@ -75,8 +77,18 @@ class KernelSpec:
         Tail amplitude ``A``.
     declared_j0, declared_j1, declared_r0:
         Envelope constants the caller claims; checked, never derived.
+    cutoff:
+        Truncation radius of ``truncated_fractional``; no other family takes one.
     near_profile, near_scale:
-        Shape and height of the near-field part of ``compact_plus_tail``.
+        Shape (``flat`` or ``triangle``) and height of the near-field part of
+        ``compact_plus_tail``; no other family takes them.
+
+    The family fixes the kernel's shape, which is derived once and stored as
+    data that every closed form reads: ``tail_support = (lo, hi)`` is the
+    range of ``|z|`` where ``A |z|^(-1-2s)`` holds (``J = 0`` beyond ``hi``),
+    and on ``0 < |z| <= lo`` the kernel is the near profile
+    ``near_scale * (1 - near_slope * |z|)``. ``lo`` is 0 and ``near_slope``
+    None exactly when there is no near profile.
     """
 
     family: str
@@ -88,6 +100,8 @@ class KernelSpec:
     cutoff: float | None = None
     near_profile: str | None = None
     near_scale: float = 1.0
+    tail_support: tuple[float, float] = field(init=False, repr=False, compare=False)
+    near_slope: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -102,17 +116,26 @@ class KernelSpec:
             raise ValueError("declared near-field moment bound must be positive")
         if not self.declared_r0 > 1:
             raise ValueError("declared lower-envelope onset radius must exceed 1")
+        lo, hi, slope = 0.0, math.inf, None
         if self.family == "truncated_fractional":
-            if self.cutoff is None or self.cutoff <= 0:
+            if self.cutoff is None or not self.cutoff > 0:
                 raise ValueError("truncated family requires a positive cutoff")
+            hi = float(self.cutoff)
+        elif self.cutoff is not None:
+            raise ValueError(f"family {self.family} takes no cutoff")
         if self.family == "compact_plus_tail":
-            if self.near_profile not in _NEAR_PROFILES:
+            if self.near_profile not in _NEAR_SLOPES:
                 raise ValueError(
-                    f"near profile must be one of {_NEAR_PROFILES}, "
+                    f"near profile must be one of {tuple(_NEAR_SLOPES)}, "
                     f"got {self.near_profile!r}"
                 )
             if self.near_scale < 0:
                 raise ValueError("near-field scale must be nonnegative")
+            lo, slope = 1.0, _NEAR_SLOPES[self.near_profile]
+        elif self.near_profile is not None or self.near_scale != 1.0:
+            raise ValueError(f"family {self.family} takes no near profile")
+        object.__setattr__(self, "tail_support", (lo, hi))
+        object.__setattr__(self, "near_slope", slope)
 
     def describe(self) -> str:
         parts = [f"{self.family}(s={self.s:g}, A={self.amplitude:g}"]
@@ -128,29 +151,14 @@ def pure_fractional(
     s: float, amplitude: float = 1.0, *, j0: float, j1: float, r0: float
 ) -> KernelSpec:
     """Kernel ``A |z|^(-1-2s)`` on all of ``z != 0``."""
-    return KernelSpec(
-        family="pure_fractional",
-        s=s,
-        amplitude=amplitude,
-        declared_j0=j0,
-        declared_j1=j1,
-        declared_r0=r0,
-    )
+    return KernelSpec("pure_fractional", s, amplitude, j0, j1, r0)
 
 
 def truncated_fractional(
     s: float, amplitude: float, cutoff: float, *, j0: float, j1: float, r0: float
 ) -> KernelSpec:
     """Kernel ``A |z|^(-1-2s)`` for ``|z| <= cutoff``, zero beyond."""
-    return KernelSpec(
-        family="truncated_fractional",
-        s=s,
-        amplitude=amplitude,
-        cutoff=cutoff,
-        declared_j0=j0,
-        declared_j1=j1,
-        declared_r0=r0,
-    )
+    return KernelSpec("truncated_fractional", s, amplitude, j0, j1, r0, cutoff=cutoff)
 
 
 def compact_plus_tail(
@@ -165,14 +173,8 @@ def compact_plus_tail(
 ) -> KernelSpec:
     """Bounded near-field profile on ``|z| <= 1`` plus an algebraic tail."""
     return KernelSpec(
-        family="compact_plus_tail",
-        s=s,
-        amplitude=amplitude,
-        near_profile=near_profile,
-        near_scale=near_scale,
-        declared_j0=j0,
-        declared_j1=j1,
-        declared_r0=r0,
+        "compact_plus_tail", s, amplitude, j0, j1, r0,
+        near_profile=near_profile, near_scale=near_scale,
     )
 
 
@@ -188,11 +190,8 @@ def _power_law(spec: KernelSpec, r):
 
 
 def _near_profile(spec: KernelSpec, r):
-    """Near-field profile of ``compact_plus_tail`` at ``0 < r <= 1``."""
-    if spec.near_profile == "flat":
-        return spec.near_scale
-    # triangle: c * (1 - r) on [0, 1]
-    return spec.near_scale * (1.0 - r)
+    """Near profile ``near_scale * (1 - near_slope * r)`` at ``0 < r <= lo``."""
+    return spec.near_scale * (1.0 - spec.near_slope * r)
 
 
 def eval_kernel(spec: KernelSpec, z) -> np.ndarray | float:
@@ -202,28 +201,29 @@ def eval_kernel(spec: KernelSpec, z) -> np.ndarray | float:
     without building an array and with the same bits as the array path;
     quadrature integrands call it once per node.
     """
+    lo, hi = spec.tail_support
     if isinstance(z, float):
         if z == 0.0:
             raise ValueError("kernel is undefined at z = 0")
         r = abs(z)
-        if spec.family == "truncated_fractional" and not r <= spec.cutoff:
+        if r > hi:
             return 0.0
-        if spec.family == "compact_plus_tail" and not r > 1.0:
+        if r <= lo:
             return float(_near_profile(spec, r))
         return float(_power_law(spec, r))
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr == 0.0):
         raise ValueError("kernel is undefined at z = 0")
     r = np.abs(z_arr)
-    if spec.family == "pure_fractional":
+    if spec.near_slope is None:
         out = _power_law(spec, r)
-    elif spec.family == "truncated_fractional":
-        out = np.where(r <= spec.cutoff, _power_law(spec, r), 0.0)
     else:
-        # the power law only at r > 1, so a tiny near-field r cannot overflow
-        far = r > 1.0
-        power = _power_law(spec, np.where(far, r, 1.0))
+        # the power law only beyond lo, so a tiny near-field r cannot overflow
+        far = r > lo
+        power = _power_law(spec, np.where(far, r, lo))
         out = np.where(far, power, _near_profile(spec, r))
+    if hi < math.inf:
+        out = np.where(r > hi, 0.0, out)
     if z_arr.ndim == 0:
         return float(out)
     return out
@@ -241,16 +241,29 @@ def _power_interval(amplitude: float, s: float, lo, hi):
     return amplitude * (lo ** (-2.0 * s) - hi ** (-2.0 * s)) / (2.0 * s)
 
 
+def _tail_part(spec: KernelSpec, lo, hi):
+    """``[lo, hi]`` clipped to the tail support; an unbounded side is left as is."""
+    a, b = spec.tail_support
+    if a > 0.0:
+        lo, hi = np.maximum(lo, a), np.maximum(hi, a)
+    if b < math.inf:
+        lo, hi = np.minimum(lo, b), np.minimum(hi, b)
+    return lo, hi
+
+
+def _near_part(spec: KernelSpec, lo, hi):
+    """``[lo, hi]`` clipped to the near profile's range ``[0, tail_support[0]]``."""
+    a = spec.tail_support[0]
+    return np.minimum(lo, a), np.minimum(hi, a)
+
+
 def _near_profile_moment(spec: KernelSpec, power: int, lo, hi):
-    """``int_lo^hi z^power profile(z) dz`` on ``0 <= lo <= hi <= 1``."""
-    c = spec.near_scale
+    """``int_lo^hi z^power profile(z) dz`` on ``0 <= lo <= hi <= tail_support[0]``."""
 
     def monomial(m: int):
         return (hi ** (m + 1) - lo ** (m + 1)) / (m + 1)
 
-    if spec.near_profile == "flat":
-        return c * monomial(power)
-    return c * (monomial(power) - monomial(power + 1))
+    return spec.near_scale * (monomial(power) - spec.near_slope * monomial(power + 1))
 
 
 def interval_mass(spec: KernelSpec, lo, hi):
@@ -260,19 +273,9 @@ def interval_mass(spec: KernelSpec, lo, hi):
     # one reduction: operator set-up and every residual sample call this
     if ((lo <= 0) | (hi < lo)).any():
         raise ValueError("interval must satisfy 0 < lo <= hi")
-    if spec.family == "pure_fractional":
-        out = _power_interval(spec.amplitude, spec.s, lo, hi)
-    elif spec.family == "truncated_fractional":
-        lo_c = np.minimum(lo, spec.cutoff)
-        hi_c = np.minimum(hi, spec.cutoff)
-        out = _power_interval(spec.amplitude, spec.s, lo_c, hi_c)
-    else:
-        lo_n = np.minimum(lo, 1.0)
-        hi_n = np.minimum(hi, 1.0)
-        near = _near_profile_moment(spec, 0, lo_n, hi_n)
-        lo_t = np.maximum(lo, 1.0)
-        hi_t = np.maximum(hi, 1.0)
-        out = near + _power_interval(spec.amplitude, spec.s, lo_t, hi_t)
+    out = _power_interval(spec.amplitude, spec.s, *_tail_part(spec, lo, hi))
+    if spec.near_slope is not None:
+        out = _near_profile_moment(spec, 0, *_near_part(spec, lo, hi)) + out
     if out.ndim == 0:
         return float(out)
     return out
@@ -296,18 +299,19 @@ def _power_tail_response(amplitude: float, a: float, c: float, x: np.ndarray):
 
 
 def _near_profile_response(spec: KernelSpec, a: float, c: float, x: np.ndarray):
-    """``int_c^1 (x + z)^(-a) profile(z) dz`` for ``0 < c < 1`` and ``x > -c``."""
+    """``int_c^lo (x + z)^(-a) profile(z) dz`` for ``0 < c < lo`` and ``x > -c``."""
     base = x + c
-    log_ratio = np.log1p((1.0 - c) / base)
+    log_ratio = np.log1p((spec.tail_support[0] - c) / base)
 
     def power_integral(b: float) -> np.ndarray:
-        # int_c^1 (x + z)^(-b) dz; exprel carries the logarithmic case b = 1
+        # int_c^lo (x + z)^(-b) dz; exprel carries the logarithmic case b = 1
         return base ** (1.0 - b) * log_ratio * exprel((1.0 - b) * log_ratio)
 
-    if spec.near_profile == "flat":
-        return spec.near_scale * power_integral(a)
-    # triangle: 1 - z = (1 + x) - (x + z)
-    return spec.near_scale * ((1.0 + x) * power_integral(a) - power_integral(a - 1.0))
+    # 1 - slope z = (1 + slope x) - slope (x + z)
+    slope = spec.near_slope
+    return spec.near_scale * (
+        (1.0 + slope * x) * power_integral(a) - slope * power_integral(a - 1.0)
+    )
 
 
 def exterior_tail_response(spec: KernelSpec, radius: float, x) -> np.ndarray:
@@ -316,9 +320,9 @@ def exterior_tail_response(spec: KernelSpec, radius: float, x) -> np.ndarray:
     This is the one-sided exterior mass weighted by the extension ``y^(-2s)``
     seen from ``x``. The power tail is a Gauss hypergeometric function,
     ``A c^(-4s) / (4s) 2F1(2s, 4s; 4s + 1; -x / c)`` for the tail beyond ``c``;
-    a truncated tail is the difference of two, and the near profile of
-    ``compact_plus_tail`` on ``[radius, 1]`` is elementary. Adaptive
-    quadrature of the same integral is kept as a cross-check in the tests.
+    a tail support bounded above is the difference of two, and the near
+    profile on ``[radius, lo]`` is elementary. Adaptive quadrature of the
+    same integral is kept as a cross-check in the tests.
     """
     if radius <= 0:
         raise ValueError("exterior tail response requires a positive radius")
@@ -326,19 +330,16 @@ def exterior_tail_response(spec: KernelSpec, radius: float, x) -> np.ndarray:
     if np.any(x <= -radius):
         raise ValueError("exterior tail response requires x > -radius")
     a, amp = 2.0 * spec.s, spec.amplitude
-    if spec.family == "pure_fractional":
-        return _power_tail_response(amp, a, radius, x)
-    if spec.family == "truncated_fractional":
-        if radius >= spec.cutoff:
-            return np.zeros_like(x)
-        return _power_tail_response(amp, a, radius, x) - _power_tail_response(
-            amp, a, spec.cutoff, x
-        )
-    if radius >= 1.0:
-        return _power_tail_response(amp, a, radius, x)
-    return _near_profile_response(spec, a, radius, x) + _power_tail_response(
-        amp, a, 1.0, x
-    )
+    lo, hi = spec.tail_support
+    start = max(radius, lo)
+    if start >= hi:
+        return np.zeros_like(x)
+    out = _power_tail_response(amp, a, start, x)
+    if hi < math.inf:
+        out = out - _power_tail_response(amp, a, hi, x)
+    if radius < lo:
+        out = _near_profile_response(spec, a, radius, x) + out
+    return out
 
 
 def _power_moments(spec: KernelSpec, lo: np.ndarray, hi: np.ndarray):
@@ -379,10 +380,11 @@ def _power_moments(spec: KernelSpec, lo: np.ndarray, hi: np.ndarray):
 def interval_moments(spec: KernelSpec, lo: np.ndarray, hi: np.ndarray):
     """``int_lo^hi z^2 J(z) dz`` and ``int_lo^hi z^3 J(z) dz`` per interval.
 
-    ``lo`` and ``hi`` are 1-d arrays of one length with ``0 <= lo <= hi <
-    inf`` and ``hi > 0``. A hat function is linear on each half, so ``int phi z^2 J`` over
-    a half is a combination of these two moments. Intervals are split at the
-    kernel's jumps (the truncation cutoff, the near-profile edge at 1).
+    ``lo`` and ``hi`` are 1-d arrays of one length with
+    ``0 <= lo <= hi < inf`` and ``hi > 0``. A hat function is linear on each
+    half, so ``int phi z^2 J`` over a half is a combination of these two
+    moments. Intervals are split at the ends of the tail support (the
+    truncation cutoff, the near-profile edge at 1).
     Raises :class:`HypothesisViolationError` when an interval starting at 0
     meets a divergent second moment, as for the unbounded families once
     ``s >= 1``.
@@ -393,13 +395,10 @@ def interval_moments(spec: KernelSpec, lo: np.ndarray, hi: np.ndarray):
         raise ValueError("lo and hi must be 1-d arrays of one length")
     if ((lo < 0.0) | (hi < lo) | ~np.isfinite(hi) | (hi <= 0.0)).any():
         raise ValueError("intervals must satisfy 0 <= lo <= hi < inf, 0 < hi")
-    if spec.family == "pure_fractional":
-        return _power_moments(spec, lo, hi)
-    if spec.family == "truncated_fractional":
-        cut = spec.cutoff
-        return _power_moments(spec, np.minimum(lo, cut), np.minimum(hi, cut))
-    lo_n, hi_n = np.minimum(lo, 1.0), np.minimum(hi, 1.0)
-    tail = _power_moments(spec, np.maximum(lo, 1.0), np.maximum(hi, 1.0))
+    tail = _power_moments(spec, *_tail_part(spec, lo, hi))
+    if spec.near_slope is None:
+        return tail
+    lo_n, hi_n = _near_part(spec, lo, hi)
     return tuple(
         _near_profile_moment(spec, power, lo_n, hi_n) + far
         for power, far in zip((2, 3), tail)
@@ -431,17 +430,11 @@ def restricted_second_moment(spec: KernelSpec, radius: float) -> float:
             return amp * np.log(hi / lo)
         return amp * (hi ** (2.0 - 2.0 * s) - lo ** (2.0 - 2.0 * s)) / (2.0 - 2.0 * s)
 
-    if spec.family == "pure_fractional":
-        return 2.0 * power_part(0.0, radius)
-    if spec.family == "truncated_fractional":
-        return 2.0 * power_part(0.0, min(radius, spec.cutoff))
-    r_n = min(radius, 1.0)
-    c = spec.near_scale
-    if spec.near_profile == "flat":
-        near = c * r_n**3 / 3.0
-    else:
-        near = c * (r_n**3 / 3.0 - r_n**4 / 4.0)
-    return 2.0 * (near + power_part(1.0, max(radius, 1.0)))
+    lo, hi = spec.tail_support
+    power = power_part(lo, min(max(radius, lo), hi))
+    if spec.near_slope is None:
+        return 2.0 * power
+    return 2.0 * (_near_profile_moment(spec, 2, 0.0, min(radius, lo)) + power)
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +468,17 @@ class HypothesisCertificate:
 
 
 @lru_cache(maxsize=32)
-def _sample_radii(declared_r0: float, cutoff: float | None, sample_count: int) -> np.ndarray:
+def _sample_radii(declared_r0: float, support_end: float, sample_count: int) -> np.ndarray:
     """Log-uniform sample of ``(1, TAIL_SPAN_FACTOR * R0]`` plus ``R0`` and the
-    radius just past a cutoff; cached, so the array is read-only."""
+    radius just past a finite tail support; cached, so the array is read-only."""
     hi = TAIL_SPAN_FACTOR * declared_r0
     decades = np.log10(hi)
     count = max(int(sample_count), int(np.ceil(SAMPLES_PER_DECADE * decades)) + 1)
     base = np.geomspace(np.nextafter(1.0, 2.0), hi, count)
     extra = [declared_r0]
-    if cutoff is not None and 1.0 < cutoff < hi:
+    if 1.0 < support_end < hi:
         # straddle the truncation radius so a vanishing tail cannot hide
-        extra += [np.nextafter(cutoff, np.inf)]
+        extra += [np.nextafter(support_end, np.inf)]
     radii = np.unique(np.concatenate([base, np.asarray(extra)]))
     radii.flags.writeable = False
     return radii
@@ -500,7 +493,7 @@ def validate_hypothesis(spec: KernelSpec, sample_count: int = 1000) -> Hypothesi
     """
     if sample_count < 100:
         raise ValueError("sample_count must be at least 100")
-    radii = _sample_radii(spec.declared_r0, spec.cutoff, int(sample_count))
+    radii = _sample_radii(spec.declared_r0, spec.tail_support[1], int(sample_count))
     j0 = spec.declared_j0
     values = np.asarray(eval_kernel(spec, radii))
     envelope = radii ** (-1.0 - 2.0 * spec.s)

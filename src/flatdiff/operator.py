@@ -19,9 +19,10 @@ moments ``int z^2 J`` and ``int z^3 J`` of
 finite exactly under the near-field hypothesis ``int_{|z|<=1} z^2 J < inf``.
 The consistency error is of order ``h^2`` for smooth ``u``, where exact
 kernel masses of grid cells give ``h^(2-2s)``; ``tests/test_operator.py``
-measures the order on an ``s = 0.75`` step solution. For ``A |z|^(-1-2s)`` they are ``A h^(-2s) F_k / k^2`` with
-``beta = 3 - 2s`` and ``F_k = ((k+1)^beta - 2 k^beta + (k-1)^beta) /
-((beta - 1) beta)``, plus ``1 / ((beta - 1) beta)`` at ``k = 1``.
+measures the order on an ``s = 0.75`` step solution. For ``A |z|^(-1-2s)``
+they are ``A h^(-2s) F_k / k^2`` with ``beta = 3 - 2s`` and
+``F_k = ((k+1)^beta - 2 k^beta + (k-1)^beta) / ((beta - 1) beta)``, plus
+``1 / ((beta - 1) beta)`` at ``k = 1``.
 
 The last hat ends at ``n h``; displacements beyond it are folded into two
 scalar tail coefficients weighting the boundary extension values. Every

@@ -232,7 +232,6 @@ def mirror_identity_check(
     tol: float | None = None,
     output_times=(),
     safety: float = DEFAULT_SAFETY,
-    startup_ramp: bool = True,
 ) -> VerificationReport:
     """Evolve a symmetrically mollified edge and measure the mirror defect.
 
@@ -241,8 +240,7 @@ def mirror_identity_check(
     satisfies ``v(t, b + x) + v(t, b - x) = a`` exactly. The check runs its
     own simulation on ``grid`` (symmetric about b; its size picks the apply
     path) and reports the worst absolute defect over all snapshots against
-    ``tol``, which defaults to 0.02 a. ``safety`` and ``startup_ramp`` go
-    to ``evolve``.
+    ``tol``, which defaults to 0.02 a. ``safety`` goes to ``evolve``.
     """
     if tol is None:
         tol = 0.02 * a
@@ -252,14 +250,7 @@ def mirror_identity_check(
         raise ValueError("final time must be positive")
     op = discretize(spec, grid, BoundaryModel(left_value=a, right="zero"))
     datum = InitialDatum.mollified_step(a, b, eps).sample(grid)
-    traj = evolve(
-        op,
-        datum,
-        t_final,
-        output_times=output_times,
-        safety=safety,
-        startup_ramp=startup_ramp,
-    )
+    traj = evolve(op, datum, t_final, output_times=output_times, safety=safety)
     worst, worst_t, worst_x = worst_node(
         traj.times,
         [np.abs(state.values + state.values[::-1] - a) for state in traj.states],
@@ -304,7 +295,7 @@ def flattening_ratio(
 
     The details also carry the exact limit ``tail_limit = a A / (2s)`` of
     the renormalized tail for a kernel whose tail is exactly
-    ``A |z|^(-1-2s)`` (pure and compact-plus-tail families; None for a
+    ``A |z|^(-1-2s)`` (an unbounded ``spec.tail_support``; None for a
     truncated kernel) and ``measured_over_limit``, so that an overshoot
     shows. Neither is gated.
     """
@@ -334,9 +325,9 @@ def flattening_ratio(
     measured = float(ratio[i])
     bound = k * a
     # a tail exactly A |z|^(-1-2s) gives x^(2s) u / t -> a A / (2s)
-    # (Blumenthal & Getoor 1960); a truncated kernel has no such limit
+    # (Blumenthal & Getoor 1960); a tail support bounded above has no such limit
     tail_limit = None
-    if spec.family != "truncated_fractional":
+    if spec.tail_support[1] == math.inf:
         tail_limit = a * spec.amplitude / (2.0 * s)
     return VerificationReport(
         check="flattening_ratio",

@@ -1,0 +1,28 @@
+"""One set-up/solve/check iteration of each benchmark workload.
+
+The benchmark drives flatdiff's public API from ``benchmark/workloads.py``;
+running one untraced iteration here makes an API change that breaks it fail
+the test suite rather than the benchmark run.
+"""
+
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+
+import layers  # noqa: E402
+import workloads  # noqa: E402
+from spans import NullTracer  # noqa: E402
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_one_iteration_passes_every_check(name):
+    wl = workloads.WORKLOADS[name](1)
+    tracer, checks = NullTracer(), layers.Checks()
+    linf = wl.check(tracer, wl.solve(tracer, wl.setup(tracer)), checks, 0)
+    assert checks.attempted > 0
+    assert checks.failed == 0, checks.lines(name)
+    assert math.isfinite(linf)

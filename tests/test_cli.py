@@ -126,7 +126,7 @@ MALFORMED = [
     ("kernel.s", "0.5", "config.kernel.s must be a number"),
     ("times.snapshots", 5, "config.times.snapshots must be a list"),
     ("checks.flattening.window", 5, "config.checks.flattening.window must be a pair"),
-    ("solver.startup_ramp", "false", "config.solver.startup_ramp must be true or false"),
+    ("solver.startup_ramp", "false", "['startup_ramp'] in config.solver"),
     ("grid.n", 401.7, "config.grid.n must be an integer"),
     ("checks.mirror.grid.x_mid", 0.0, "['x_mid'] in config.checks.mirror.grid"),
     ("checks.subsolution.samples", 4, "['samples'] in config.checks.subsolution"),
@@ -155,6 +155,27 @@ def test_unknown_kernel_family_rejected(tmp_path):
     kernel = dict(CAUCHY_KERNEL, family="levy_flight")
     cfg = base_config(tmp_path, kernel=kernel)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+FOREIGN_KEYS = [
+    ("pure_fractional", {"cutoff": 5.0, "near_profile": "triangle"}, "cutoff"),
+    ("pure_fractional", {"near_scale": 1.0}, "near_scale"),
+    ("truncated_fractional", {"cutoff": 5.0, "near_profile": "flat"}, "near_profile"),
+    ("compact_plus_tail", {"cutoff": 5.0}, "cutoff"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, extra, key", FOREIGN_KEYS, ids=[f"{f}+{k}" for f, _, k in FOREIGN_KEYS]
+)
+def test_kernel_key_of_another_family_exits_2_naming_its_path(
+    tmp_path, caplog, family, extra, key
+):
+    # such a key used to be dropped, and the run simulated another kernel
+    kernel = dict(UNIT_KERNEL, family=family, **extra)
+    cfg = base_config(tmp_path, kernel=kernel)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config.kernel.{key} does not apply to family {family!r}" in caplog.text
 
 
 def test_hypothesis_violating_kernel_rejected(tmp_path):
@@ -247,7 +268,7 @@ def test_verify_proposition_failing_check_exits_1(tmp_path):
 
 
 def test_verify_proposition_mirror_run_takes_the_solver_section(tmp_path, monkeypatch):
-    # the mirror defect reads ~1e-14 with or without the ramp, so record the
+    # the mirror defect does not show which safety ran, so record the
     # keywords the mirror check's own evolve receives instead
     seen = []
     real_evolve = verification.evolve
@@ -259,13 +280,12 @@ def test_verify_proposition_mirror_run_takes_the_solver_section(tmp_path, monkey
     monkeypatch.setattr(verification, "evolve", recording_evolve)
     cfg = base_config(
         tmp_path,
-        solver={"safety": 0.3, "startup_ramp": False},
+        solver={"safety": 0.3},
         checks={"mirror": {"eps": 0.5, "t_final": 0.25}},
     )
     out = tmp_path / "prop_solver"
     assert main(["verify-proposition", "--config", cfg, "--out", str(out)]) == 0
     assert len(seen) == 1
-    assert seen[0]["startup_ramp"] is False
     assert seen[0]["safety"] == 0.3
 
 

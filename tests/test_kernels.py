@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import flatdiff as fd
-from flatdiff.kernels import HypothesisViolationError, _sample_radii
+from flatdiff.kernels import HypothesisViolationError, _sample_radii, interval_moments
 
 
 def any_spec(family, s, amplitude):
@@ -195,6 +195,27 @@ def test_near_second_moment_compact_vs_brute_quadrature():
     assert fd.restricted_second_moment(spec, 1.0) == pytest.approx(2.0 * brute, rel=1e-9)
 
 
+def moment_specs():
+    for s in (0.25, 0.5, 0.75):
+        yield fd.pure_fractional(s, 1.3, j0=4.0, j1=2.0, r0=2.0)
+        yield fd.truncated_fractional(s, 0.9, 3.0, j0=4.0, j1=2.0, r0=2.0)
+    for s in (0.5, 1.0, 1.5):
+        for profile in ("flat", "triangle"):
+            yield fd.compact_plus_tail(
+                s, 1.1, near_profile=profile, near_scale=0.7, j0=4.0, j1=2.0, r0=2.0
+            )
+
+
+@pytest.mark.parametrize("spec", list(moment_specs()), ids=lambda spec: spec.describe())
+def test_two_closed_forms_of_the_second_moment_agree(spec):
+    # restricted_second_moment and the hat-weight moments are independent
+    # closed forms of int z^2 J; radii on both sides of 1 and of the cutoff 3
+    for r in (0.3, 0.999, 1.0, 1.7, 3.0, 5.0, 40.0):
+        whole = fd.restricted_second_moment(spec, r)
+        (half,), _ = interval_moments(spec, np.array([0.0]), np.array([r]))
+        assert whole == pytest.approx(2.0 * half, rel=1e-14, abs=0.0)
+
+
 def test_near_moment_divergence_for_strong_singularity():
     spec = fd.pure_fractional(1.0, 1.0, j0=1.0, j1=1.0, r0=2.0)
     with pytest.raises(HypothesisViolationError):
@@ -268,6 +289,37 @@ def test_certified_tail_mass_envelope(r):
     s, j0 = spec.s, spec.declared_j0
     assert tm <= j0 / (s * r ** (2 * s)) * (1 + 1e-12)
     assert tm >= 1.0 / (j0 * s * r ** (2 * s)) * (1 - 1e-12)
+
+
+def test_shape_is_data_on_the_spec():
+    shapes = {
+        name: (spec.tail_support, spec.near_slope) for name, spec in SCALAR_SPECS.items()
+    }
+    assert shapes == {
+        "pure": ((0.0, math.inf), None),
+        "truncated": ((0.0, 30.0), None),
+        "flat": ((1.0, math.inf), 0.0),
+        "triangle": ((1.0, math.inf), 1.0),
+    }
+
+
+FOREIGN_FIELDS = [
+    ("pure_fractional", {"cutoff": 5.0}),
+    ("pure_fractional", {"near_profile": "triangle"}),
+    ("pure_fractional", {"near_scale": 0.5}),
+    ("truncated_fractional", {"cutoff": 5.0, "near_profile": "flat"}),
+    ("compact_plus_tail", {"near_profile": "flat", "cutoff": 5.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "family, fields", FOREIGN_FIELDS, ids=[f"{f}+{'+'.join(x)}" for f, x in FOREIGN_FIELDS]
+)
+def test_spec_rejects_a_field_of_another_family(family, fields):
+    # a cutoff on a pure kernel used to show in describe() while every
+    # closed form ignored it
+    with pytest.raises(ValueError, match="takes no"):
+        fd.KernelSpec(family, 0.5, 1.0, 1.0, 1.0, 2.0, **fields)
 
 
 def test_spec_validation_errors():

@@ -85,6 +85,14 @@ _number = _leaf((int, float), "a number", float)
 _integer = _leaf((int,), "an integer")
 _string = _leaf((str,), "a string")
 
+_FORMATS = ("csv", "json", "both")
+
+
+def _format(value, path: str) -> str:
+    if value not in _FORMATS:
+        raise ConfigError(f"{path} must be one of {', '.join(_FORMATS)}")
+    return value
+
 
 def _list_of(item):
     def check(value, path: str) -> tuple:
@@ -134,7 +142,7 @@ _SCHEMA = {
     },
     "reference": {"interior": _pair, "refine_levels": _integer},
     "bench": {"sizes": _list_of(_integer), "reps": _integer, "domain": _pair},
-    "output": {"directory": _string, "format": _string},
+    "output": {"directory": _string, "format": _format},
 }
 
 
@@ -233,15 +241,12 @@ def build_datum(cfg: dict) -> InitialDatum:
     raise ConfigError(f"unsupported initial datum kind {kind!r} in config")
 
 
-def _solver_options(cfg: dict) -> dict:
-    """The ``evolve`` keywords the config sets (``safety``).
-
-    Unset ones take ``evolve``'s defaults; the grid size picks the apply path.
-    """
-    opts = _given(cfg.get("solver", {}), "safety")
-    if not 0.0 < opts.get("safety", DEFAULT_SAFETY) <= 1.0:
+def _safety(cfg: dict) -> float:
+    """``solver.safety``, or ``DEFAULT_SAFETY`` when unset; in ``(0, 1]``."""
+    safety = cfg.get("solver", {}).get("safety", DEFAULT_SAFETY)
+    if not 0.0 < safety <= 1.0:
         raise ConfigError("solver safety must lie in (0, 1]")
-    return opts
+    return safety
 
 
 def _times(cfg: dict) -> tuple[float, tuple[float, ...]]:
@@ -254,9 +259,9 @@ def _times(cfg: dict) -> tuple[float, tuple[float, ...]]:
 
 
 def _run_simulation(
-    cfg: dict, opts: dict, grid: Grid | None = None, output_times=None
+    cfg: dict, safety: float, grid: Grid | None = None, output_times=None
 ) -> tuple[Trajectory, DiscreteOperator, InitialDatum]:
-    """Evolve the configured datum to ``t_final`` with the ``evolve`` keywords ``opts``.
+    """Evolve the configured datum to ``t_final`` at the given ``safety``.
 
     ``grid`` defaults to the config grid and ``output_times`` to the config
     snapshots. ``discretize`` rejects a kernel that fails its hypothesis
@@ -272,7 +277,7 @@ def _run_simulation(
         datum.sample(grid),
         t_final,
         snapshots if output_times is None else output_times,
-        **opts,
+        safety=safety,
     )
     return traj, op, datum
 
@@ -291,7 +296,7 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, opts: dict) -> dict:
+def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, safety: float) -> dict:
     cert = op.certificate
     return {
         "package_version": __version__,
@@ -299,7 +304,7 @@ def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, opts: dict)
         "derived": {
             "h": op.grid.h,
             "row_sum": op.row_sum,
-            "dt_stable": stable_dt(op, opts.get("safety", DEFAULT_SAFETY)),
+            "dt_stable": stable_dt(op, safety),
             "kernel_certificate": {
                 "verified": cert.verified,
                 "upper_margin": cert.upper_margin,
@@ -314,9 +319,10 @@ def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, opts: dict)
     }
 
 
-def cmd_simulate(cfg: dict, out: Path, fmt: str, args) -> int:
-    opts = _solver_options(cfg)
-    traj, op, _ = _run_simulation(cfg, opts)
+def cmd_simulate(cfg: dict, out: Path, args) -> int:
+    fmt = args.format or cfg.get("output", {}).get("format", "csv")
+    safety = _safety(cfg)
+    traj, op, _ = _run_simulation(cfg, safety)
     if fmt in ("csv", "both"):
         _write_trajectory_csv(out / "trajectory.csv", traj)
     if fmt in ("json", "both"):
@@ -328,7 +334,7 @@ def cmd_simulate(cfg: dict, out: Path, fmt: str, args) -> int:
                 for t, st in zip(traj.times, traj.states)
             ],
         )
-    _write_json(out / "metadata.json", _metadata(args.raw_config, op, traj, opts))
+    _write_json(out / "metadata.json", _metadata(args.raw_config, op, traj, safety))
     log.info("wrote %d snapshots to %s", len(traj.times), out)
     return EXIT_OK
 
@@ -346,7 +352,7 @@ def _report_exit(reports: list[VerificationReport], out: Path) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-def cmd_verify_flattening(cfg: dict, out: Path, fmt: str, args) -> int:
+def cmd_verify_flattening(cfg: dict, out: Path, args) -> int:
     section = cfg.get("checks", {}).get("flattening", {})
     t_final, snapshots = _times(cfg)
     if "t" in section and not 0.0 < section["t"] <= t_final:
@@ -354,9 +360,7 @@ def cmd_verify_flattening(cfg: dict, out: Path, fmt: str, args) -> int:
             f"config.checks.flattening.t must lie in (0, t_final = {t_final:g}]"
         )
     t = section.get("t", t_final)
-    traj, op, datum = _run_simulation(
-        cfg, _solver_options(cfg), output_times=(*snapshots, t)
-    )
+    traj, op, datum = _run_simulation(cfg, _safety(cfg), output_times=(*snapshots, t))
     report = flattening_ratio(
         traj,
         op.spec,
@@ -368,10 +372,10 @@ def cmd_verify_flattening(cfg: dict, out: Path, fmt: str, args) -> int:
     return _report_exit([report], out)
 
 
-def cmd_verify_proposition(cfg: dict, out: Path, fmt: str, args) -> int:
+def cmd_verify_proposition(cfg: dict, out: Path, args) -> int:
     checks = cfg.get("checks", {})
-    opts = _solver_options(cfg)
-    traj, op, datum = _run_simulation(cfg, opts)
+    safety = _safety(cfg)
+    traj, op, datum = _run_simulation(cfg, safety)
     reports = [
         halfline_bound_check(
             traj, datum.a, datum.plateau_edge, **_given(checks.get("halfline", {}), "tol")
@@ -391,7 +395,7 @@ def cmd_verify_proposition(cfg: dict, out: Path, fmt: str, args) -> int:
                 datum.b,
                 mirror.get("t_final", cfg["times"]["t_final"]),
                 grid,
-                **opts,
+                safety=safety,
                 **_given(mirror, "eps", "tol"),
             )
         )
@@ -400,7 +404,7 @@ def cmd_verify_proposition(cfg: dict, out: Path, fmt: str, args) -> int:
     return _report_exit(reports, out)
 
 
-def cmd_verify_subsolution(cfg: dict, out: Path, fmt: str, args) -> int:
+def cmd_verify_subsolution(cfg: dict, out: Path, args) -> int:
     spec = build_kernel(cfg)
     section = cfg.get("checks", {}).get("subsolution", {})
     c = _need(section, "c", "config.checks.subsolution")
@@ -431,7 +435,7 @@ def cmd_verify_subsolution(cfg: dict, out: Path, fmt: str, args) -> int:
     return _report_exit([report], out)
 
 
-def cmd_reference_compare(cfg: dict, out: Path, fmt: str, args) -> int:
+def cmd_reference_compare(cfg: dict, out: Path, args) -> int:
     """Interior error per refinement level, at ``safety`` and at ``safety / 8``.
 
     The second run takes eight times as many Euler stages per step, which
@@ -447,8 +451,7 @@ def cmd_reference_compare(cfg: dict, out: Path, fmt: str, args) -> int:
     t_final, _ = _times(cfg)
     if t_final <= 0:
         raise ConfigError("reference comparison needs t_final > 0")
-    opts = _solver_options(cfg)
-    fine = {**opts, "safety": opts.get("safety", DEFAULT_SAFETY) / 8.0}
+    safety = _safety(cfg)
     rows = []
     for level in range(levels):
         factor = 2**level
@@ -458,8 +461,8 @@ def cmd_reference_compare(cfg: dict, out: Path, fmt: str, args) -> int:
         if not np.any(sel):
             raise ConfigError("interior window contains no grid points")
         errs = []
-        for run_opts in (opts, fine):
-            traj, op, datum = _run_simulation(cfg, run_opts, grid, output_times=())
+        for run_safety in (safety, safety / 8.0):
+            traj, op, datum = _run_simulation(cfg, run_safety, grid, output_times=())
             exact = reference_solution(op.spec.s, datum.a, datum.b, t_final, x[sel])
             errs.append(float(np.max(np.abs(traj.state_at(t_final).values[sel] - exact))))
         rows.append((grid.h, grid.x_max - grid.x_min, *errs))
@@ -505,7 +508,7 @@ def run_bench(
     return rows
 
 
-def cmd_bench(cfg: dict, out: Path, fmt: str, args) -> int:
+def cmd_bench(cfg: dict, out: Path, args) -> int:
     section = cfg.get("bench", {})
     rows = run_bench(
         build_kernel(cfg),
@@ -553,12 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument(
-            "--format", choices=("csv", "json", "both"), default=None,
-            help="trajectory artifact format (simulate only)",
-        )
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (bench input)")
         p.add_argument("-v", "--verbose", action="store_true")
+        if name == "simulate":
+            p.add_argument("--format", choices=_FORMATS, help="overrides output.format")
+        if name == "bench":
+            p.add_argument("--seed", type=int, default=0, help="RNG seed of the bench input")
     return parser
 
 
@@ -570,14 +572,10 @@ def main(argv=None) -> int:
     )
     try:
         args.raw_config, cfg = load_config(args.config)
-        out_section = cfg.get("output", {})
-        out = Path(args.out or out_section.get("directory", "."))
-        fmt = args.format or out_section.get("format", "csv")
-        if fmt not in ("csv", "json", "both"):
-            raise ConfigError(f"unknown output format {fmt!r}")
+        out = Path(args.out or cfg.get("output", {}).get("directory", "."))
         out.mkdir(parents=True, exist_ok=True)
         command, _ = _COMMANDS[args.command]
-        return command(cfg, out, fmt, args)
+        return command(cfg, out, args)
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG

@@ -51,6 +51,8 @@ _NEAR_SLOPES = {"flat": 0.0, "triangle": 1.0}
 
 # floor on log-uniform sampling density used by validate_hypothesis
 SAMPLES_PER_DECADE = 100
+# least number of radii validate_hypothesis samples, whatever the span
+MIN_SAMPLE_COUNT = 1000
 # sampled envelope span: (1, TAIL_SPAN_FACTOR * R0]
 TAIL_SPAN_FACTOR = 100.0
 
@@ -468,12 +470,12 @@ class HypothesisCertificate:
 
 
 @lru_cache(maxsize=32)
-def _sample_radii(declared_r0: float, support_end: float, sample_count: int) -> np.ndarray:
+def _sample_radii(declared_r0: float, support_end: float) -> np.ndarray:
     """Log-uniform sample of ``(1, TAIL_SPAN_FACTOR * R0]`` plus ``R0`` and the
     radius just past a finite tail support; cached, so the array is read-only."""
     hi = TAIL_SPAN_FACTOR * declared_r0
     decades = np.log10(hi)
-    count = max(int(sample_count), int(np.ceil(SAMPLES_PER_DECADE * decades)) + 1)
+    count = max(MIN_SAMPLE_COUNT, int(np.ceil(SAMPLES_PER_DECADE * decades)) + 1)
     base = np.geomspace(np.nextafter(1.0, 2.0), hi, count)
     extra = [declared_r0]
     if 1.0 < support_end < hi:
@@ -484,16 +486,14 @@ def _sample_radii(declared_r0: float, support_end: float, sample_count: int) -> 
     return radii
 
 
-def validate_hypothesis(spec: KernelSpec, sample_count: int = 1000) -> HypothesisCertificate:
+def validate_hypothesis(spec: KernelSpec) -> HypothesisCertificate:
     """Check the declared envelopes and moment bound on a log-uniform grid.
 
-    Sampling covers ``(1, 100 * R0]`` with at least ``sample_count`` points
-    and never fewer than 100 per decade. A failing kernel yields
-    ``verified=False``; this routine does not raise on failure.
+    Sampling covers ``(1, 100 * R0]`` with at least ``MIN_SAMPLE_COUNT``
+    points and never fewer than ``SAMPLES_PER_DECADE`` per decade. A failing
+    kernel yields ``verified=False``; this routine does not raise on failure.
     """
-    if sample_count < 100:
-        raise ValueError("sample_count must be at least 100")
-    radii = _sample_radii(spec.declared_r0, spec.tail_support[1], int(sample_count))
+    radii = _sample_radii(spec.declared_r0, spec.tail_support[1])
     j0 = spec.declared_j0
     values = np.asarray(eval_kernel(spec, radii))
     envelope = radii ** (-1.0 - 2.0 * spec.s)

@@ -35,9 +35,9 @@ class Grid:
         pts.flags.writeable = False
         return pts
 
-    def is_symmetric_about(self, center: float, tol: float = 1e-12) -> bool:
+    def is_symmetric_about(self, center: float) -> bool:
         scale = max(abs(self.x_min), abs(self.x_max), 1.0)
-        return abs((self.x_min - center) + (self.x_max - center)) <= tol * scale
+        return abs((self.x_min - center) + (self.x_max - center)) <= 1e-12 * scale
 
 
 @dataclass(frozen=True, eq=False)

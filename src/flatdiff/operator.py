@@ -41,10 +41,10 @@ row ``i`` the far shape ``int_cut^inf (x_i + z)^(-2s) J(z) dz`` with
 ``A cut^(-4s) / (4s) 2F1(2s, 4s; 4s + 1; -x_i / cut)`` (DLMF 15.6.1),
 evaluated for all rows at once by
 :func:`~flatdiff.kernels.exterior_tail_response`; ``tests/test_operator.py``
-cross-checks it node by node against adaptive quadrature. Both apply paths
-add the same exterior vectors: ``apply`` forms ``T u`` by a sliding
-correlation with the zero-padded field, ``apply_fft`` by circulant embedding
-at length ``~2n``, and the two agree to roundoff.
+cross-checks it node by node against adaptive quadrature. ``T u`` is a
+sliding correlation with the zero-padded field in ``apply`` and a circulant
+embedding at length ``~2n`` in ``apply_fft``; ``rate`` picks one by grid
+size. All three add the same exterior vectors, and the paths agree to roundoff.
 """
 
 from __future__ import annotations
@@ -167,55 +167,56 @@ class DiscreteOperator:
         far = exterior_tail_response(self.spec, tail_cut, self.grid.points())
         return np.append(0.0, pad[: n - 1]) + far
 
-    def rate(
-        self, values: np.ndarray, method: str = "auto", workers: int = 1
-    ) -> np.ndarray:
+    def rate(self, values: np.ndarray, workers: int = 1) -> np.ndarray:
         """``D u`` on the grid values ``u``, with the boundary extensions.
 
-        ``method`` is ``"direct"`` (sliding correlation, O(n^2), the reference),
-        ``"fft"`` (circulant embedding, O(n log n)) or ``"auto"``, which takes
-        the FFT from ``n = 256`` nodes on, the measured crossover.
+        The grid size picks the inner product ``T u``: the FFT from
+        ``n = 256`` nodes on, the measured crossover, and the direct sum
+        below it. ``workers`` goes to ``scipy.fft``.
         """
         values = np.asarray(values, dtype=float)
         n = self.grid.n
         if values.shape != (n,):
             raise ValueError(f"values shape {values.shape} does not match {n} nodes")
-        if method == "auto":
-            method = "fft" if n >= _FFT_THRESHOLD else "direct"
-        if method == "fft":
-            m = self._fft_len
-            prod = scipy.fft.rfft(values, m, workers=workers)
-            prod *= self._spectrum
-            inner = scipy.fft.irfft(prod, m, workers=workers)[n - 1 : 2 * n - 1]
-        elif method == "direct":
-            pad = np.zeros(n - 1)
-            padded = np.concatenate([pad, values, pad])
-            inner = np.correlate(padded, self._stencil, mode="valid")
-        else:
-            raise ValueError(f"unknown apply method {method!r}")
-        # (T u - W u) + left + right, formed in the array of W u: a fresh
-        # array of n values, where ``inner`` may view a buffer of twice that
+        if n >= _FFT_THRESHOLD:
+            return self._finish(values, self._fft_inner(values, workers))
+        return self._finish(values, self._direct_inner(values))
+
+    def _direct_inner(self, values: np.ndarray) -> np.ndarray:
+        """``T u`` by sliding correlation with the zero-padded field; O(n^2)."""
+        pad = np.zeros(self.grid.n - 1)
+        padded = np.concatenate([pad, values, pad])
+        return np.correlate(padded, self._stencil, mode="valid")
+
+    def _fft_inner(self, values: np.ndarray, workers: int = 1) -> np.ndarray:
+        """``T u`` by circulant embedding; O(n log n)."""
+        n, m = self.grid.n, self._fft_len
+        prod = scipy.fft.rfft(values, m, workers=workers)
+        prod *= self._spectrum
+        return scipy.fft.irfft(prod, m, workers=workers)[n - 1 : 2 * n - 1]
+
+    def _finish(self, values: np.ndarray, inner: np.ndarray) -> np.ndarray:
+        # (T u - W u) + left + right from inner = T u, formed in the array of
+        # W u: a fresh array of n values, where ``inner`` may view twice that
         out = values * self.row_sum
         np.subtract(inner, out, out=out)
         out += self._left_term
-        if self._right is not None:
-            out += self._right_amplitude(values) * self._right
+        if self.boundary.right == "constant":
+            out += self.boundary.right_value * self._right
+        elif self.boundary.right == "algebraic_tail":
+            amp = self.boundary.fit_tail_amplitude(self.grid, values, 2.0 * self.spec.s)
+            out += amp * self._right
         return out
 
-    def _right_amplitude(self, values: np.ndarray) -> float:
-        if self.boundary.right == "constant":
-            return self.boundary.right_value
-        return self.boundary.fit_tail_amplitude(self.grid, values, 2.0 * self.spec.s)
-
     def apply(self, u: Field) -> Field:
-        """Direct correlation sum; O(n^2), the reference path."""
+        """``D u`` by the direct correlation sum at any size; the reference."""
         self.check_field(u)
-        return u.with_values(self.rate(u.values, "direct"))
+        return u.with_values(self._finish(u.values, self._direct_inner(u.values)))
 
-    def apply_fft(self, u: Field, workers: int = 1) -> Field:
-        """Same operator via circulant-embedded FFT; O(n log n)."""
+    def apply_fft(self, u: Field) -> Field:
+        """``D u`` by the circulant-embedded FFT at any size."""
         self.check_field(u)
-        return u.with_values(self.rate(u.values, "fft", workers))
+        return u.with_values(self._finish(u.values, self._fft_inner(u.values)))
 
     def check_field(self, u: Field) -> None:
         """Raise ``ValueError`` unless ``u`` lives on this operator's grid."""

@@ -71,7 +71,8 @@ class SubsolutionParams:
 
     ``a`` and ``b`` describe the plateau (height ``a`` on ``(-inf, b]``);
     ``r0`` is the kernel's lower-envelope onset radius. Derived fields obey
-    ``kappa = 1/(8 s j0)``, ``t_star kappa = 2 c``, ``r_star^(2s) = 8 c j0^2``.
+    ``kappa = 1/(8 s j0)``, ``t_star kappa = 2 c``, ``r_star^(2s) = 8 c j0^2``
+    and ``onset = r0 + r_star``, where the validity set starts.
     """
 
     s: float
@@ -100,6 +101,10 @@ class SubsolutionParams:
     @cached_property
     def r_star(self) -> float:
         return (8.0 * self.c * self.j0**2) ** (1.0 / (2.0 * self.s))
+
+    @cached_property
+    def onset(self) -> float:
+        return self.r0 + self.r_star
 
     @classmethod
     def from_kernel(
@@ -271,7 +276,7 @@ def residual_grid(
     """
     if nt < 1 or nx < 1:
         raise ValueError("sample counts must be positive")
-    x_lo = params.r0 + params.r_star
+    x_lo = params.onset
     if x_max is None:
         x_max = 10.0 * x_lo
     if x_max < x_lo:
@@ -292,5 +297,5 @@ def shifted_subsolution(params: SubsolutionParams, t: float, x) -> np.ndarray | 
     ``a c / ((x + r0 + r_star + b)^(2s) + 2 c)``, the certified lower bound
     for a solution that started above ``a`` on ``(-inf, b]``.
     """
-    shift = params.r0 + params.r_star + params.b
+    shift = params.onset + params.b
     return params.a * w_eval(params, t, np.asarray(x) + shift)

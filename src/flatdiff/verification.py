@@ -26,6 +26,7 @@ from .evolution import DEFAULT_SAFETY, Trajectory, evolve, worst_node
 from .kernels import KernelSpec
 from .mesh import BoundaryModel, Field, Grid
 from .operator import discretize
+from .quadrature import integrate_interval
 from .subsolution import SubsolutionParams, kappa
 
 __all__ = [
@@ -43,8 +44,6 @@ DEFAULT_MOLLIFIER_RADIUS = 0.5
 
 @functools.lru_cache(maxsize=None)
 def _bump_half_mass() -> float:
-    from .quadrature import integrate_interval
-
     val, _ = integrate_interval(_bump, 0.0, 1.0, rel_tol=1e-12)
     return val
 
@@ -61,8 +60,6 @@ def _bump_cdf(r: float) -> float:
         return 0.0
     if r >= 1.0:
         return 1.0
-    from .quadrature import integrate_interval
-
     val, _ = integrate_interval(_bump, 0.0, abs(r), rel_tol=1e-12)
     half = _bump_half_mass()
     return 0.5 + math.copysign(0.5 * val / half, r)
@@ -230,7 +227,6 @@ def mirror_identity_check(
     *,
     eps: float = DEFAULT_MOLLIFIER_RADIUS,
     tol: float | None = None,
-    output_times=(),
     safety: float = DEFAULT_SAFETY,
 ) -> VerificationReport:
     """Evolve a symmetrically mollified edge and measure the mirror defect.
@@ -250,7 +246,7 @@ def mirror_identity_check(
         raise ValueError("final time must be positive")
     op = discretize(spec, grid, BoundaryModel(left_value=a, right="zero"))
     datum = InitialDatum.mollified_step(a, b, eps).sample(grid)
-    traj = evolve(op, datum, t_final, output_times=output_times, safety=safety)
+    traj = evolve(op, datum, t_final, safety=safety)
     worst, worst_t, worst_x = worst_node(
         traj.times,
         [np.abs(state.values + state.values[::-1] - a) for state in traj.states],
@@ -303,9 +299,8 @@ def flattening_ratio(
         raise ValueError("flattening bound applies to positive times")
     state = traj.state_at(t)
     s = spec.s
-    k = kappa(spec)
-    params = SubsolutionParams.from_kernel(spec, c=k * t, a=a, b=b)
-    onset = spec.declared_r0 + params.r_star + b
+    params = SubsolutionParams.from_kernel(spec, c=kappa(spec) * t, a=a, b=b)
+    onset = params.onset + b
     x_max = traj.grid.x_max
     if window is None:
         window = (max(onset, 50.0 * t ** (1.0 / (2.0 * s))), 0.8 * x_max)
@@ -323,7 +318,7 @@ def flattening_ratio(
     ratio = x[sel] ** (2.0 * s) * state.values[sel] / t
     i = int(np.argmin(ratio))
     measured = float(ratio[i])
-    bound = k * a
+    bound = params.kappa * a
     # a tail exactly A |z|^(-1-2s) gives x^(2s) u / t -> a A / (2s)
     # (Blumenthal & Getoor 1960); a tail support bounded above has no such limit
     tail_limit = None
@@ -343,7 +338,7 @@ def flattening_ratio(
             "a": a,
             "b": b,
             "window": [float(x_lo), float(x_hi)],
-            "kappa": k,
+            "kappa": params.kappa,
             "tail_limit": tail_limit,
             "measured_over_limit": measured / tail_limit if tail_limit else None,
         },

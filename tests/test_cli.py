@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from flatdiff import subsolution, verification
-from flatdiff.cli import main
+from flatdiff.cli import build_parser, main
 
 CAUCHY_KERNEL = {
     "family": "pure_fractional",
@@ -133,6 +133,7 @@ MALFORMED = [
     ("bench.warmup", 1, "['warmup'] in config.bench"),
     ("output.compress", True, "['compress'] in config.output"),
     ("solver.method", "fft", "['method'] in config.solver"),
+    ("output.format", "xml", "config.output.format must be one of csv, json, both"),
 ]
 
 
@@ -149,6 +150,33 @@ def test_malformed_value_exits_2_naming_its_path(tmp_path, caplog, key, value, m
     cfg = write_config(tmp_path, "malformed.json", **sections)
     assert main(["verify-flattening", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert message in caplog.text
+
+
+@pytest.mark.parametrize("command", ["simulate", "reference-compare"])
+@pytest.mark.parametrize("safety", [0.0, 1.5])
+def test_safety_outside_the_unit_interval_exits_2(tmp_path, caplog, command, safety):
+    cfg = base_config(tmp_path, solver={"safety": safety})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "solver safety must lie in (0, 1]" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("simulate", "--seed=3"), ("verify-flattening", "--format=json"),
+     ("reference-compare", "--seed=3"), ("bench", "--format=csv")],
+)
+def test_flag_of_another_subcommand_fails_argparse(tmp_path, command, flag):
+    cfg = base_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path / "o"), flag])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_format_is_a_simulate_flag_and_seed_a_bench_flag():
+    parser = build_parser()
+    assert parser.parse_args(["simulate", "--config", "c", "--format=json"]).format == "json"
+    assert parser.parse_args(["bench", "--config", "c", "--seed=3"]).seed == 3
 
 
 def test_unknown_kernel_family_rejected(tmp_path):

@@ -253,11 +253,6 @@ def test_validator_cauchy_normalized(cauchy_cert):
     assert cauchy_cert.verified
 
 
-def test_validator_sample_floor(unit_spec):
-    with pytest.raises(ValueError):
-        fd.validate_hypothesis(unit_spec, sample_count=50)
-
-
 def test_validator_flags_truncated_tail():
     # hard cutoff kills the lower envelope beyond the cutoff radius
     spec = fd.truncated_fractional(0.75, 1.0, 30.0, j0=1.0, j1=1.0, r0=2.0)
@@ -269,8 +264,8 @@ def test_validator_flags_truncated_tail():
 
 def test_validator_sample_is_cached_and_read_only():
     spec = fd.truncated_fractional(0.75, 1.0, 30.0, j0=1.0, j1=1.0, r0=2.0)
-    radii = _sample_radii(spec.declared_r0, spec.cutoff, 1000)
-    assert _sample_radii(spec.declared_r0, spec.cutoff, 1000) is radii
+    radii = _sample_radii(spec.declared_r0, spec.cutoff)
+    assert _sample_radii(spec.declared_r0, spec.cutoff) is radii
     assert not radii.flags.writeable
     with pytest.raises(ValueError):
         radii[0] = 2.0

@@ -192,6 +192,19 @@ def test_quadrature_routes_raise_on_a_negative_result(monkeypatch):
     assert _survival(0.75, 2.0) == 0.0
 
 
+@pytest.mark.parametrize("s", [0.05, 0.1])
+def test_small_order_core_density_raises_instead_of_guessing(s):
+    # a stated limit: the core density at s <= 0.1 near y = 0 is out of
+    # reach of QAWF, and the density series does not accept the point, so
+    # the oracle raises; the survival series still covers the same point
+    with pytest.raises(fd.QuadratureError):
+        fd.fractional_heat_kernel(s, 1.0, 0.01)
+    with pytest.raises(fd.QuadratureError):
+        fd.fractional_heat_kernel(s, 1.0, np.array([5.0, 0.01]))
+    assert 0.0 < fd.reference_solution(s, 1.0, 0.0, 1.0, 0.01) < 0.5
+    assert fd.fractional_heat_kernel(0.15, 1.0, 0.01) > 0.0
+
+
 # -- plateau reference solution ----------------------------------------------
 
 

@@ -315,6 +315,9 @@ def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, safety: flo
             "snapshot_times": [float(t) for t in traj.times],
             "steps": traj.steps,
             "applies": traj.applies,
+            "dt_min": traj.dt_min,
+            "dt_max": traj.dt_max,
+            "k_max": traj.k_max,
         },
     }
 
@@ -429,6 +432,7 @@ def cmd_verify_subsolution(cfg: dict, out: Path, args) -> int:
             "c": c,
             "t_star": params.t_star,
             "r_star": params.r_star,
+            "unresolved": sum(not s.resolved for s in samples),
             "samples": [s.as_row() for s in samples],
         },
     )

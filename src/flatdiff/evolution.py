@@ -59,8 +59,10 @@ class Trajectory:
     """Snapshots of one evolution; times strictly increase from the start.
 
     ``steps`` counts the time steps taken and ``applies`` the ``op.rate``
-    calls they made (one per Euler stage); both are 0 for a trajectory not
-    built by :func:`evolve`.
+    calls they made (one per Euler stage); ``dt_min`` and ``dt_max`` are the
+    shortest and longest step and ``k_max`` the most stages one step took.
+    All are 0 for a trajectory not built by :func:`evolve` and for one that
+    took no step.
     """
 
     grid: Grid
@@ -69,6 +71,9 @@ class Trajectory:
     operator: DiscreteOperator | None = None
     steps: int = 0
     applies: int = 0
+    dt_min: float = 0.0
+    dt_max: float = 0.0
+    k_max: int = 0
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -183,8 +188,9 @@ def evolve(
     snapshot time is hit exactly. The step depends on the absolute time
     only, so a restart from a snapshot reproduces the rest of the run bit
     for bit. ``op.rate`` picks the apply path from the grid size. The
-    trajectory always holds the initial and final states and counts the
-    steps and applies taken.
+    trajectory always holds the initial and final states, counts the steps
+    and applies taken, and records the step range and the most stages a
+    step took.
     """
     snaps = sorted({float(s) for s in output_times} | {float(t_final)})
     if snaps[0] < u0.t:
@@ -196,7 +202,8 @@ def evolve(
     states = [u0]
     # step raw arrays; a Field (which validates its values) only per snapshot
     values = u0.values
-    steps = applies = 0
+    steps = applies = k_max = 0
+    dt_min, dt_max = math.inf, 0.0
 
     t = u0.t
     for target in snaps:
@@ -210,6 +217,7 @@ def evolve(
             values, k = _ssp_step(op, values, dt, dt_stable, t, workers)
             steps += 1
             applies += k
+            dt_min, dt_max, k_max = min(dt_min, dt), max(dt_max, dt), max(k_max, k)
         if target > times[-1]:
             times.append(target)
             states.append(u0.with_values(values, t=t))
@@ -220,6 +228,9 @@ def evolve(
         operator=op,
         steps=steps,
         applies=applies,
+        dt_min=dt_min if steps else 0.0,
+        dt_max=dt_max,
+        k_max=k_max,
     )
 
 

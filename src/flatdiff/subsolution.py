@@ -54,6 +54,19 @@ __all__ = [
 
 RESIDUAL_BUDGET_FLOOR = 1e-10
 DEFAULT_QUAD_TOL = 1e-8
+# The near piece of D w is split where x - z is this many core widths
+# (2 kappa t)^(1/(2s)) of the barrier: past it w(x - z) climbs to 1/2 over a
+# layer that is narrow against sqrt(x) for large x, and QUADPACK's
+# extrapolation gives up on the unsplit interval. Samples raising
+# QuadratureError, of 1244 (c = 2; 10 kernels with s from 0.3 to 1; 4 times;
+# 33 log-spaced positions from 20 to 1e12, those below the onset left out),
+# and integrand calls per sample on the certify layout (s05 / s075 / s1):
+#   no split   25 raised   215 / 369 / 289
+#   1           3 raised
+#   2           0 raised   165 / 373 / 236
+#   4           0 raised   139 / 384 / 238
+#   8           0 raised   153 / 344 / 239
+CORE_WIDTHS = 4.0
 
 
 def _kappa(s: float, j0: float) -> float:
@@ -155,6 +168,24 @@ def w_time_derivative(params: SubsolutionParams, t: float, x: float) -> float:
     return params.kappa * xs / (xs + 2.0 * params.kappa * t) ** 2
 
 
+def _increment(kt: float, a: float, x: float, xa: float, g: float, z: float) -> float:
+    """Cancellation-free ``Delta`` of :func:`symmetric_increment` at ``0 < z < x``.
+
+    Takes the sample's constants ``kt = kappa t``, ``a = 2s``, ``xa = x^a``
+    and ``g = g(x) = xa + 2 kt``, so that no ``pow`` is called per node.
+    """
+    u = z / x
+    d_plus = xa * math.expm1(a * math.log1p(u))
+    l_minus = a * math.log1p(-u)
+    d_minus = xa * math.expm1(l_minus)
+    big_s, big_d = 0.5 * a * math.log1p(-u * u), a * math.atanh(u)
+    e = 2.0 * xa * (
+        math.expm1(big_s) * math.cosh(big_d) + 2.0 * math.sinh(0.5 * big_d) ** 2
+    )
+    g_minus = xa * math.exp(l_minus) + 2.0 * kt
+    return -kt * (g * e + 2.0 * d_plus * d_minus) / ((g + d_plus) * g_minus * g)
+
+
 def symmetric_increment(
     params: SubsolutionParams, t: float, x: float, z: float
 ) -> float:
@@ -168,8 +199,11 @@ def symmetric_increment(
 
     with ``u = |z|/x``, ``d+- = x^a expm1(a log1p(+-u))`` and
     ``e = d+ + d- = 2 x^a (expm1(S) cosh D + 2 sinh(D/2)^2)``, where
-    ``S = (a/2) log1p(-u^2)`` and ``D = a atanh(u)``. Elsewhere the direct
-    sum of three barrier values has no cancellation and is used as is.
+    ``S = (a/2) log1p(-u^2)`` and ``D = a atanh(u)``. ``g(x+z)`` is
+    ``g(x) + d+``; ``g(x-z)`` is ``x^a exp(a log1p(-u)) + 2 kappa t``, since
+    ``g(x) + d-`` loses every digit as ``z -> x`` once ``x^a`` dwarfs
+    ``2 kappa t``. Elsewhere the direct sum of three barrier values has no
+    cancellation and is used as is.
     """
     if t <= 0:
         raise ValueError("barrier is defined for t > 0")
@@ -180,17 +214,9 @@ def symmetric_increment(
             + w_eval(params, t, x - z)
             - 2.0 * w_eval(params, t, x)
         )
-    a, kt, u = 2.0 * params.s, params.kappa * t, z / x
+    a, kt = 2.0 * params.s, params.kappa * t
     xa = x**a
-    d_plus = xa * math.expm1(a * math.log1p(u))
-    d_minus = xa * math.expm1(a * math.log1p(-u))
-    big_s, big_d = 0.5 * a * math.log1p(-u * u), a * math.atanh(u)
-    e = 2.0 * xa * (
-        math.expm1(big_s) * math.cosh(big_d) + 2.0 * math.sinh(0.5 * big_d) ** 2
-    )
-    g = xa + 2.0 * kt
-    g_plus, g_minus = (x + z) ** a + 2.0 * kt, (x - z) ** a + 2.0 * kt
-    return -kt * (g * e + 2.0 * d_plus * d_minus) / (g_plus * g_minus * g)
+    return _increment(kt, a, x, xa, xa + 2.0 * kt, z)
 
 
 def nonlocal_apply_to_barrier(
@@ -202,11 +228,31 @@ def nonlocal_apply_to_barrier(
 ) -> float:
     """Evaluate ``(D w)(t, x)`` by adaptive quadrature in the continuum.
 
-    With ``p = |x|``: the symmetric increment against ``J`` on ``(0, p)``,
-    split at the kernel's jump radii (1 and the cutoff, when inside); the
-    closed-form exterior mass beyond ``p`` times ``1/2 - w(x)``, since the
-    left branch sees only the plateau there; and the right far field from
-    ``p`` by the 1/z substitution. For ``x < 0`` the first two terms vanish.
+    With ``p = |x|``: the symmetric increment against ``J`` on ``(0, p)``;
+    the closed-form exterior mass beyond ``p`` times ``1/2 - w(x)``, since
+    the left branch sees only the plateau there; and the right far field
+    from ``p`` by :func:`integrate_tail`. For ``x < 0`` the first two terms
+    vanish.
+
+    The near piece runs over ``tau`` with ``z = tau^2`` on ``(0, sqrt(p))``,
+    so its ``z^(1-2s)`` end becomes ``tau^(3-4s)``, constant at ``s = 3/4``.
+    It is split at ``sqrt(r)`` for the kernel's jump radii ``r`` (the finite
+    nonzero ends of ``spec.tail_support``) and for ``r = x - CORE_WIDTHS
+    (2 kappa t)^(1/(2s))``, where ``w(x - z)`` enters the barrier's core;
+    points outside ``(0, p)`` are dropped. The sample's constants
+    (``a = 2s``, ``kappa t``, ``x^a``, ``g(x)``) are formed once, so a near
+    node costs only the ``math`` calls of the cancellation-free increment.
+
+    Integrand calls per sample on the certify layout (c = 2, 20 x 20
+    samples, x up to 200), near + tail:
+
+        kernel                      z and 1/v maps    square-root maps
+        s = 1/2 unit                171 + 21  = 192   118 + 21 = 139
+        s = 0.75 fractional Lapl.   940 + 224 = 1164  363 + 21 = 384
+        s = 1 compact flat          360 + 21  = 381   217 + 21 = 238
+
+    The first column split the near piece at 1 and the cutoff, and not at
+    the core.
     """
     if t <= 0:
         raise ValueError("barrier is defined for t > 0")
@@ -214,15 +260,30 @@ def nonlocal_apply_to_barrier(
         raise ValueError("the profile kink makes the operator singular at x = 0")
     w_x = w_eval(params, t, x)
     p = abs(x)
+    a, kt = 2.0 * params.s, params.kappa * t
+    xa = p**a
+    g = xa + 2.0 * kt
 
-    def near_f(z: float) -> float:
-        return symmetric_increment(params, t, x, z) * eval_kernel(spec, z)
+    def near_f(tau: float) -> float:
+        z = tau * tau
+        if z < x:
+            inc = _increment(kt, a, x, xa, g, z)
+        else:
+            inc = symmetric_increment(params, t, x, z)
+        return 2.0 * tau * inc * eval_kernel(spec, z)
 
     def far_f(z: float) -> float:
         return (w_eval(params, t, x + z) - w_x) * eval_kernel(spec, z)
 
-    jumps = [r for r in (1.0, spec.cutoff) if r is not None]
-    near, _ = integrate_interval(near_f, 0.0, p, rel_tol=quad_tol, breakpoints=jumps)
+    core_edge = x - CORE_WIDTHS * (2.0 * kt) ** (1.0 / a)
+    splits = [r for r in (*spec.tail_support, core_edge) if 0.0 < r < math.inf]
+    near, _ = integrate_interval(
+        near_f,
+        0.0,
+        math.sqrt(p),
+        rel_tol=quad_tol,
+        breakpoints=[math.sqrt(r) for r in splits],
+    )
     far, _ = integrate_tail(far_f, p, rel_tol=quad_tol)
     return near + (0.5 - w_x) * exterior_mass(spec, p) + far
 
@@ -232,6 +293,8 @@ class ResidualSample:
     """One certified residual evaluation with its quadrature budget.
 
     ``passed`` is ``residual <= budget``, so a NaN residual fails.
+    ``resolved`` is ``residual <= -budget``: the sign is certified by the
+    value itself, not only admitted by the budget.
     """
 
     t: float
@@ -242,6 +305,10 @@ class ResidualSample:
     @property
     def passed(self) -> bool:
         return self.residual <= self.budget
+
+    @property
+    def resolved(self) -> bool:
+        return self.residual <= -self.budget
 
     def as_row(self) -> dict:
         return {**asdict(self), "pass": self.passed}

@@ -71,6 +71,11 @@ def test_simulate_writes_csv_and_metadata(tmp_path):
     steps, applies = meta["derived"]["steps"], meta["derived"]["applies"]
     assert isinstance(steps, int) and isinstance(applies, int)
     assert 0 < 2 * steps <= applies
+    # the run record: step range and the most stages one step took
+    derived = meta["derived"]
+    assert 0.0 < derived["dt_min"] <= derived["dt_max"] <= 0.25
+    assert isinstance(derived["k_max"], int)
+    assert 2 <= derived["k_max"] and applies <= steps * derived["k_max"]
     assert not (out / "trajectory.json").exists()
 
 
@@ -82,6 +87,8 @@ def test_simulate_format_variants(tmp_path):
     payload = json.loads((out_json / "trajectory.json").read_text())
     assert len(payload) == 1 and payload[0]["t"] == 0.0
     assert not (out_json / "trajectory.csv").exists()
+    derived = json.loads((out_json / "metadata.json").read_text())["derived"]
+    assert [derived[k] for k in ("steps", "dt_min", "dt_max", "k_max")] == [0, 0.0, 0.0, 0]
 
     out_both = tmp_path / "both_run"
     assert main(["simulate", "--config", cfg, "--out", str(out_both),
@@ -332,10 +339,31 @@ def test_verify_subsolution_report(tmp_path):
     assert rep["details"]["kappa"] == 0.25
     assert rep["details"]["t_star"] == 16.0
     assert rep["details"]["r_star"] == 16.0
+    assert rep["details"]["unresolved"] == 0
     rows = rep["details"]["samples"]
     assert len(rows) == 6
     assert all(row["pass"] for row in rows)
     assert {row["t"] for row in rows} == {16.0 / 3.0, 32.0 / 3.0}
+
+
+def test_verify_subsolution_counts_unresolved_samples(tmp_path):
+    # s = 0.75 fractional Laplacian, one time (t_star / 2): the sample at
+    # x = 1e6 passes only through the absolute budget floor
+    s = 0.75
+    amp = 4.0**s * math.gamma(0.5 + s) / (math.sqrt(math.pi) * abs(math.gamma(-s)))
+    kernel = {"family": "pure_fractional", "s": s, "amplitude": amp,
+              "j0": 1.0 / amp, "j1": 2.0 * amp, "r0": 2.0}
+    cfg = write_config(
+        tmp_path,
+        kernel=kernel,
+        checks={"subsolution": {"c": 2.0, "nt": 1, "nx": 2, "x_max": 1e6}},
+    )
+    out = tmp_path / "sub"
+    assert main(["verify-subsolution", "--config", cfg, "--out", str(out)]) == 0
+    rep = read_reports(out)[0]
+    assert rep["pass"] is True
+    assert rep["details"]["unresolved"] == 1
+    assert [row["x"] for row in rep["details"]["samples"]][-1] == 1e6
 
 
 def test_verify_subsolution_nan_residual_fails(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flatdiff as fd
+from flatdiff import evolution
 
 
 @pytest.fixture()
@@ -184,6 +185,7 @@ def test_one_evolve_step_is_ssprk22_of_step(unit_spec, unit_cert, n):
     traj = fd.evolve(op, u0, dt, safety=0.9)
     assert traj.times.tolist() == [0.0, dt]
     assert (traj.steps, traj.applies) == (1, 2)
+    assert (traj.dt_min, traj.dt_max, traj.k_max) == (dt, dt, 2)
     stage = fd.step(op, fd.step(op, u0, dt), dt).values
     assert np.array_equal(traj.states[-1].values, u0.values / 2 + 1 / 2 * stage)
 
@@ -200,9 +202,22 @@ def test_applies_count_rate_calls(unit_spec, unit_cert, monkeypatch):
         calls.append(args)
         return rate(*args, **kwargs)
 
+    taken = []
+    ssp_step = evolution._ssp_step
+
+    def recorded(op, values, dt, *args):
+        out, k = ssp_step(op, values, dt, *args)
+        taken.append((dt, k))
+        return out, k
+
     monkeypatch.setattr(op, "rate", counted)
+    monkeypatch.setattr(evolution, "_ssp_step", recorded)
     traj = fd.evolve(op, decreasing_datum(grid), 1.0, output_times=(0.1, 0.5))
     assert traj.applies == len(calls)
+    dts, ks = zip(*taken)
+    assert traj.steps == len(taken)
+    assert (traj.dt_min, traj.dt_max, traj.k_max) == (min(dts), max(dts), max(ks))
+    assert traj.dt_min < traj.dt_max and traj.k_max > 2
     # every step has at least two stages, each no longer than the stage bound
     assert 2 * traj.steps <= traj.applies
     assert traj.applies * fd.stable_dt(op, 0.9) >= 1.0

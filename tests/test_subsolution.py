@@ -11,6 +11,11 @@ import flatdiff as fd
 from flatdiff import subsolution
 from flatdiff.subsolution import RESIDUAL_BUDGET_FLOOR
 
+# flat near profile: J = 1 on |z| <= 1 and z^-3 beyond, a jump at z = 1
+COMPACT_FLAT_1 = fd.compact_plus_tail(
+    1.0, 1.0, near_profile="flat", near_scale=1.0, j0=1.0, j1=1.0, r0=2.0
+)
+
 
 @pytest.fixture(scope="module")
 def unit_params(unit_spec):
@@ -239,18 +244,20 @@ def test_operator_singular_at_kink(unit_spec, unit_params):
         fd.nonlocal_apply_to_barrier(unit_spec, unit_params, 1.0, 0.0)
 
 
-def test_operator_quadrature_tolerance_refinement(unit_spec, unit_params):
-    loose = fd.nonlocal_apply_to_barrier(unit_spec, unit_params, 8.0, 30.0, 1e-8)
-    tight = fd.nonlocal_apply_to_barrier(unit_spec, unit_params, 8.0, 30.0, 1e-11)
-    assert abs(loose - tight) <= 10.0 * 1e-8 * abs(tight)
+def test_operator_quadrature_tolerance_refinement(unit_spec, fractional_laplacian):
+    # the s = 0.75 and compact s = 1 kernels are where the square-root maps
+    # of the near piece and the tail change the integrands most
+    for spec in (unit_spec, fractional_laplacian(0.75), COMPACT_FLAT_1):
+        params = fd.SubsolutionParams.from_kernel(spec, c=2.0)
+        t = params.t_star / 2.0
+        loose = fd.nonlocal_apply_to_barrier(spec, params, t, 30.0, 1e-8)
+        tight = fd.nonlocal_apply_to_barrier(spec, params, t, 30.0, 1e-11)
+        assert abs(loose - tight) <= 10.0 * 1e-8 * abs(tight)
 
 
 @pytest.mark.parametrize("x", [-3.0, 0.5, 6.0, 50.0])
 def test_operator_matches_split_oracle_for_kernel_with_jump(x):
-    # flat near profile: J = 1 on |z| <= 1 and z^-3 beyond, a jump at z = 1
-    spec = fd.compact_plus_tail(
-        1.0, 1.0, near_profile="flat", near_scale=1.0, j0=1.0, j1=1.0, r0=2.0
-    )
+    spec = COMPACT_FLAT_1  # J = 1 on |z| <= 1 and z^-3 beyond
     p = fd.SubsolutionParams.from_kernel(spec, c=2.0)
     t = 8.0
     w_x = fd.w_eval(p, t, x)
@@ -279,7 +286,7 @@ def test_residual_is_negative_inside_validity_set(unit_spec, unit_params):
 
 def test_residual_certificate_fields(unit_spec, unit_params):
     cert = fd.residual_certificate(unit_spec, unit_params, 8.0, 30.0)
-    assert cert.passed
+    assert cert.passed and cert.resolved
     assert cert.residual <= cert.budget
     assert cert.budget >= RESIDUAL_BUDGET_FLOOR == 1e-10
     row = cert.as_row()
@@ -311,6 +318,42 @@ def test_residual_grid_certified_for_steep_fractional_laplacian(fractional_lapla
     assert all(sample.passed for sample in samples)
 
 
+@pytest.mark.parametrize("s", [0.75, 1.0])
+def test_residual_grid_certified_on_the_full_certify_layout(fractional_laplacian, s):
+    # the c = 2, 20 x 20 layout with x up to 200: every sample evaluates
+    # (none raises QuadratureError) and every one passes
+    spec = COMPACT_FLAT_1 if s == 1.0 else fractional_laplacian(s)
+    params = fd.SubsolutionParams.from_kernel(spec, c=2.0)
+    samples = fd.residual_grid(spec, params, nt=20, nx=20, x_max=200.0)
+    assert len(samples) == 400
+    assert all(sample.passed for sample in samples)
+
+
+@pytest.mark.parametrize("s", [0.6, 0.75, 1.0])
+def test_residual_certificate_evaluates_far_beyond_the_layout(fractional_laplacian, s):
+    # where w(x - z) climbs through the barrier's core the near integrand has
+    # a layer that is narrow against sqrt(x); on an interval not split there
+    # QUADPACK raised at x = 1.6e5 for s = 0.75, and from x ~ 1e3 on for
+    # other kernels and times
+    spec = COMPACT_FLAT_1 if s == 1.0 else fractional_laplacian(s)
+    params = fd.SubsolutionParams.from_kernel(spec, c=2.0)
+    for t in params.t_star * np.array([0.01, 0.5, 0.99]):
+        for x in np.logspace(3.0, 12.0, 19):
+            assert fd.residual_certificate(spec, params, float(t), float(x)).passed
+    assert fd.residual_certificate(spec, params, params.t_star / 2.0, 1.6e5).passed
+
+
+def test_far_sample_passes_only_through_the_budget_floor(fractional_laplacian):
+    # far out the residual decays like x^(-2s) below the absolute budget
+    # floor: the sample passes although its sign is not resolved
+    spec = fractional_laplacian(0.75)
+    params = fd.SubsolutionParams.from_kernel(spec, c=2.0)
+    sample = fd.residual_certificate(spec, params, params.t_star / 2.0, 1e6)
+    assert sample.budget == RESIDUAL_BUDGET_FLOOR
+    assert -RESIDUAL_BUDGET_FLOOR < sample.residual < 0.0
+    assert sample.passed and not sample.resolved
+
+
 def test_residual_grid_default_span_and_guards(unit_spec, unit_params):
     samples = fd.residual_grid(unit_spec, unit_params, nt=1, nx=2)
     assert samples[-1].x == 180.0
@@ -330,9 +373,7 @@ def test_residual_certificate_same_through_array_path(
     spec = {
         "unit": unit_spec,
         "laplacian_075": fractional_laplacian(0.75),
-        "compact_1": fd.compact_plus_tail(
-            1.0, 1.0, near_profile="flat", near_scale=1.0, j0=1.0, j1=1.0, r0=2.0
-        ),
+        "compact_1": COMPACT_FLAT_1,
         "truncated_075": fd.truncated_fractional(
             0.75, 1.0, 30.0, j0=1.0, j1=1.0, r0=2.0
         ),

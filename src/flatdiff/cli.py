@@ -206,24 +206,15 @@ def build_kernel(cfg: dict) -> KernelSpec:
         if default is None:
             default = _need(section, key, "config.kernel")
         fields[key] = section.get(key, default)
-    try:
-        return KernelSpec(family, **fields)
-    except ValueError as exc:
-        raise ConfigError(f"invalid kernel parameters: {exc}") from exc
+    return KernelSpec(family, **fields)
 
 
 def build_grid(section: dict, path: str = "config.grid") -> Grid:
-    try:
-        return Grid(**{k: _need(section, k, path) for k in ("x_min", "x_max", "n")})
-    except ValueError as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
+    return Grid(**{k: _need(section, k, path) for k in ("x_min", "x_max", "n")})
 
 
 def build_boundary(cfg: dict, datum_a: float) -> BoundaryModel:
-    try:
-        return BoundaryModel(**{"left_value": datum_a, **cfg.get("boundary", {})})
-    except ValueError as exc:
-        raise ConfigError(f"invalid boundary model: {exc}") from exc
+    return BoundaryModel(**{"left_value": datum_a, **cfg.get("boundary", {})})
 
 
 def build_datum(cfg: dict) -> InitialDatum:
@@ -231,13 +222,12 @@ def build_datum(cfg: dict) -> InitialDatum:
     kind = section.get("kind", "step")
     a = _need(section, "a", "config.initial")
     b = _need(section, "b", "config.initial")
-    try:
-        if kind == "step":
-            return InitialDatum.step(a, b)
-        if kind == "mollified_step":
-            return InitialDatum.mollified_step(a, b, **_given(section, "eps"))
-    except ValueError as exc:
-        raise ConfigError(f"invalid initial datum: {exc}") from exc
+    if kind == "step":
+        if "eps" in section:
+            raise ConfigError("config.initial.eps does not apply to kind 'step'")
+        return InitialDatum.step(a, b)
+    if kind == "mollified_step":
+        return InitialDatum.mollified_step(a, b, **_given(section, "eps"))
     raise ConfigError(f"unsupported initial datum kind {kind!r} in config")
 
 
@@ -390,20 +380,17 @@ def cmd_verify_proposition(cfg: dict, out: Path, args) -> int:
         if "grid" in mirror
         else traj.grid
     )
-    try:
-        reports.append(
-            mirror_identity_check(
-                op.spec,
-                datum.a,
-                datum.b,
-                mirror.get("t_final", cfg["times"]["t_final"]),
-                grid,
-                safety=safety,
-                **_given(mirror, "eps", "tol"),
-            )
+    reports.append(
+        mirror_identity_check(
+            op.spec,
+            datum.a,
+            datum.b,
+            mirror.get("t_final", cfg["times"]["t_final"]),
+            grid,
+            safety=safety,
+            **_given(mirror, "eps", "tol"),
         )
-    except ValueError as exc:
-        raise ConfigError(f"mirror check setup failed: {exc}") from exc
+    )
     return _report_exit(reports, out)
 
 

@@ -54,11 +54,14 @@ def integrate_tail(
     f: Callable[[float], float],
     a: float,
     rel_tol: float = 1e-10,
+    breakpoints: Sequence[float] | None = None,
 ) -> tuple[float, float]:
     """Integrate ``f`` over ``[a, inf)`` for ``a > 0``.
 
     Uses the substitution ``z = tau^(-2)``, ``dz = -2 tau^(-3) dtau``, which
-    maps the tail onto ``(0, 1/sqrt(a)]``. A tail ``f ~ z^(-1-2s)`` becomes
+    maps the tail onto ``(0, 1/sqrt(a)]``. Breakpoints are given in ``z``,
+    as for :func:`integrate_interval`, and mapped to ``tau = z^(-1/2)``;
+    points outside ``(a, inf)`` are ignored. A tail ``f ~ z^(-1-2s)`` becomes
     ``tau^(4s-1)`` at ``tau -> 0``, a polynomial for ``s`` = 1/2, 3/4 and 1;
     the map ``z = 1/v`` gives ``v^(2s-1)``, which is not smooth at ``s = 3/4``
     and unbounded below ``s = 1/2``. Integrand calls per sample for the far
@@ -79,7 +82,10 @@ def integrate_tail(
         # at nodes where f z^2 tau is still finite
         return 2.0 * f(z) * z * z * tau
 
-    return integrate_interval(g, 0.0, 1.0 / math.sqrt(a), rel_tol=rel_tol)
+    taus = [1.0 / math.sqrt(z) for z in breakpoints or () if z > a]
+    return integrate_interval(
+        g, 0.0, 1.0 / math.sqrt(a), rel_tol=rel_tol, breakpoints=taus
+    )
 
 
 def fourier_oscillatory_tail(

@@ -1,7 +1,8 @@
 """Independent oracles built on the fractional-Laplacian heat kernel.
 
 The standardized kernel ``p(1, y)`` and its upper tail mass
-``S(y) = int_y^inf p(1, v) dv`` are evaluated by one of three routes:
+``S(y) = int_y^inf p(1, v) dv`` are evaluated point by point by one router,
+:func:`_standardized`, which picks one of three routes:
 
 * closed forms at s = 1/2 (Cauchy, arctangent) and s = 1 (Gaussian, erfc);
 * otherwise, beyond a switch-on point, the Bergström series in ``y^(-2s)``
@@ -11,16 +12,18 @@ The standardized kernel ``p(1, y)`` and its upper tail mass
 
       p(1, y) = (1/pi) * int_0^inf exp(-xi^(2s)) cos(y xi) dxi
 
-  (and a sine transform for ``S``) by oscillatory quadrature.
+  (and a sine transform for ``S``) by one oscillatory quadrature,
+  :func:`_inversion`.
 
 A point takes the series when its smallest term plus the rounding of the
 summed terms, ``smallest + eps * sum|terms|``, is at most
 ``SERIES_REL_TOL * |sum|``. The switch-on point depends on s (about 1.1 at
 s = 0.45, 6.1 at s = 0.75 and 9.8 at s = 0.9). Every route works at t = 1
 and is rescaled through the exact self-similarity
-``p(t, x) = t^(-1/(2s)) p(1, t^(-1/(2s)) x)``; negative arguments use
-``S(-y) = 1 - S(y)``. A scalar and an array take the same route per point,
-so they give the same bits. Convolving the kernel against a plateau datum
+``p(t, x) = t^(-1/(2s)) p(1, t^(-1/(2s)) x)``. The series and the
+inversion see ``|y|``, and ``S(-y) = 1 - S(y)`` is applied once, after
+them. A scalar and an array take the same route per point, so they give
+the same bits. Convolving the kernel against a plateau datum
 a * 1_{x <= b} yields the reference solution used to cross-validate the
 grid solver, and the algebraic kernel tails provide the two-sided envelope
 fit and the large-x limit of x^(2s) u(t, x) / t. None of this shares code
@@ -117,95 +120,88 @@ def _bergstrom(s: float, y: np.ndarray, density: bool) -> tuple[np.ndarray, np.n
     return total / math.pi, accepted
 
 
-def _standardized(s: float, arg, density: bool) -> np.ndarray:
-    """``p(1, arg)`` or ``S(arg)`` for 0 < s < 1: the series where it is
-    accepted, :func:`_profile` or :func:`_survival` everywhere else."""
-    arg = np.asarray(arg, dtype=float)
-    flat = arg.ravel()
-    y = np.abs(flat)
-    idx = np.flatnonzero(y > 0.0)
-    series, accepted = _bergstrom(s, y[idx], density)
-    idx, series = idx[accepted], series[accepted]
-    if not density:
-        series = np.where(flat[idx] < 0.0, 1.0 - series, series)
+def _standardized(s: float, y: np.ndarray, density: bool) -> np.ndarray:
+    """``p(1, y)`` or ``S(y)`` at every point of ``y``: the one router.
+
+    The closed forms take s = 1/2 and s = 1. Otherwise each point sees
+    ``|y|``: the series where it is accepted, :func:`_inversion` elsewhere,
+    and ``S(-y) = 1 - S(y)`` is applied once, after both routes.
+    """
+    if s == 0.5:
+        if density:
+            return 1.0 / (math.pi * (1.0 + y * y))
+        return 0.5 - np.arctan(y) / math.pi
+    if s == 1.0:
+        if density:
+            return np.exp(-y * y / 4.0) / math.sqrt(4.0 * math.pi)
+        return 0.5 * special.erfc(y / 2.0)
+    flat = y.ravel()
+    mag = np.abs(flat)
+    idx = np.flatnonzero(mag > 0.0)
+    series, accepted = _bergstrom(s, mag[idx], density)
+    idx = idx[accepted]
     out = np.empty(flat.shape)
-    out[idx] = series
+    out[idx] = series[accepted]
     rest = np.ones(flat.shape, dtype=bool)
     rest[idx] = False
-    if density:
-        out[rest] = [_profile(s, float(v))[0] for v in flat[rest]]
-    else:
-        out[rest] = [_survival(s, float(v)) for v in flat[rest]]
-    return out.reshape(arg.shape)
+    out[rest] = [_inversion(s, float(v), density)[0] for v in mag[rest]]
+    if not density:
+        out = np.where(flat < 0.0, 1.0 - out, out)
+    return out.reshape(y.shape)
 
 
-def _profile(s: float, y: float) -> tuple[float, float]:
-    """Standardized density p(1, y) and quadrature error for 0 < s < 1, by
-    Fourier inversion alone. A result below minus its error raises
-    :class:`QuadratureError`."""
-    y = abs(y)
+def _inversion(s: float, y: float, density: bool) -> tuple[float, float]:
+    """``p(1, y)`` or ``S(y)`` and its quadrature error for 0 < s < 1 and
+    ``y >= 0``, by one oscillatory quadrature.
+
+    The density is the cosine transform of ``exp(-xi^(2s))``. For the tail
+    mass, ``int_y^inf p = 1/2 - (1/pi) int_0^inf e^{-xi^(2s)} sin(y xi)/xi
+    dxi`` and ``int_0^inf sin(y xi)/xi dxi = pi/2`` absorb the non-decaying
+    part, leaving ``S = -(1/pi)`` times the sine transform of
+    ``(exp(-xi^(2s)) - 1)/xi``, which decays at infinity. A result below
+    minus its error raises :class:`QuadratureError`.
+    """
     if y == 0.0:
-        return special.gamma(1.0 + 1.0 / (2.0 * s)) / math.pi, 0.0
+        center = special.gamma(1.0 + 1.0 / (2.0 * s)) / math.pi
+        return (center if density else 0.5), 0.0
+    alpha = 2.0 * s
 
     def damped(xi: float) -> float:
-        return math.exp(-(xi ** (2.0 * s)))
+        if density:
+            return math.exp(-(xi**alpha))
+        return (math.exp(-(xi**alpha)) - 1.0) / xi if xi else 0.0
 
-    val, err = fourier_oscillatory_tail(damped, omega=y, kind="cos")
+    kind = "cos" if density else "sin"
+    val, err = fourier_oscillatory_tail(damped, omega=y, kind=kind)
+    if not density:
+        val = -val
     if val < -err:
-        raise QuadratureError(
-            f"density inversion gave {val / math.pi:.3g} < 0 at y={y}"
-        )
+        what = "density" if density else "tail mass"
+        raise QuadratureError(f"{what} inversion gave {val / math.pi:.3g} < 0 at y={y}")
     return max(val, 0.0) / math.pi, err / math.pi
+
+
+def _rescaled(s: float, t: float, x, density: bool):
+    """``p(t, x)``, or ``S(t^(-1/(2s)) x)``, through the self-similar map to
+    t = 1. A scalar gives a float, an array an array of the same shape."""
+    _check_order(s)
+    if t <= 0:
+        raise ValueError("reference oracles require t > 0")
+    scale = t ** (-1.0 / (2.0 * s))
+    out = _standardized(s, scale * np.asarray(x, dtype=float), density)
+    if density:
+        out = scale * out
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def fractional_heat_kernel(s: float, t: float, x):
     """Heat kernel of the order-2s fractional Laplacian at time t, points x.
 
-    Closed forms for s in {1/2, 1}; otherwise each point takes the series or
-    the oscillatory inversion after rescaling to t = 1 (see the module
-    docstring). Accepts scalar or array x: a scalar gives a float, an array
-    an array of the same shape.
+    Each point takes a closed form, the series or the oscillatory inversion
+    after rescaling to t = 1 (see the module docstring). Accepts scalar or
+    array x: a scalar gives a float, an array an array of the same shape.
     """
-    _check_order(s)
-    if t <= 0:
-        raise ValueError("kernel evaluation requires t > 0")
-    x_arr = np.asarray(x, dtype=float)
-    if s == 0.5:
-        p = t / (math.pi * (t * t + x_arr * x_arr))
-    elif s == 1.0:
-        p = np.exp(-x_arr * x_arr / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-    else:
-        scale = t ** (-1.0 / (2.0 * s))
-        p = scale * _standardized(s, scale * x_arr, density=True)
-    if np.ndim(x) == 0:
-        return float(p)
-    return p
-
-
-def _survival(s: float, zeta: float) -> float:
-    """Upper tail mass ``int_zeta^inf p(1, y) dy`` of the standardized kernel
-    for 0 < s < 1 by the sine transform alone (the closed forms and the
-    series live in :func:`reference_solution`). A result below minus its
-    error raises :class:`QuadratureError`."""
-    if zeta == 0.0:
-        return 0.5
-    if zeta < 0.0:
-        return 1.0 - _survival(s, -zeta)
-
-    # int_z^inf p = 1/2 - (1/pi) int_0^inf e^{-xi^(2s)} sin(z xi)/xi dxi and
-    # int_0^inf sin(z xi)/xi dxi = pi/2 absorb the non-decaying part, leaving
-    # a sine transform of (e^{-xi^(2s)} - 1)/xi, which decays at infinity.
-    def damped_minus_one(xi: float) -> float:
-        if xi == 0.0:
-            return 0.0
-        return (math.exp(-(xi ** (2.0 * s))) - 1.0) / xi
-
-    val, err = fourier_oscillatory_tail(damped_minus_one, omega=zeta, kind="sin")
-    if val > err:
-        raise QuadratureError(
-            f"tail mass inversion gave {-val / math.pi:.3g} < 0 at y={zeta}"
-        )
-    return max(-val / math.pi, 0.0)
+    return _rescaled(s, t, x, density=True)
 
 
 def reference_solution(s: float, a: float, b: float, t: float, x):
@@ -215,22 +211,9 @@ def reference_solution(s: float, a: float, b: float, t: float, x):
     equal to a/2 at x = b, with limits a and 0 at the two infinities.
     Accepts scalar or array x.
     """
-    _check_order(s)
-    if t <= 0:
-        raise ValueError("reference solution requires t > 0")
     if a < 0:
         raise ValueError("plateau height must be nonnegative")
-    scale = t ** (-1.0 / (2.0 * s))
-    zeta = (np.asarray(x, dtype=float) - b) * scale
-    if s == 0.5:
-        out = a * (0.5 - np.arctan(zeta) / math.pi)
-    elif s == 1.0:
-        out = a * 0.5 * special.erfc(zeta / 2.0)
-    else:
-        out = a * _standardized(s, zeta, density=False)
-    if np.ndim(x) == 0:
-        return float(out)
-    return np.asarray(out, dtype=float)
+    return a * _rescaled(s, t, np.asarray(x, dtype=float) - b, density=False)
 
 
 @dataclass(frozen=True)

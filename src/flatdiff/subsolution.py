@@ -239,7 +239,8 @@ def nonlocal_apply_to_barrier(
     It is split at ``sqrt(r)`` for the kernel's jump radii ``r`` (the finite
     nonzero ends of ``spec.tail_support``) and for ``r = x - CORE_WIDTHS
     (2 kappa t)^(1/(2s))``, where ``w(x - z)`` enters the barrier's core;
-    points outside ``(0, p)`` are dropped. The sample's constants
+    points outside ``(0, p)`` are dropped. The far piece is split at the
+    jump radii beyond ``p``. The sample's constants
     (``a = 2s``, ``kappa t``, ``x^a``, ``g(x)``) are formed once, so a near
     node costs only the ``math`` calls of the cancellation-free increment.
 
@@ -275,16 +276,16 @@ def nonlocal_apply_to_barrier(
     def far_f(z: float) -> float:
         return (w_eval(params, t, x + z) - w_x) * eval_kernel(spec, z)
 
+    jumps = [r for r in spec.tail_support if 0.0 < r < math.inf]
     core_edge = x - CORE_WIDTHS * (2.0 * kt) ** (1.0 / a)
-    splits = [r for r in (*spec.tail_support, core_edge) if 0.0 < r < math.inf]
     near, _ = integrate_interval(
         near_f,
         0.0,
         math.sqrt(p),
         rel_tol=quad_tol,
-        breakpoints=[math.sqrt(r) for r in splits],
+        breakpoints=[math.sqrt(r) for r in (*jumps, core_edge) if r > 0.0],
     )
-    far, _ = integrate_tail(far_f, p, rel_tol=quad_tol)
+    far, _ = integrate_tail(far_f, p, rel_tol=quad_tol, breakpoints=jumps)
     return near + (0.5 - w_x) * exterior_mass(spec, p) + far
 
 

@@ -213,6 +213,14 @@ def test_kernel_key_of_another_family_exits_2_naming_its_path(
     assert f"config.kernel.{key} does not apply to family {family!r}" in caplog.text
 
 
+def test_mollifier_radius_on_a_step_datum_exits_2_naming_its_path(tmp_path, caplog):
+    # a step datum used to drop eps, and the run took the unmollified edge
+    initial = {"kind": "step", "a": 1.0, "b": 0.0, "eps": 0.5}
+    cfg = base_config(tmp_path, initial=initial)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config.initial.eps" in caplog.text
+
+
 def test_hypothesis_violating_kernel_rejected(tmp_path):
     kernel = dict(UNIT_KERNEL, j0=0.5)
     cfg = base_config(tmp_path, kernel=kernel)
@@ -281,6 +289,27 @@ def test_verify_proposition_reports(tmp_path):
     assert all(r["pass"] for r in reports)
     assert reports[0]["measured"] > 0.5
     assert reports[1]["measured"] <= 1e-12
+
+
+def test_verify_proposition_on_a_mollified_step(tmp_path):
+    initial = {"kind": "mollified_step", "a": 1.0, "b": 0.0, "eps": 0.5}
+    cfg = base_config(
+        tmp_path,
+        initial=initial,
+        checks={
+            "mirror": {
+                "t_final": 0.25,
+                "grid": {"x_min": -20.0, "x_max": 20.0, "n": 101},
+            }
+        },
+    )
+    out = tmp_path / "prop_mollified"
+    assert main(["verify-proposition", "--config", cfg, "--out", str(out)]) == 0
+    halfline = read_reports(out)[0]
+    assert halfline["check"] == "halfline_lower_bound" and halfline["pass"] is True
+    # the plateau is guaranteed only left of b - eps
+    assert halfline["details"]["b"] == -0.5
+    assert halfline["worst_x"] < -0.5
 
 
 def test_verify_proposition_failing_check_exits_1(tmp_path):

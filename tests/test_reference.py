@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import flatdiff as fd
 from flatdiff import reference
-from flatdiff.reference import _bergstrom, _profile, _survival
+from flatdiff.reference import _bergstrom, _inversion
 
 
 # -- kernel point values -----------------------------------------------------
@@ -33,7 +33,7 @@ def test_kernel_center_values():
 
 @pytest.mark.parametrize("y", [0.3, 2.0, 17.0])
 def test_inversion_profile_matches_cauchy_closed_form(y):
-    val, err = _profile(0.5, y)
+    val, err = _inversion(0.5, y, True)
     assert val == pytest.approx(1.0 / (math.pi * (1.0 + y * y)), abs=1e-10)
     assert err < 1e-10
 
@@ -90,7 +90,7 @@ def test_generic_survival_matches_tail_series():
         * big ** (-2.0 * s * k)
         for k in (1, 2)
     ) / math.pi
-    assert _survival(s, big) == pytest.approx(series, abs=5e-9)
+    assert _inversion(s, big, False)[0] == pytest.approx(series, abs=5e-9)
 
 
 def test_generic_survival_differentiates_to_kernel():
@@ -98,7 +98,9 @@ def test_generic_survival_differentiates_to_kernel():
     # transform against the cosine transform independently of closed forms
     s, d = 0.75, 1e-4
     for x in (0.5, 2.0):
-        fdiff = (_survival(s, x - d) - _survival(s, x + d)) / (2.0 * d)
+        fdiff = (
+            _inversion(s, x - d, False)[0] - _inversion(s, x + d, False)[0]
+        ) / (2.0 * d)
         assert fdiff == pytest.approx(
             fd.fractional_heat_kernel(s, 1.0, x), rel=1e-5
         )
@@ -140,7 +142,7 @@ def test_series_matches_quadrature_beyond_switch_on(s, density):
     assert accepted[on] and np.all(accepted[on:])
     assert y[on] < 12.0
     for v, value in zip(y[on:], series[on:]):
-        quad_value = _profile(s, float(v))[0] if density else _survival(s, float(v))
+        quad_value = _inversion(s, float(v), density)[0]
         assert abs(value - quad_value) <= 1e-11 * quad_value
 
 
@@ -159,9 +161,11 @@ def test_rejected_points_take_the_quadrature_route():
     s, y = 0.9, 2.0
     for density in (False, True):
         assert not _bergstrom(s, np.array([y]), density)[1][0]
-    assert fd.reference_solution(s, 1.0, 0.0, 1.0, y) == _survival(s, y)
-    assert fd.reference_solution(s, 1.0, 0.0, 1.0, -y) == _survival(s, -y)
-    assert fd.fractional_heat_kernel(s, 1.0, y) == _profile(s, y)[0]
+    assert fd.reference_solution(s, 1.0, 0.0, 1.0, y) == _inversion(s, y, False)[0]
+    # the reflection S(-y) = 1 - S(y) is applied after the inversion
+    reflected = 1.0 - _inversion(s, y, False)[0]
+    assert fd.reference_solution(s, 1.0, 0.0, 1.0, -y) == reflected
+    assert fd.fractional_heat_kernel(s, 1.0, y) == _inversion(s, y, True)[0]
 
 
 def test_far_tail_density_keeps_relative_accuracy():
@@ -181,15 +185,15 @@ def test_quadrature_routes_raise_on_a_negative_result(monkeypatch):
     # the sine transform carries a minus sign: S = -val / pi
     inversion_gives(-1e-3, 1e-9)
     with pytest.raises(fd.QuadratureError):
-        _profile(0.75, 2.0)
+        _inversion(0.75, 2.0, True)
     inversion_gives(1e-3, 1e-9)
     with pytest.raises(fd.QuadratureError):
-        _survival(0.75, 2.0)
+        _inversion(0.75, 2.0, False)
     # a value within its error of zero reads as zero
     inversion_gives(-1e-10, 1e-9)
-    assert _profile(0.75, 2.0)[0] == 0.0
+    assert _inversion(0.75, 2.0, True)[0] == 0.0
     inversion_gives(1e-10, 1e-9)
-    assert _survival(0.75, 2.0) == 0.0
+    assert _inversion(0.75, 2.0, False)[0] == 0.0
 
 
 @pytest.mark.parametrize("s", [0.05, 0.1])

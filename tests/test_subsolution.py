@@ -276,6 +276,25 @@ def test_operator_matches_split_oracle_for_kernel_with_jump(x):
     assert ours == pytest.approx(oracle, rel=1e-8)
 
 
+def test_far_piece_is_split_at_the_cutoff():
+    # |x| < cutoff, so J jumps to 0 inside the far piece; integrated unsplit,
+    # D w was off by 1.2e-5 relative here while QUADPACK reported 1.8e-10
+    spec = fd.truncated_fractional(0.6, 1.0, 5.0, j0=1.0, j1=1.0, r0=2.0)
+    p = fd.SubsolutionParams.from_kernel(spec, c=2.0)
+    t, x = 0.9 * p.t_star, 4.75**0.375
+    assert t == pytest.approx(17.28, rel=1e-14)
+
+    def integrand(z):
+        return fd.symmetric_increment(p, t, x, z) * z**-2.2
+
+    oracle = sum(
+        quad(integrand, a, b, limit=400, epsabs=1e-14, epsrel=1e-12)[0]
+        for a, b in ((0.0, x), (x, 5.0))
+    )
+    ours = fd.nonlocal_apply_to_barrier(spec, p, t, x)
+    assert ours == pytest.approx(oracle, rel=10.0 * subsolution.DEFAULT_QUAD_TOL)
+
+
 # -- residual certificate ----------------------------------------------------
 
 

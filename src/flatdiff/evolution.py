@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .mesh import Field, Grid
 from .operator import DiscreteOperator
@@ -106,7 +107,7 @@ def stable_dt(op: DiscreteOperator, safety: float) -> float:
 
 
 def _euler_stage(
-    op: DiscreteOperator, values: np.ndarray, dt: float, t: float, workers: int = 1
+    op: DiscreteOperator, values: np.ndarray, dt: float, t: float
 ) -> np.ndarray:
     """``u + dt D u``: convex when ``dt <= 1/W``; ``t`` locates a divergence.
 
@@ -116,7 +117,7 @@ def _euler_stage(
     stage, with the bits of ``values + dt * rate``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = op.rate(values, workers=workers)
+        out = op.rate(values)
         out *= dt
         out += values
     if not np.all(np.isfinite(out)):
@@ -145,12 +146,7 @@ def step(op: DiscreteOperator, u: Field, dt: float) -> Field:
 
 
 def _ssp_step(
-    op: DiscreteOperator,
-    values: np.ndarray,
-    dt: float,
-    dt_stable: float,
-    t: float,
-    workers: int,
+    op: DiscreteOperator, values: np.ndarray, dt: float, dt_stable: float, t: float
 ) -> tuple[np.ndarray, int]:
     """One SSPRK(k,2) step of size ``dt`` ending at ``t``; returns the values and k."""
     # a step of a whole number of stage bounds, up to rounding, takes no
@@ -160,7 +156,7 @@ def _ssp_step(
     h = dt / (k - 1)
     stage = values
     for _ in range(k):
-        stage = _euler_stage(op, stage, h, t, workers)
+        stage = _euler_stage(op, stage, h, t)
     # values / k + (k - 1) / k * stage, in the last stage's fresh array
     stage *= (k - 1) / k
     stage += values / k
@@ -187,7 +183,10 @@ def evolve(
     chosen from. Steps are truncated (never interpolated) so that each
     snapshot time is hit exactly. The step depends on the absolute time
     only, so a restart from a snapshot reproduces the rest of the run bit
-    for bit. ``op.rate`` picks the apply path from the grid size. The
+    for bit. ``op.rate`` picks the apply path from the grid size.
+    ``workers`` is the ``scipy.fft`` worker count for the run, set once
+    around the stepping loop; ``scipy.fft`` does not split a single 1-D
+    transform, so it changes no bit. The
     trajectory always holds the initial and final states, counts the steps
     and applies taken, and records the step range and the most stages a
     step took.
@@ -206,21 +205,22 @@ def evolve(
     dt_min, dt_max = math.inf, 0.0
 
     t = u0.t
-    for target in snaps:
-        while t < target:
-            dt = max(THETA * t, dt_stable)
-            if t + dt >= target - 1e-15 * max(1.0, abs(target)):
-                dt = target - t
-                t = target
-            else:
-                t = t + dt
-            values, k = _ssp_step(op, values, dt, dt_stable, t, workers)
-            steps += 1
-            applies += k
-            dt_min, dt_max, k_max = min(dt_min, dt), max(dt_max, dt), max(k_max, k)
-        if target > times[-1]:
-            times.append(target)
-            states.append(u0.with_values(values, t=t))
+    with scipy.fft.set_workers(workers):
+        for target in snaps:
+            while t < target:
+                dt = max(THETA * t, dt_stable)
+                if t + dt >= target - 1e-15 * max(1.0, abs(target)):
+                    dt = target - t
+                    t = target
+                else:
+                    t = t + dt
+                values, k = _ssp_step(op, values, dt, dt_stable, t)
+                steps += 1
+                applies += k
+                dt_min, dt_max, k_max = min(dt_min, dt), max(dt_max, dt), max(k_max, k)
+            if target > times[-1]:
+                times.append(target)
+                states.append(u0.with_values(values, t=t))
     return Trajectory(
         op.grid,
         np.asarray(times),

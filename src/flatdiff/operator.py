@@ -30,21 +30,22 @@ off-diagonal coefficient is nonnegative, so a forward Euler stage with
 ``dt * W <= 1`` (``W`` the diagonal coefficient) is a convex combination of
 field values; comparison and maximum principles hold by construction.
 
-The rate is ``T u - W u + left_value l + r rho``: ``T`` is the symmetric
-Toeplitz matrix of the stencil on the grid, ``W`` the row sum, and ``l`` and
-``rho`` are exterior vectors fixed at construction, holding the stencil mass
-that lands beyond either end of the window plus the far-tail terms. ``r`` is
-``right_value`` or, for the algebraic tail, the amplitude fitted on each call.
-For that extension ``amp y^(-2s)`` the displacements beyond the last hat give
-row ``i`` the far shape ``int_cut^inf (x_i + z)^(-2s) J(z) dz`` with
-``cut = n h``. For the power tail ``A z^(-1-2s)`` it is the Euler integral
+The rate is ``T u - W u + e + amp rho``: ``T`` is the symmetric Toeplitz
+matrix of the stencil on the grid, ``W`` the row sum, and ``e`` one vector
+fixed at construction: the stencil mass beyond either end of the window plus
+the far-tail terms, times the constant extensions (the left one, and the
+right one under ``constant``). Only ``algebraic_tail`` adds ``amp rho``, the
+amplitude fitted on each call times the response to ``y^(-2s)``; beyond the
+last hat that extension gives row ``i`` the far shape
+``int_cut^inf (x_i + z)^(-2s) J(z) dz`` with ``cut = n h``. For the power
+tail ``A z^(-1-2s)`` it is the Euler integral
 ``A cut^(-4s) / (4s) 2F1(2s, 4s; 4s + 1; -x_i / cut)`` (DLMF 15.6.1),
 evaluated for all rows at once by
 :func:`~flatdiff.kernels.exterior_tail_response`; ``tests/test_operator.py``
 cross-checks it node by node against adaptive quadrature. ``T u`` is a
 sliding correlation with the zero-padded field in ``apply`` and a circulant
 embedding at length ``~2n`` in ``apply_fft``; ``rate`` picks one by grid
-size. All three add the same exterior vectors, and the paths agree to roundoff.
+size. All three add the same exterior terms, and the paths agree to roundoff.
 """
 
 from __future__ import annotations
@@ -134,14 +135,14 @@ class DiscreteOperator:
         # stencil mass landing on the i-th row's left pad; by symmetry the
         # right pad of row i carries the mass of the left pad of row n-1-i
         pad_mass = np.concatenate([np.cumsum(stencil[: n - 1])[::-1], [0.0]])
-        # the left extension is a constant, so its whole contribution is fixed
-        self._left_term = boundary.left_value * (t_left + pad_mass)
-        if boundary.right == "zero":
-            self._right = None
-        elif boundary.right == "constant":
-            self._right = t_right + pad_mass[::-1]
-        else:
-            self._right = self._algebraic_right(tail_cut)
+        # constant extensions give one fixed vector; an algebraic tail adds
+        # its fitted amplitude times a fixed shape
+        self._exterior = boundary.left_value * (t_left + pad_mass)
+        self._tail_shape = None
+        if boundary.right == "constant":
+            self._exterior += boundary.right_value * (t_right + pad_mass[::-1])
+        elif boundary.right == "algebraic_tail":
+            self._tail_shape = self._algebraic_right(tail_cut)
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -167,19 +168,20 @@ class DiscreteOperator:
         far = exterior_tail_response(self.spec, tail_cut, self.grid.points())
         return np.append(0.0, pad[: n - 1]) + far
 
-    def rate(self, values: np.ndarray, workers: int = 1) -> np.ndarray:
+    def rate(self, values: np.ndarray) -> np.ndarray:
         """``D u`` on the grid values ``u``, with the boundary extensions.
 
         The grid size picks the inner product ``T u``: the FFT from
         ``n = 256`` nodes on, the measured crossover, and the direct sum
-        below it. ``workers`` goes to ``scipy.fft``.
+        below it. The FFT takes its worker count from ``scipy.fft.set_workers``,
+        which :func:`~flatdiff.evolution.evolve` sets for a run.
         """
         values = np.asarray(values, dtype=float)
         n = self.grid.n
         if values.shape != (n,):
             raise ValueError(f"values shape {values.shape} does not match {n} nodes")
         if n >= _FFT_THRESHOLD:
-            return self._finish(values, self._fft_inner(values, workers))
+            return self._finish(values, self._fft_inner(values))
         return self._finish(values, self._direct_inner(values))
 
     def _direct_inner(self, values: np.ndarray) -> np.ndarray:
@@ -188,24 +190,22 @@ class DiscreteOperator:
         padded = np.concatenate([pad, values, pad])
         return np.correlate(padded, self._stencil, mode="valid")
 
-    def _fft_inner(self, values: np.ndarray, workers: int = 1) -> np.ndarray:
+    def _fft_inner(self, values: np.ndarray) -> np.ndarray:
         """``T u`` by circulant embedding; O(n log n)."""
         n, m = self.grid.n, self._fft_len
-        prod = scipy.fft.rfft(values, m, workers=workers)
+        prod = scipy.fft.rfft(values, m)
         prod *= self._spectrum
-        return scipy.fft.irfft(prod, m, workers=workers)[n - 1 : 2 * n - 1]
+        return scipy.fft.irfft(prod, m)[n - 1 : 2 * n - 1]
 
     def _finish(self, values: np.ndarray, inner: np.ndarray) -> np.ndarray:
         # (T u - W u) + left + right from inner = T u, formed in the array of
         # W u: a fresh array of n values, where ``inner`` may view twice that
         out = values * self.row_sum
         np.subtract(inner, out, out=out)
-        out += self._left_term
-        if self.boundary.right == "constant":
-            out += self.boundary.right_value * self._right
-        elif self.boundary.right == "algebraic_tail":
+        out += self._exterior
+        if self._tail_shape is not None:
             amp = self.boundary.fit_tail_amplitude(self.grid, values, 2.0 * self.spec.s)
-            out += amp * self._right
+            out += amp * self._tail_shape
         return out
 
     def apply(self, u: Field) -> Field:

@@ -6,7 +6,8 @@ tolerance that budgets discretization error:
 
 * half-line persistence: a solution starting above a plateau of height ``a``
   on ``(-inf, b]`` stays above ``a/2`` strictly left of ``b`` for all time;
-* mirror identity: for a symmetrically mollified plateau edge, the sum of
+* mirror identity: for a plateau edge smoothed antisymmetrically about
+  ``b`` (a closed-form C^inf ramp, see :class:`InitialDatum`), the sum of
   the solution at ``b + x`` and ``b - x`` stays exactly ``a``;
 * flattening: at time t the renormalized tail ``x^(2s) u(t, x) / t`` stays
   above ``kappa a`` on a window far inside the grid.
@@ -16,17 +17,16 @@ A tail-exponent regression utility supports the decay-rate assertions.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .evolution import DEFAULT_SAFETY, Trajectory, evolve, worst_node
 from .kernels import KernelSpec
 from .mesh import BoundaryModel, Field, Grid
 from .operator import discretize
-from .quadrature import integrate_interval
 from .subsolution import SubsolutionParams, kappa
 
 __all__ = [
@@ -42,29 +42,6 @@ __all__ = [
 DEFAULT_MOLLIFIER_RADIUS = 0.5
 
 
-@functools.lru_cache(maxsize=None)
-def _bump_half_mass() -> float:
-    val, _ = integrate_interval(_bump, 0.0, 1.0, rel_tol=1e-12)
-    return val
-
-
-def _bump(v: float) -> float:
-    if abs(v) >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (1.0 - v * v))
-
-
-def _bump_cdf(r: float) -> float:
-    """CDF of the unit-radius normalized bump, exactly 0/1 outside [-1, 1]."""
-    if r <= -1.0:
-        return 0.0
-    if r >= 1.0:
-        return 1.0
-    val, _ = integrate_interval(_bump, 0.0, abs(r), rel_tol=1e-12)
-    half = _bump_half_mass()
-    return 0.5 + math.copysign(0.5 * val / half, r)
-
-
 @dataclass(frozen=True, eq=False)
 class InitialDatum:
     """Plateau-type initial data of height ``a`` with edge parameter ``b``.
@@ -72,10 +49,13 @@ class InitialDatum:
     ``step`` is the sharp plateau; sampling averages it over grid cells so
     the discrete front sits at ``b`` independently of mesh alignment (the
     jump cell may land below ``a``; the guaranteed plateau is unaffected).
-    ``mollified_step`` ramps smoothly from ``a`` to 0 across
-    ``[b - eps, b + eps]``, so its guaranteed plateau ends at ``b - eps``.
-    ``custom`` wraps explicit values and enforces the plateau lower bound at
-    construction.
+    ``mollified_step`` ramps from ``a`` to 0 across ``[b - eps, b + eps]``
+    as ``a expit(-4 r / (1 - r^2))`` with ``r = (x - b) / eps``: a C^inf,
+    decreasing profile supported exactly on the ramp, whose guaranteed
+    plateau ends at ``b - eps``. Since ``expit(-v) = 1 - expit(v)``, it is
+    antisymmetric about ``b`` (``u(b + x) + u(b - x) = a``), which is all
+    the mirror identity needs. ``custom`` wraps explicit values and enforces
+    the plateau lower bound at construction.
     """
 
     kind: str
@@ -136,11 +116,11 @@ class InitialDatum:
             frac = np.clip((self.b - x) / grid.h + 0.5, 0.0, 1.0)
             return Field(grid, 0.0, self.a * frac)
         if self.kind == "mollified_step":
-            vals = np.full(grid.n, self.a)
-            ramp = np.abs(x - self.b) < self.eps
-            for i in np.nonzero(ramp)[0]:
-                vals[i] = self.a * (1.0 - _bump_cdf((x[i] - self.b) / self.eps))
-            vals[x >= self.b + self.eps] = 0.0
+            r = (x - self.b) / self.eps
+            vals = np.where(r <= -1.0, self.a, 0.0)
+            ramp = np.abs(r) < 1.0
+            r = r[ramp]
+            vals[ramp] = self.a * expit(-4.0 * r / (1.0 - r * r))
             return Field(grid, 0.0, vals)
         if self.grid is not grid and self.grid != grid:
             raise ValueError("custom datum was built for a different grid")

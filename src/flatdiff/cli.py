@@ -269,6 +269,14 @@ def _run_simulation(
         snapshots if output_times is None else output_times,
         safety=safety,
     )
+    log.debug(
+        "run record: %s apply path, %d steps, %d applies, dt in [%.6g, %.6g]",
+        op.apply_path,
+        traj.steps,
+        traj.applies,
+        traj.dt_min,
+        traj.dt_max,
+    )
     return traj, op, datum
 
 
@@ -294,6 +302,7 @@ def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, safety: flo
         "derived": {
             "h": op.grid.h,
             "row_sum": op.row_sum,
+            "apply_path": op.apply_path,
             "dt_stable": stable_dt(op, safety),
             "kernel_certificate": {
                 "verified": cert.verified,

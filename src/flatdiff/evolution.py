@@ -183,13 +183,12 @@ def evolve(
     chosen from. Steps are truncated (never interpolated) so that each
     snapshot time is hit exactly. The step depends on the absolute time
     only, so a restart from a snapshot reproduces the rest of the run bit
-    for bit. ``op.rate`` picks the apply path from the grid size.
-    ``workers`` is the ``scipy.fft`` worker count for the run, set once
-    around the stepping loop; ``scipy.fft`` does not split a single 1-D
-    transform, so it changes no bit. The
-    trajectory always holds the initial and final states, counts the steps
-    and applies taken, and records the step range and the most stages a
-    step took.
+    for bit. ``op.rate`` takes the operator's ``apply_path``. ``workers`` is
+    the ``scipy.fft`` worker count for the run, set once around the stepping
+    loop; ``scipy.fft`` does not split a single 1-D transform, so it changes
+    no bit. The trajectory always holds the initial and final states, counts
+    the steps and applies taken, and records the step range and the most
+    stages a step took.
     """
     snaps = sorted({float(s) for s in output_times} | {float(t_final)})
     if snaps[0] < u0.t:

@@ -44,8 +44,9 @@ evaluated for all rows at once by
 :func:`~flatdiff.kernels.exterior_tail_response`; ``tests/test_operator.py``
 cross-checks it node by node against adaptive quadrature. ``T u`` is a
 sliding correlation with the zero-padded field in ``apply`` and a circulant
-embedding at length ``~2n`` in ``apply_fft``; ``rate`` picks one by grid
-size. All three add the same exterior terms, and the paths agree to roundoff.
+embedding at length ``~2n`` in ``apply_fft``; ``rate`` takes the one named by
+``apply_path``, fixed by the grid size. All three add the same exterior
+terms, and the paths agree to roundoff.
 """
 
 from __future__ import annotations
@@ -81,7 +82,11 @@ class UnverifiedKernelError(ValueError):
 
 
 class DiscreteOperator:
-    """Precomputed weights for one (kernel, grid, boundary) combination."""
+    """Precomputed weights for one (kernel, grid, boundary) combination.
+
+    ``apply_path`` (``"direct"`` or ``"fft"``) names the inner product that
+    :meth:`rate` uses; it is fixed by the grid size at construction.
+    """
 
     def __init__(
         self,
@@ -132,6 +137,7 @@ class DiscreteOperator:
 
         self._stencil = stencil
         self._fft_len = scipy.fft.next_fast_len(2 * n - 1, real=True)
+        self.apply_path = "fft" if n >= _FFT_THRESHOLD else "direct"
         # stencil mass landing on the i-th row's left pad; by symmetry the
         # right pad of row i carries the mass of the left pad of row n-1-i
         pad_mass = np.concatenate([np.cumsum(stencil[: n - 1])[::-1], [0.0]])
@@ -171,7 +177,7 @@ class DiscreteOperator:
     def rate(self, values: np.ndarray) -> np.ndarray:
         """``D u`` on the grid values ``u``, with the boundary extensions.
 
-        The grid size picks the inner product ``T u``: the FFT from
+        ``apply_path`` picks the inner product ``T u``: the FFT from
         ``n = 256`` nodes on, the measured crossover, and the direct sum
         below it. The FFT takes its worker count from ``scipy.fft.set_workers``,
         which :func:`~flatdiff.evolution.evolve` sets for a run.
@@ -180,7 +186,7 @@ class DiscreteOperator:
         n = self.grid.n
         if values.shape != (n,):
             raise ValueError(f"values shape {values.shape} does not match {n} nodes")
-        if n >= _FFT_THRESHOLD:
+        if self.apply_path == "fft":
             return self._finish(values, self._fft_inner(values))
         return self._finish(values, self._direct_inner(values))
 

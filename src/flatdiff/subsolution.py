@@ -253,12 +253,21 @@ def nonlocal_apply_to_barrier(
         s = 1 compact flat          360 + 21  = 381   217 + 21 = 238
 
     The first column split the near piece at 1 and the cutoff, and not at
-    the core.
+    the core. ``params`` must hold ``spec``'s constants, as
+    :meth:`SubsolutionParams.from_kernel` builds them; otherwise this, and
+    so :func:`residual_certificate` and :func:`residual_grid`, raises
+    ``ValueError``.
     """
     if t <= 0:
         raise ValueError("barrier is defined for t > 0")
     if x == 0.0:
         raise ValueError("the profile kink makes the operator singular at x = 0")
+    # the barrier takes s, j0 and r0 from params and the kernel from spec
+    if params != SubsolutionParams.from_kernel(spec, params.c, params.a, params.b):
+        raise ValueError(
+            f"barrier constants (s={params.s}, j0={params.j0}, r0={params.r0}) "
+            f"are not those of kernel {spec.describe()}"
+        )
     w_x = w_eval(params, t, x)
     p = abs(x)
     a, kt = 2.0 * params.s, params.kappa * t

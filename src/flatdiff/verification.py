@@ -55,7 +55,8 @@ class InitialDatum:
     plateau ends at ``b - eps``. Since ``expit(-v) = 1 - expit(v)``, it is
     antisymmetric about ``b`` (``u(b + x) + u(b - x) = a``), which is all
     the mirror identity needs. ``custom`` wraps explicit values and enforces
-    the plateau lower bound at construction.
+    the plateau lower bound at construction. A field of another kind (an
+    ``eps`` on a step, values on a mollified step) is a ``ValueError``.
     """
 
     kind: str
@@ -72,8 +73,16 @@ class InitialDatum:
             raise ValueError("plateau height must be positive")
         if not np.isfinite(self.b):
             raise ValueError("plateau edge must be finite")
-        if self.kind == "mollified_step" and not self.eps > 0:
-            raise ValueError("mollifier radius must be positive")
+        if self.kind == "mollified_step":
+            if not self.eps > 0:
+                raise ValueError("mollifier radius must be positive")
+        elif self.eps != 0.0:
+            raise ValueError(f"eps does not apply to kind {self.kind!r}")
+        if self.kind == "custom":
+            if self.values is None or self.grid is None:
+                raise ValueError("a custom datum needs values and a grid")
+        elif self.values is not None or self.grid is not None:
+            raise ValueError(f"values and grid do not apply to kind {self.kind!r}")
 
     @classmethod
     def step(cls, a: float, b: float) -> "InitialDatum":
@@ -267,7 +276,8 @@ def flattening_ratio(
     ``[x_lo, x_hi]`` with ``x_hi`` well inside the grid. Defaults place the
     window past both the barrier onset radius for scale ``kappa t`` and the
     self-similar scale ``50 t^(1/(2s))``; an explicit window must satisfy
-    the same guards.
+    the same guards. A trajectory that records its operator must have been
+    computed for ``spec``; one built by hand records none and is not checked.
 
     The details also carry the exact limit ``tail_limit = a A / (2s)`` of
     the renormalized tail for a kernel whose tail is exactly
@@ -277,6 +287,11 @@ def flattening_ratio(
     """
     if t <= 0:
         raise ValueError("flattening bound applies to positive times")
+    if traj.operator is not None and traj.operator.spec != spec:
+        raise ValueError(
+            f"trajectory was computed for kernel {traj.operator.spec.describe()}, "
+            f"not {spec.describe()}"
+        )
     state = traj.state_at(t)
     s = spec.s
     params = SubsolutionParams.from_kernel(spec, c=kappa(spec) * t, a=a, b=b)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 import re
 from pathlib import Path
@@ -76,7 +77,23 @@ def test_simulate_writes_csv_and_metadata(tmp_path):
     assert 0.0 < derived["dt_min"] <= derived["dt_max"] <= 0.25
     assert isinstance(derived["k_max"], int)
     assert 2 <= derived["k_max"] and applies <= steps * derived["k_max"]
+    assert derived["apply_path"] == "fft"
     assert not (out / "trajectory.json").exists()
+
+
+def test_simulate_logs_the_run_record_under_verbose(tmp_path, caplog):
+    cfg = base_config(tmp_path, grid={"x_min": -10.0, "x_max": 10.0, "n": 128})
+    out = tmp_path / "run"
+    with caplog.at_level(logging.DEBUG, logger="flatdiff"):
+        assert main(["simulate", "--config", cfg, "--out", str(out), "-v"]) == 0
+    derived = json.loads((out / "metadata.json").read_text())["derived"]
+    assert derived["apply_path"] == "direct"
+    records = [r for r in caplog.records if r.getMessage().startswith("run record")]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    message = records[0].getMessage()
+    assert message.startswith("run record: direct apply path")
+    assert f"{derived['steps']} steps, {derived['applies']} applies" in message
+    assert f"dt in [{derived['dt_min']:.6g}, {derived['dt_max']:.6g}]" in message
 
 
 def test_simulate_format_variants(tmp_path):

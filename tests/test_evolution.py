@@ -124,6 +124,24 @@ def test_zero_length_evolution_returns_initial_state(small_op):
     assert traj.states[0] is u0
 
 
+@pytest.mark.parametrize("n,path", [(128, "direct"), (512, "fft")])
+def test_fft_workers_change_no_bit(unit_spec, unit_cert, n, path):
+    # scipy.fft splits only batched transforms; every rate takes one 1-D one
+    grid = fd.Grid(-5.0, 5.0, n)
+    op = fd.discretize(
+        unit_spec,
+        grid,
+        fd.BoundaryModel(left_value=0.5, right="algebraic_tail"),
+        certificate=unit_cert,
+    )
+    assert op.apply_path == path
+    u0 = decreasing_datum(grid)
+    one, two = (fd.evolve(op, u0, 0.5, (0.1,), workers=w) for w in (1, 2))
+    assert one.applies == two.applies
+    for a, b in zip(one.states, two.states):
+        assert np.array_equal(a.values, b.values)
+
+
 def test_restart_from_snapshot_is_bitwise_identical(small_op):
     u0 = decreasing_datum(small_op.grid)
     full = fd.evolve(small_op, u0, 0.5, output_times=(0.25,))

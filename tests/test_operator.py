@@ -331,9 +331,11 @@ def test_fft_agrees_with_direct(unit_spec, unit_cert, rng, right, n):
 @pytest.mark.parametrize("n,path", [(255, "apply"), (256, "apply_fft")])
 def test_rate_switches_to_the_fft_at_the_crossover(unit_spec, unit_cert, rng, n, path):
     g = fd.Grid(-10.0, 10.0, n)
-    op = make_op(unit_spec, unit_cert, g, left=0.8, right="algebraic_tail")
     u = fd.Field(g, 0.0, rng.uniform(0.0, 1.0, n))
-    assert np.array_equal(op.rate(u.values), getattr(op, path)(u).values)
+    for right in RIGHT_MODELS:
+        op = make_op(unit_spec, unit_cert, g, left=0.8, right=right, right_value=0.3)
+        assert op.apply_path == {"apply": "direct", "apply_fft": "fft"}[path]
+        assert np.array_equal(op.rate(u.values), getattr(op, path)(u).values)
 
 
 def padded_reference(op, u):

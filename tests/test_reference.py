@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import flatdiff as fd
 from flatdiff import reference
-from flatdiff.reference import _bergstrom, _inversion
+from flatdiff.reference import _bergstrom, _inversion, _taylor
 
 
 # -- kernel point values -----------------------------------------------------
@@ -25,10 +25,13 @@ def test_kernel_center_values():
     assert fd.fractional_heat_kernel(1.0, 1.0, 0.0) == pytest.approx(
         1.0 / math.sqrt(4.0 * math.pi), rel=1e-15
     )
-    # generic order center value: Gamma(1 + 1/(2s)) / pi
-    assert fd.fractional_heat_kernel(0.75, 1.0, 0.0) == pytest.approx(
-        special.gamma(1.0 + 2.0 / 3.0) / math.pi, rel=1e-12
-    )
+    # generic order center value: Gamma(1 + 1/(2s)) / pi, the first term of
+    # the Taylor series, also where that series is only asymptotic (s < 1/2)
+    for s in (0.05, 0.3, 0.75):
+        assert fd.fractional_heat_kernel(s, 1.0, 0.0) == pytest.approx(
+            special.gamma(1.0 + 1.0 / (2.0 * s)) / math.pi, rel=1e-12
+        )
+        assert fd.reference_solution(s, 1.0, 0.0, 1.0, 0.0) == 0.5
 
 
 @pytest.mark.parametrize("y", [0.3, 2.0, 17.0])
@@ -157,10 +160,58 @@ def test_series_at_half_order_sums_the_cauchy_closed_forms():
     np.testing.assert_allclose(density, cauchy_density, rtol=1e-14, atol=0)
 
 
+# -- Taylor series at the origin ----------------------------------------------
+
+
+def plain_inversion(s, y, density):
+    """``p(1, y)`` or ``S(y)`` by plain (non-oscillatory) QUADPACK on [0, inf)."""
+    if density:
+        def f(xi):
+            return math.exp(-(xi ** (2.0 * s))) * math.cos(y * xi)
+    else:
+        def f(xi):
+            return math.exp(-(xi ** (2.0 * s))) * math.sin(y * xi) / xi if xi else y
+    val, err = quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    assert err <= 1e-13 * abs(val)
+    return val / math.pi if density else 0.5 - val / math.pi
+
+
+@pytest.mark.parametrize("s", [0.55, 0.75, 0.99])
+@pytest.mark.parametrize("density", [True, False])
+def test_oracles_near_the_origin_match_plain_quadrature(s, density):
+    # QAWF's first cycle is pi/y long, so for small y it samples exp(-xi^(2s))
+    # where it is already 0 and returned about 0 with an error about 0
+    # (p(1, 1e-4) read 0.0 at s = 0.75); the Taylor series takes these points
+    y = np.geomspace(1e-5, 0.1, 41)
+    if density:
+        got = fd.fractional_heat_kernel(s, 1.0, y)
+    else:
+        got = fd.reference_solution(s, 1.0, 0.0, 1.0, y)
+    exact = np.array([plain_inversion(s, float(v), density) for v in y])
+    np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("s", [0.45, 0.6, 0.75, 0.9])
+@pytest.mark.parametrize("density", [False, True])
+def test_taylor_series_matches_quadrature_below_switch_off(s, density):
+    y = np.geomspace(0.05, 30.0, 120)
+    series, accepted = _taylor(s, y, density)
+    # the accepted points are one interval (0, switch-off)
+    off = int(np.argmin(accepted))
+    assert off > 0 and not np.any(accepted[off:])
+    assert y[off] < 3.0
+    for v, value in zip(y[:off], series[:off]):
+        quad_value = _inversion(s, float(v), density)[0]
+        assert abs(value - quad_value) <= 1e-12 * quad_value
+
+
 def test_rejected_points_take_the_quadrature_route():
-    s, y = 0.9, 2.0
+    # at s = 0.9, y = 2 takes the Taylor series of the tail mass; y = 4
+    # takes neither series
+    s, y = 0.9, 4.0
     for density in (False, True):
         assert not _bergstrom(s, np.array([y]), density)[1][0]
+        assert not _taylor(s, np.array([y]), density)[1][0]
     assert fd.reference_solution(s, 1.0, 0.0, 1.0, y) == _inversion(s, y, False)[0]
     # the reflection S(-y) = 1 - S(y) is applied after the inversion
     reflected = 1.0 - _inversion(s, y, False)[0]

@@ -382,6 +382,27 @@ def test_residual_grid_default_span_and_guards(unit_spec, unit_params):
         fd.residual_grid(unit_spec, unit_params, nt=2, nx=2, x_max=10.0)
 
 
+def test_barrier_constants_must_be_the_kernels(unit_spec, cauchy_spec, unit_params):
+    # the constants of another kernel used to give a passing sample for this
+    # one: s, j0 and r0 came from params, the kernel values from spec
+    for other in (
+        cauchy_spec,
+        fd.pure_fractional(0.5, 1.0, j0=1.0, j1=1.0, r0=3.0),
+        COMPACT_FLAT_1,
+    ):
+        params = fd.SubsolutionParams.from_kernel(other, c=2.0)
+        with pytest.raises(ValueError, match="are not those of kernel"):
+            fd.residual_certificate(unit_spec, params, 8.0, 30.0)
+        with pytest.raises(ValueError, match="are not those of kernel"):
+            fd.nonlocal_apply_to_barrier(unit_spec, params, 8.0, 30.0)
+        with pytest.raises(ValueError, match="are not those of kernel"):
+            fd.residual_grid(unit_spec, params, nt=1, nx=1)
+    # plateau height and edge are the datum's, not the kernel's
+    shifted = fd.SubsolutionParams.from_kernel(unit_spec, c=2.0, a=0.5, b=3.0)
+    assert fd.residual_certificate(unit_spec, shifted, 8.0, 30.0).passed
+    assert fd.residual_certificate(unit_spec, unit_params, 8.0, 30.0).passed
+
+
 @pytest.mark.parametrize("kernel", ["unit", "laplacian_075", "compact_1", "truncated_075"])
 def test_residual_certificate_same_through_array_path(
     monkeypatch, unit_spec, fractional_laplacian, kernel

@@ -27,16 +27,23 @@ def test_step_datum_cell_averages(small_grid):
 def test_mollified_datum_symmetry_and_support(small_grid):
     datum = fd.InitialDatum.mollified_step(1.0, 0.0, eps=0.5)
     assert datum.plateau_edge == -0.5
-    u = datum.sample(small_grid).values
-    x = small_grid.points()
-    assert np.all(u[x <= -0.5] == 1.0)
-    assert np.all(u[x >= 0.5] == 0.0)
-    # grid nodes from linspace are sign-symmetric only to ~1e-14 relative,
-    # which bounds how exactly the mirrored pair can sum to the plateau
-    assert np.max(np.abs(u + u[::-1] - 1.0)) <= 1e-13
-    inside = (np.abs(x) < 0.5) & (x != 0.0)
-    assert np.all((u[inside] > 0.0) & (u[inside] < 1.0))
     assert DEFAULT_MOLLIFIER_RADIUS == 0.5
+    for a, b, eps, n in ((1.0, 0.0, 0.5, 401), (2.0, 3.0, 0.25, 4001)):
+        grid = fd.Grid(b - 40.0, b + 40.0, n)
+        u = fd.InitialDatum.mollified_step(a, b, eps).sample(grid).values
+        x = grid.points()
+        # supported exactly on [b - eps, b + eps] and nonincreasing; near the
+        # ends of the ramp it is flat to rounding, within 0.85 eps of b not
+        assert np.all(u[x <= b - eps] == a)
+        assert np.all(u[x >= b + eps] == 0.0)
+        assert np.all(np.diff(u) <= 0.0)
+        core = np.abs(x - b) < 0.85 * eps
+        assert np.count_nonzero(core) >= 5
+        assert np.all((u[core] > 0.0) & (u[core] < a))
+        assert np.all(np.diff(u[core]) < 0.0)
+        # grid nodes from linspace are symmetric about b only to ~1e-14
+        # relative, which bounds how exactly a mirrored pair sums to a
+        assert np.max(np.abs(u + u[::-1] - a)) <= 1e-13 * a
 
 
 def test_custom_datum_round_trip(small_grid):
@@ -61,6 +68,21 @@ def test_custom_datum_enforces_plateau(small_grid):
     good = fd.InitialDatum.custom(1.0, 0.0, small_grid, np.where(x <= 0, 1.0, 0.0))
     with pytest.raises(ValueError):
         good.sample(other)
+
+
+def test_datum_rejects_fields_of_another_kind(small_grid):
+    values = np.ones(small_grid.n)
+    with pytest.raises(ValueError, match="eps does not apply"):
+        fd.InitialDatum("step", 1.0, 0.0, eps=0.3)
+    with pytest.raises(ValueError, match="eps does not apply"):
+        fd.InitialDatum("custom", 1.0, 0.0, eps=0.3, values=values, grid=small_grid)
+    for extra in ({"values": values}, {"grid": small_grid}):
+        with pytest.raises(ValueError, match="do not apply"):
+            fd.InitialDatum("mollified_step", 1.0, 0.0, eps=0.5, **extra)
+        with pytest.raises(ValueError, match="do not apply"):
+            fd.InitialDatum("step", 1.0, 0.0, **extra)
+        with pytest.raises(ValueError, match="needs values and a grid"):
+            fd.InitialDatum("custom", 1.0, 0.0, **extra)
 
 
 def test_datum_validation():
@@ -239,6 +261,14 @@ def test_flattening_reports_the_two_sided_tail_limit(mini_run, cauchy_spec):
     report = fd.flattening_ratio(traj, truncated, 1.0, a=2.0)
     assert report.details["tail_limit"] is None
     assert report.details["measured_over_limit"] is None
+
+
+def test_flattening_rejects_another_kernel_than_the_runs(mini_run, unit_spec):
+    # the unit kernel has kappa = 1/4 where the run's Cauchy kernel has
+    # 1/(4 pi), so the report would check the wrong bound
+    assert mini_run.operator.spec != unit_spec
+    with pytest.raises(ValueError, match="trajectory was computed for kernel"):
+        fd.flattening_ratio(mini_run, unit_spec, 0.5, (15.0, 32.0), a=1.0)
 
 
 def test_flattening_default_window(mini_run, cauchy_spec):

@@ -180,8 +180,8 @@ def plain_inversion(s, y, density):
 @pytest.mark.parametrize("density", [True, False])
 def test_oracles_near_the_origin_match_plain_quadrature(s, density):
     # QAWF's first cycle is pi/y long, so for small y it samples exp(-xi^(2s))
-    # where it is already 0 and returned about 0 with an error about 0
-    # (p(1, 1e-4) read 0.0 at s = 0.75); the Taylor series takes these points
+    # only where it is already 0 and reports about 0 with an error about 0
+    # (p(1, 1e-4) = 0.0 at s = 0.75); these points need the Taylor series
     y = np.geomspace(1e-5, 0.1, 41)
     if density:
         got = fd.fractional_heat_kernel(s, 1.0, y)

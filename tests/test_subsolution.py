@@ -383,8 +383,8 @@ def test_residual_grid_default_span_and_guards(unit_spec, unit_params):
 
 
 def test_barrier_constants_must_be_the_kernels(unit_spec, cauchy_spec, unit_params):
-    # the constants of another kernel used to give a passing sample for this
-    # one: s, j0 and r0 came from params, the kernel values from spec
+    # s, j0 and r0 come from params and the kernel values from spec, so the
+    # constants of another kernel would certify a barrier for neither
     for other in (
         cauchy_spec,
         fd.pure_fractional(0.5, 1.0, j0=1.0, j1=1.0, r0=3.0),

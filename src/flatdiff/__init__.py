@@ -26,6 +26,7 @@ from .kernels import (
     exterior_mass,
     exterior_tail_response,
     interval_mass,
+    interval_moments,
     pure_fractional,
     restricted_second_moment,
     truncated_fractional,
@@ -99,6 +100,7 @@ __all__ = [
     "heat_kernel_bounds_fit",
     "heat_kernel_tail_constant",
     "interval_mass",
+    "interval_moments",
     "kappa",
     "mirror_identity_check",
     "nonlocal_apply_to_barrier",

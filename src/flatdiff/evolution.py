@@ -31,7 +31,6 @@ __all__ = [
     "evolve",
     "ComparisonReport",
     "discrete_comparison_check",
-    "worst_node",
 ]
 
 # fraction of the convex-combination bound 1/W taken per Euler stage by default

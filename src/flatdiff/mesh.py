@@ -88,9 +88,9 @@ class BoundaryModel:
             raise ValueError(f"right boundary model must be one of {_RIGHT_MODELS}")
         if not np.isfinite(self.left_value) or self.left_value < 0:
             raise ValueError("left boundary constant must be finite and nonnegative")
-        if self.right == "constant" and (
-            not np.isfinite(self.right_value) or self.right_value < 0
-        ):
+        if self.right != "constant" and self.right_value != 0.0:
+            raise ValueError(f"right boundary model {self.right} takes no right_value")
+        if not np.isfinite(self.right_value) or self.right_value < 0:
             raise ValueError("right boundary constant must be finite and nonnegative")
 
     def fit_tail_amplitude(self, grid: Grid, values: np.ndarray, exponent: float) -> float:

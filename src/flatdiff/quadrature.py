@@ -9,6 +9,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 from scipy import integrate
 
+__all__ = ["QuadratureError"]
 
 _ABS_FLOOR = 1e-14
 _OSC_TOL = 1e-12

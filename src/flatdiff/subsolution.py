@@ -69,43 +69,41 @@ DEFAULT_QUAD_TOL = 1e-8
 CORE_WIDTHS = 4.0
 
 
-def _kappa(s: float, j0: float) -> float:
-    return 1.0 / (8.0 * s * j0)
-
-
 def kappa(spec: KernelSpec) -> float:
     """Barrier growth rate ``1 / (8 s J0)`` from the declared tail envelope."""
-    return _kappa(spec.s, spec.declared_j0)
+    return 1.0 / (8.0 * spec.s * spec.declared_j0)
 
 
 @dataclass(frozen=True)
 class SubsolutionParams:
-    """Barrier constants for one kernel envelope and one plateau datum.
+    """The barrier on one kernel's envelope, for one plateau datum.
 
-    ``a`` and ``b`` describe the plateau (height ``a`` on ``(-inf, b]``);
-    ``r0`` is the kernel's lower-envelope onset radius. Derived fields obey
+    ``spec`` gives every constant: ``s``, ``j0 = spec.declared_j0`` and the
+    lower-envelope onset radius ``r0 = spec.declared_r0``. ``a`` and ``b``
+    describe the plateau (height ``a`` on ``(-inf, b]``). Derived fields obey
     ``kappa = 1/(8 s j0)``, ``t_star kappa = 2 c``, ``r_star^(2s) = 8 c j0^2``
     and ``onset = r0 + r_star``, where the validity set starts.
     """
 
-    s: float
-    j0: float
+    spec: KernelSpec
     c: float
     a: float = 1.0
     b: float = 0.0
-    r0: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.s <= 0 or self.j0 <= 0 or self.c <= 0:
-            raise ValueError("s, j0 and c must be positive")
-        if self.a <= 0:
+        if not self.c > 0:
+            raise ValueError("barrier scale c must be positive")
+        if not self.a > 0:
             raise ValueError("plateau height must be positive")
-        if self.r0 <= 1:
-            raise ValueError("lower-envelope onset radius must exceed 1")
+
+    @property
+    def r0(self) -> float:
+        return self.spec.declared_r0
 
     @cached_property
     def kappa(self) -> float:
-        return _kappa(self.s, self.j0)
+        # the module's kappa: a method body does not see class attributes
+        return kappa(self.spec)
 
     @cached_property
     def t_star(self) -> float:
@@ -113,7 +111,8 @@ class SubsolutionParams:
 
     @cached_property
     def r_star(self) -> float:
-        return (8.0 * self.c * self.j0**2) ** (1.0 / (2.0 * self.s))
+        j0 = self.spec.declared_j0
+        return (8.0 * self.c * j0**2) ** (1.0 / (2.0 * self.spec.s))
 
     @cached_property
     def onset(self) -> float:
@@ -123,9 +122,7 @@ class SubsolutionParams:
     def from_kernel(
         cls, spec: KernelSpec, c: float, a: float = 1.0, b: float = 0.0
     ) -> "SubsolutionParams":
-        return cls(
-            s=spec.s, j0=spec.declared_j0, c=c, a=a, b=b, r0=spec.declared_r0
-        )
+        return cls(spec, c, a, b)
 
 
 def _barrier_right(kt: float, a: float, x):
@@ -147,7 +144,7 @@ def w_eval(params: SubsolutionParams, t: float, x) -> np.ndarray | float:
     """
     if t <= 0:
         raise ValueError("barrier is defined for t > 0")
-    kt, a = params.kappa * t, 2.0 * params.s
+    kt, a = params.kappa * t, 2.0 * params.spec.s
     if isinstance(x, float):
         return float(_barrier_right(kt, a, x)) if x > 0 else 0.5
     x_arr = np.asarray(x, dtype=float)
@@ -164,7 +161,7 @@ def w_time_derivative(params: SubsolutionParams, t: float, x: float) -> float:
         raise ValueError("barrier is defined for t > 0")
     if x <= 0:
         return 0.0
-    xs = x ** (2.0 * params.s)
+    xs = x ** (2.0 * params.spec.s)
     return params.kappa * xs / (xs + 2.0 * params.kappa * t) ** 2
 
 
@@ -214,7 +211,7 @@ def symmetric_increment(
             + w_eval(params, t, x - z)
             - 2.0 * w_eval(params, t, x)
         )
-    a, kt = 2.0 * params.s, params.kappa * t
+    a, kt = 2.0 * params.spec.s, params.kappa * t
     xa = x**a
     return _increment(kt, a, x, xa, xa + 2.0 * kt, z)
 
@@ -232,7 +229,8 @@ def nonlocal_apply_to_barrier(
     the closed-form exterior mass beyond ``p`` times ``1/2 - w(x)``, since
     the left branch sees only the plateau there; and the right far field
     from ``p`` by :func:`integrate_tail`. For ``x < 0`` the first two terms
-    vanish.
+    vanish (every barrier value in them is 1/2), so only the far piece is
+    integrated.
 
     The near piece runs over ``tau`` with ``z = tau^2`` on ``(0, sqrt(p))``,
     so its ``z^(1-2s)`` end becomes ``tau^(3-4s)``, constant at ``s = 3/4``.
@@ -253,49 +251,45 @@ def nonlocal_apply_to_barrier(
         s = 1 compact flat          360 + 21  = 381   217 + 21 = 238
 
     The first column split the near piece at 1 and the cutoff, and not at
-    the core. ``params`` must hold ``spec``'s constants, as
-    :meth:`SubsolutionParams.from_kernel` builds them; otherwise this, and
-    so :func:`residual_certificate` and :func:`residual_grid`, raises
-    ``ValueError``.
+    the core. ``params`` reads ``s``, ``j0`` and ``r0`` from its own
+    kernel, so it must be built on ``spec`` (``params.spec == spec``);
+    otherwise this, and so :func:`residual_certificate` and
+    :func:`residual_grid`, raises ``ValueError``.
     """
     if t <= 0:
         raise ValueError("barrier is defined for t > 0")
     if x == 0.0:
         raise ValueError("the profile kink makes the operator singular at x = 0")
-    # the barrier takes s, j0 and r0 from params and the kernel from spec
-    if params != SubsolutionParams.from_kernel(spec, params.c, params.a, params.b):
+    if params.spec != spec:
         raise ValueError(
-            f"barrier constants (s={params.s}, j0={params.j0}, r0={params.r0}) "
-            f"are not those of kernel {spec.describe()}"
+            f"barrier constants of {params.spec!r} are not those of kernel {spec!r}"
         )
     w_x = w_eval(params, t, x)
-    p = abs(x)
-    a, kt = 2.0 * params.s, params.kappa * t
-    xa = p**a
-    g = xa + 2.0 * kt
-
-    def near_f(tau: float) -> float:
-        z = tau * tau
-        if z < x:
-            inc = _increment(kt, a, x, xa, g, z)
-        else:
-            inc = symmetric_increment(params, t, x, z)
-        return 2.0 * tau * inc * eval_kernel(spec, z)
 
     def far_f(z: float) -> float:
         return (w_eval(params, t, x + z) - w_x) * eval_kernel(spec, z)
 
     jumps = [r for r in spec.tail_support if 0.0 < r < math.inf]
+    far, _ = integrate_tail(far_f, abs(x), rel_tol=quad_tol, breakpoints=jumps)
+    if x < 0:
+        return far
+    a, kt = 2.0 * spec.s, params.kappa * t
+    xa = x**a
+    g = xa + 2.0 * kt
+
+    def near_f(tau: float) -> float:
+        z = tau * tau
+        return 2.0 * tau * _increment(kt, a, x, xa, g, z) * eval_kernel(spec, z)
+
     core_edge = x - CORE_WIDTHS * (2.0 * kt) ** (1.0 / a)
     near, _ = integrate_interval(
         near_f,
         0.0,
-        math.sqrt(p),
+        math.sqrt(x),
         rel_tol=quad_tol,
         breakpoints=[math.sqrt(r) for r in (*jumps, core_edge) if r > 0.0],
     )
-    far, _ = integrate_tail(far_f, p, rel_tol=quad_tol, breakpoints=jumps)
-    return near + (0.5 - w_x) * exterior_mass(spec, p) + far
+    return near + (0.5 - w_x) * exterior_mass(spec, x) + far
 
 
 @dataclass(frozen=True)

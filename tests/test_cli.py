@@ -238,6 +238,15 @@ def test_mollifier_radius_on_a_step_datum_exits_2_naming_its_path(tmp_path, capl
     assert "config.initial.eps" in caplog.text
 
 
+def test_right_value_under_another_boundary_model_exits_2(tmp_path, caplog):
+    # right_value belongs to the constant model; a zero model extends by 0
+    # whatever it says, so the run would not be the one the config describes
+    boundary = {"right": "zero", "right_value": 0.3}
+    cfg = base_config(tmp_path, boundary=boundary)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "takes no right_value" in caplog.text
+
+
 def test_hypothesis_violating_kernel_rejected(tmp_path):
     kernel = dict(UNIT_KERNEL, j0=0.5)
     cfg = base_config(tmp_path, kernel=kernel)

@@ -358,7 +358,8 @@ def check_fft_order_and_bounds(rng, n, family, right):
     values. Returns the operator and the final time."""
     spec, force = KERNEL_FAMILIES[family]
     grid = fd.Grid(-10.0, 10.0, n)
-    bm = fd.BoundaryModel(left_value=0.5, right=right, right_value=0.25)
+    right_value = 0.25 if right == "constant" else 0.0
+    bm = fd.BoundaryModel(left_value=0.5, right=right, right_value=right_value)
     op = fd.discretize(spec, grid, bm, force=force)
     lower0 = rng.uniform(0.05, 0.5, n)
     upper0 = lower0 + rng.uniform(0.0, 0.5, n)

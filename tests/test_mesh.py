@@ -70,6 +70,13 @@ def test_boundary_model_validation():
         fd.BoundaryModel(left_value=1.0, right="mirror")
     with pytest.raises(ValueError):
         fd.BoundaryModel(left_value=-0.5)
+    # only the constant model takes a right_value; under another one the
+    # operator would not read it
+    for right in ("zero", "algebraic_tail"):
+        fd.BoundaryModel(left_value=1.0, right=right, right_value=0.0)
+        for value in (0.3, -0.3, float("nan")):
+            with pytest.raises(ValueError, match=f"model {right} takes no right_value"):
+                fd.BoundaryModel(left_value=1.0, right=right, right_value=value)
 
 
 def test_tail_amplitude_recovers_power_law():

@@ -314,13 +314,17 @@ def test_hat_weights_converge_at_second_order(fractional_laplacian):
 
 
 RIGHT_MODELS = ("zero", "constant", "algebraic_tail")
+# only the constant model takes a right_value
+RIGHT_VALUE = {"zero": 0.0, "constant": 0.3, "algebraic_tail": 0.0}
 
 
 @pytest.mark.parametrize("n", [256, 1024])
 @pytest.mark.parametrize("right", RIGHT_MODELS)
 def test_fft_agrees_with_direct(unit_spec, unit_cert, rng, right, n):
     g = fd.Grid(-10.0, 10.0, n)
-    op = make_op(unit_spec, unit_cert, g, left=0.8, right=right, right_value=0.3)
+    op = make_op(
+        unit_spec, unit_cert, g, left=0.8, right=right, right_value=RIGHT_VALUE[right]
+    )
     u = fd.Field(g, 0.0, rng.uniform(0.0, 1.0, n))
     direct = op.apply(u).values
     fast = op.apply_fft(u).values
@@ -333,7 +337,9 @@ def test_rate_switches_to_the_fft_at_the_crossover(unit_spec, unit_cert, rng, n,
     g = fd.Grid(-10.0, 10.0, n)
     u = fd.Field(g, 0.0, rng.uniform(0.0, 1.0, n))
     for right in RIGHT_MODELS:
-        op = make_op(unit_spec, unit_cert, g, left=0.8, right=right, right_value=0.3)
+        op = make_op(
+            unit_spec, unit_cert, g, left=0.8, right=right, right_value=RIGHT_VALUE[right]
+        )
         assert op.apply_path == {"apply": "direct", "apply_fft": "fft"}[path]
         assert np.array_equal(op.rate(u.values), getattr(op, path)(u).values)
 
@@ -376,7 +382,9 @@ def padded_reference(op, u):
 @pytest.mark.parametrize("right", RIGHT_MODELS)
 def test_exterior_vectors_match_padded_assembly(unit_spec, unit_cert, rng, right, n):
     g = fd.Grid(-10.0, 10.0, n)
-    op = make_op(unit_spec, unit_cert, g, left=0.8, right=right, right_value=0.3)
+    op = make_op(
+        unit_spec, unit_cert, g, left=0.8, right=right, right_value=RIGHT_VALUE[right]
+    )
     u = fd.Field(g, 0.0, rng.uniform(0.1, 1.0, n))
     ref = padded_reference(op, u.values)
     tol = 1e-12 * np.max(np.abs(ref))

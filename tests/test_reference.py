@@ -247,16 +247,22 @@ def test_quadrature_routes_raise_on_a_negative_result(monkeypatch):
     assert _inversion(0.75, 2.0, False)[0] == 0.0
 
 
-@pytest.mark.parametrize("s", [0.05, 0.1])
+# a point of the core where each small order's density raises; at s = 0.15
+# 12 of 41 log-spaced y in [1e-5, 0.1] raise, scattered over [2.5e-5, 1e-3]
+SMALL_ORDER_CORE_POINT = {0.05: 0.01, 0.1: 0.01, 0.15: 1e-3}
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.15])
 def test_small_order_core_density_raises_instead_of_guessing(s):
-    # a stated limit: the core density at s <= 0.1 near y = 0 is out of
+    # a stated limit: the core density at s <= 0.15 near y = 0 is out of
     # reach of QAWF, and the density series does not accept the point, so
     # the oracle raises; the survival series still covers the same point
+    y = SMALL_ORDER_CORE_POINT[s]
     with pytest.raises(fd.QuadratureError):
-        fd.fractional_heat_kernel(s, 1.0, 0.01)
+        fd.fractional_heat_kernel(s, 1.0, y)
     with pytest.raises(fd.QuadratureError):
-        fd.fractional_heat_kernel(s, 1.0, np.array([5.0, 0.01]))
-    assert 0.0 < fd.reference_solution(s, 1.0, 0.0, 1.0, 0.01) < 0.5
+        fd.fractional_heat_kernel(s, 1.0, np.array([5.0, y]))
+    assert 0.0 < fd.reference_solution(s, 1.0, 0.0, 1.0, y) < 0.5
     assert fd.fractional_heat_kernel(0.15, 1.0, 0.01) > 0.0
 
 

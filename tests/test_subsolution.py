@@ -47,7 +47,9 @@ def test_scaling_constants_examples(unit_spec):
 
 def test_params_from_kernel(unit_spec, unit_params):
     p = unit_params
-    assert (p.s, p.j0, p.c, p.a, p.b, p.r0) == (0.5, 1.0, 2.0, 1.0, 0.0, 2.0)
+    assert (p.spec, p.c, p.a, p.b) == (unit_spec, 2.0, 1.0, 0.0)
+    assert p == fd.SubsolutionParams(unit_spec, 2.0)
+    assert (p.spec.s, p.spec.declared_j0, p.r0) == (0.5, 1.0, 2.0)
     assert p.kappa == 0.25
     assert p.t_star == 16.0
     assert p.r_star == 16.0
@@ -61,11 +63,18 @@ def test_params_from_kernel(unit_spec, unit_params):
         {"s": 0.5, "j0": 1.0, "c": 0.0},
         {"s": 0.5, "j0": 1.0, "c": 1.0, "a": 0.0},
         {"s": 0.5, "j0": 1.0, "c": 1.0, "r0": 1.0},
+        {"s": 0.5, "j0": 1.0, "c": float("nan")},
+        {"s": 0.5, "j0": 1.0, "c": 1.0, "a": float("nan")},
     ],
 )
 def test_params_validation(kwargs):
+    # s, j0 and r0 are the kernel's, so the kernel rejects them
+    k = dict(kwargs)
     with pytest.raises(ValueError):
-        fd.SubsolutionParams(**kwargs)
+        spec = fd.pure_fractional(
+            k.pop("s"), 1.0, j0=k.pop("j0"), j1=1.0, r0=k.pop("r0", 2.0)
+        )
+        fd.SubsolutionParams(spec, **k)
 
 
 @given(
@@ -75,7 +84,7 @@ def test_params_validation(kwargs):
 )
 @settings(max_examples=200, deadline=None)
 def test_scaling_identities_hold(s, j0, c):
-    p = fd.SubsolutionParams(s=s, j0=j0, c=c)
+    p = fd.SubsolutionParams(fd.pure_fractional(s, j0=j0, j1=1.0, r0=2.0), c)
     assert p.t_star * p.kappa == pytest.approx(2.0 * c, rel=1e-12)
     assert p.r_star ** (2.0 * s) == pytest.approx(8.0 * c * j0**2, rel=1e-12)
 
@@ -96,7 +105,7 @@ def test_profile_tail_scales_like_kappa_t(unit_params):
     p = unit_params
     for t in (0.5, 1.0, 8.0):
         x = 1e8
-        assert x ** (2.0 * p.s) * fd.w_eval(p, t, x) == pytest.approx(
+        assert x ** (2.0 * p.spec.s) * fd.w_eval(p, t, x) == pytest.approx(
             p.kappa * t, rel=1e-7
         )
 
@@ -116,7 +125,8 @@ def test_profile_vectorization_matches_scalar(unit_params):
         [[-5.0, -1.0, -0.0, 0.0, 0.5, 2.0, 100.0], np.logspace(-300, 300, 1201)]
     )
     for s in (0.5, 0.75, 1.0):
-        p = fd.SubsolutionParams(s=s, j0=unit_params.j0, c=unit_params.c)
+        spec = fd.pure_fractional(s, j0=unit_params.spec.declared_j0, j1=1.0, r0=2.0)
+        p = fd.SubsolutionParams(spec, c=unit_params.c)
         with np.errstate(over="ignore"):
             vec = fd.w_eval(p, 3.0, xs)
             assert vec.shape == xs.shape
@@ -128,7 +138,7 @@ def test_profile_vectorization_matches_scalar(unit_params):
 
 
 def test_profile_scalar_input_overflows_like_numpy():
-    p = fd.SubsolutionParams(s=0.75, j0=1.0, c=2.0)
+    p = fd.SubsolutionParams(fd.pure_fractional(0.75, j0=1.0, j1=1.0, r0=2.0), c=2.0)
     for x in (1e300, np.array([1e300])):
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert fd.w_eval(p, 3.0, x) == 0.0
@@ -172,7 +182,7 @@ def decimal_increment(params, t, x, z):
     """``w(x+z) + w(x-z) - 2 w(x)`` summed naively in 60-digit decimal."""
     with localcontext() as ctx:
         ctx.prec = 60
-        a, kt = Decimal(2.0 * params.s), Decimal(params.kappa * t)
+        a, kt = Decimal(2.0 * params.spec.s), Decimal(params.kappa * t)
 
         def w(y):
             return kt / (y**a + 2 * kt) if y > 0 else Decimal("0.5")
@@ -186,7 +196,7 @@ def decimal_increment(params, t, x, z):
 def test_symmetric_increment_matches_decimal_oracle(s, ratio):
     # the three barrier values agree to ~ratio^2 relative, so a float sum of
     # them keeps no digits at small ratios; the increment must keep them all
-    p = fd.SubsolutionParams(s=s, j0=1.0, c=2.0)
+    p = fd.SubsolutionParams(fd.pure_fractional(s, j0=1.0, j1=1.0, r0=2.0), c=2.0)
     x = 20.0
     for t in (0.25 * p.t_star, 0.75 * p.t_star):
         for z in (ratio * x, -ratio * x):
@@ -383,12 +393,14 @@ def test_residual_grid_default_span_and_guards(unit_spec, unit_params):
 
 
 def test_barrier_constants_must_be_the_kernels(unit_spec, cauchy_spec, unit_params):
-    # s, j0 and r0 come from params and the kernel values from spec, so the
-    # constants of another kernel would certify a barrier for neither
+    # the barrier takes s, j0 and r0 from its own kernel and the integrand
+    # from spec, so a barrier on another kernel certifies neither; that holds
+    # also for one sharing (s, j0, r0), here with amplitude 2
     for other in (
         cauchy_spec,
         fd.pure_fractional(0.5, 1.0, j0=1.0, j1=1.0, r0=3.0),
         COMPACT_FLAT_1,
+        fd.pure_fractional(0.5, 2.0, j0=1.0, j1=1.0, r0=2.0),
     ):
         params = fd.SubsolutionParams.from_kernel(other, c=2.0)
         with pytest.raises(ValueError, match="are not those of kernel"):
@@ -450,7 +462,7 @@ def test_shifted_subsolution_values(unit_params):
     )
     # far field approaches a * c / x^(2s) at t_star / 2
     x = 1e9
-    assert x ** (2.0 * p.s) * fd.shifted_subsolution(p, 8.0, x) == pytest.approx(
+    assert x ** (2.0 * p.spec.s) * fd.shifted_subsolution(p, 8.0, x) == pytest.approx(
         p.a * p.c, rel=1e-7
     )
 

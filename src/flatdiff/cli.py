@@ -214,7 +214,21 @@ def build_grid(section: dict, path: str = "config.grid") -> Grid:
 
 
 def build_boundary(cfg: dict, datum_a: float) -> BoundaryModel:
-    return BoundaryModel(**{"left_value": datum_a, **cfg.get("boundary", {})})
+    """The boundary models; ``left_value`` defaults to the datum's plateau.
+
+    The section's keys are added one at a time, in the order in which
+    ``BoundaryModel`` reads them, so an error names the key that caused it.
+    """
+    section = cfg.get("boundary", {})
+    fields = {"left_value": datum_a}
+    for key in ("left_value", "right", "right_value"):
+        if key in section:
+            fields[key] = section[key]
+            try:
+                BoundaryModel(**fields)
+            except ValueError as exc:
+                raise ConfigError(f"config.boundary.{key}: {exc}") from exc
+    return BoundaryModel(**fields)
 
 
 def build_datum(cfg: dict) -> InitialDatum:

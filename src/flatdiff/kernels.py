@@ -110,7 +110,7 @@ class KernelSpec:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if not self.s > 0:
             raise ValueError("tail order s must be positive")
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:
             raise ValueError("tail amplitude must be nonnegative")
         if not self.declared_j0 > 0:
             raise ValueError("declared envelope constant must be positive")
@@ -131,7 +131,7 @@ class KernelSpec:
                     f"near profile must be one of {tuple(_NEAR_SLOPES)}, "
                     f"got {self.near_profile!r}"
                 )
-            if self.near_scale < 0:
+            if not self.near_scale >= 0:
                 raise ValueError("near-field scale must be nonnegative")
             lo, slope = 1.0, _NEAR_SLOPES[self.near_profile]
         elif self.near_profile is not None or self.near_scale != 1.0:

@@ -25,7 +25,10 @@ where ``Delta(z) = w(x + z) + w(x - z) - 2 w(x)`` pairs ``+z`` with ``-z`` to
 tame the kernel singularity and ``w(x - z) = 1/2`` once ``z >= p``. For
 ``x < 0`` the first two terms vanish. ``Delta`` is evaluated without
 cancellation (see :func:`symmetric_increment`), which lets the quadrature
-converge on the ``z^(-1-2s)`` singularity up to ``s -> 1``.
+converge on the ``z^(-1-2s)`` singularity up to ``s -> 1``. Its integral is
+split at ``z = p/2`` and runs over ``tau = sqrt(z)`` and
+``sigma = sqrt(p - z)``, which make both ends smooth in the variable that
+quadrature sees (see :func:`nonlocal_apply_to_barrier`).
 """
 
 from __future__ import annotations
@@ -54,18 +57,20 @@ __all__ = [
 
 RESIDUAL_BUDGET_FLOOR = 1e-10
 DEFAULT_QUAD_TOL = 1e-8
-# The near piece of D w is split where x - z is this many core widths
-# (2 kappa t)^(1/(2s)) of the barrier: past it w(x - z) climbs to 1/2 over a
-# layer that is narrow against sqrt(x) for large x, and QUADPACK's
-# extrapolation gives up on the unsplit interval. Samples raising
-# QuadratureError, of 1244 (c = 2; 10 kernels with s from 0.3 to 1; 4 times;
-# 33 log-spaced positions from 20 to 1e12, those below the onset left out),
-# and integrand calls per sample on the certify layout (s05 / s075 / s1):
-#   no split   25 raised   215 / 369 / 289
-#   1           3 raised
-#   2           0 raised   165 / 373 / 236
-#   4           0 raised   139 / 384 / 238
-#   8           0 raised   153 / 344 / 239
+# The plateau side of the near piece of D w is split where x - z is this many
+# core widths (2 kappa t)^(1/(2s)) of the barrier: inside it w(x - z) climbs
+# to 1/2 over a layer that is narrow against sqrt(x) for large x, and
+# QUADPACK's extrapolation can give up on the unsplit interval. Samples
+# raising, of 1304 (c = 2; the unit-amplitude pure kernels with s in 0.3, 0.4,
+# 0.5, 0.6, 0.7, 0.75, 0.8, 0.9, 0.95 and the compact flat s = 1 kernel;
+# times 0.01, 1/3, 2/3 and 0.99 t_star; 33 log-spaced positions from 20 to
+# 1e12, those below the onset left out), and integrand calls per sample on
+# the certify layout (s05 / s075 / s1, near + tail):
+#   no split   2 raised   105 / 146 / 207
+#   1          0 raised    90 / 111 / 176
+#   2          0 raised    86 /  94 / 187
+#   4          0 raised    83 / 128 / 175
+#   8          0 raised   110 / 123 / 203
 CORE_WIDTHS = 4.0
 
 
@@ -95,6 +100,8 @@ class SubsolutionParams:
             raise ValueError("barrier scale c must be positive")
         if not self.a > 0:
             raise ValueError("plateau height must be positive")
+        if not math.isfinite(self.b):
+            raise ValueError("plateau edge b must be finite")
 
     @property
     def r0(self) -> float:
@@ -138,18 +145,20 @@ def w_eval(params: SubsolutionParams, t: float, x) -> np.ndarray | float:
     """Barrier value; 1/2 on the left half line, decaying algebraically right.
 
     Continuous at the junction, strictly decreasing in ``x`` on ``(0, inf)``,
-    nondecreasing in ``t``, with ``x^(2s) w(t, x) -> kappa t``. A ``float``
-    ``x`` (``np.float64`` included) gives a ``float`` out, computed without
-    building an array and with the same bits as the array path.
+    nondecreasing in ``t``, with ``x^(2s) w(t, x) -> kappa t``. A NaN ``x``
+    gives NaN, not the plateau. A ``float`` ``x`` (``np.float64`` included)
+    gives a ``float`` out, computed without building an array and with the
+    same bits as the array path.
     """
     if t <= 0:
         raise ValueError("barrier is defined for t > 0")
     kt, a = params.kappa * t, 2.0 * params.spec.s
     if isinstance(x, float):
-        return float(_barrier_right(kt, a, x)) if x > 0 else 0.5
+        return 0.5 if x <= 0 else float(_barrier_right(kt, a, x))
     x_arr = np.asarray(x, dtype=float)
-    xp = np.where(x_arr > 0, x_arr, 1.0)
-    out = np.where(x_arr > 0, _barrier_right(kt, a, xp), 0.5)
+    plateau = x_arr <= 0
+    xp = np.where(plateau, 1.0, x_arr)
+    out = np.where(plateau, 0.5, _barrier_right(kt, a, xp))
     if x_arr.ndim == 0:
         return float(out)
     return out
@@ -165,20 +174,30 @@ def w_time_derivative(params: SubsolutionParams, t: float, x: float) -> float:
     return params.kappa * xs / (xs + 2.0 * params.kappa * t) ** 2
 
 
-def _increment(kt: float, a: float, x: float, xa: float, g: float, z: float) -> float:
-    """Cancellation-free ``Delta`` of :func:`symmetric_increment` at ``0 < z < x``.
+def _increment(
+    kt: float, a: float, x: float, xa: float, g: float, z: float, y: float
+) -> float:
+    """``Delta`` of :func:`symmetric_increment` at ``0 < z < x``; ``y = x - z``.
 
     Takes the sample's constants ``kt = kappa t``, ``a = 2s``, ``xa = x^a``
     and ``g = g(x) = xa + 2 kt``, so that no ``pow`` is called per node.
+    ``z < y`` takes the ``u < 1/2`` branch, where ``y`` only picks the
+    branch. Otherwise ``y`` must be exact, as ``x - z`` is for ``z >= x/2``
+    and as ``sigma^2`` is on the plateau-side map of the near piece.
     """
     u = z / x
     d_plus = xa * math.expm1(a * math.log1p(u))
-    l_minus = a * math.log1p(-u)
-    d_minus = xa * math.expm1(l_minus)
-    big_s, big_d = 0.5 * a * math.log1p(-u * u), a * math.atanh(u)
-    e = 2.0 * xa * (
-        math.expm1(big_s) * math.cosh(big_d) + 2.0 * math.sinh(0.5 * big_d) ** 2
-    )
+    if z < y:
+        l_minus = a * math.log1p(-u)
+        d_minus = xa * math.expm1(l_minus)
+        big_s, big_d = 0.5 * a * math.log1p(-u * u), a * math.atanh(u)
+        e = 2.0 * xa * (
+            math.expm1(big_s) * math.cosh(big_d) + 2.0 * math.sinh(0.5 * big_d) ** 2
+        )
+    else:
+        l_minus = a * math.log(y / x)
+        d_minus = xa * math.expm1(l_minus)
+        e = d_plus + d_minus
     g_minus = xa * math.exp(l_minus) + 2.0 * kt
     return -kt * (g * e + 2.0 * d_plus * d_minus) / ((g + d_plus) * g_minus * g)
 
@@ -194,13 +213,25 @@ def symmetric_increment(
 
         Delta = -kappa t (g(x) e + 2 d+ d-) / (g(x+z) g(x-z) g(x)),
 
-    with ``u = |z|/x``, ``d+- = x^a expm1(a log1p(+-u))`` and
-    ``e = d+ + d- = 2 x^a (expm1(S) cosh D + 2 sinh(D/2)^2)``, where
-    ``S = (a/2) log1p(-u^2)`` and ``D = a atanh(u)``. ``g(x+z)`` is
-    ``g(x) + d+``; ``g(x-z)`` is ``x^a exp(a log1p(-u)) + 2 kappa t``, since
-    ``g(x) + d-`` loses every digit as ``z -> x`` once ``x^a`` dwarfs
-    ``2 kappa t``. Elsewhere the direct sum of three barrier values has no
-    cancellation and is used as is.
+    with ``e = d+ + d-``, ``g(x+z) = g(x) + d+``, ``d+ = x^a expm1(a
+    log1p(u))``, ``u = |z|/x``, and ``g(x-z) = x^a exp(L) + 2 kappa t``,
+    ``d- = x^a expm1(L)`` for ``L = a log(1 - u)``; ``g(x) + d-`` would lose
+    every digit as ``z -> x`` once ``x^a`` dwarfs ``2 kappa t``. Two
+    branches:
+
+    * ``u < 1/2``: ``L = a log1p(-u)`` and ``e = 2 x^a (expm1(S) cosh D +
+      2 sinh(D/2)^2)``, with ``S = (a/2) log1p(-u^2)`` and
+      ``D = a atanh(u)``, which keeps the ``u^2`` digits that ``d+ + d-``
+      cancels.
+    * ``u >= 1/2``: ``L = a log(y/x)`` from the distance ``y = x - |z|`` to
+      the plateau edge, exact there (Sterbenz), and ``e = d+ + d-``.
+      ``1 - u`` keeps few digits of ``y/x``, none once ``y`` is below an
+      ulp of ``x`` (``log1p(-u)`` then raises), and the ``S``, ``D`` form
+      subtracts ``cosh D``, of size ``(x/y)^(a/2)``, from itself, while
+      ``d+`` and ``d-`` stay of size ``x^a``.
+
+    Elsewhere the direct sum of three barrier values has no cancellation and
+    is used as is.
     """
     if t <= 0:
         raise ValueError("barrier is defined for t > 0")
@@ -213,7 +244,7 @@ def symmetric_increment(
         )
     a, kt = 2.0 * params.spec.s, params.kappa * t
     xa = x**a
-    return _increment(kt, a, x, xa, xa + 2.0 * kt, z)
+    return _increment(kt, a, x, xa, xa + 2.0 * kt, z, x - z)
 
 
 def nonlocal_apply_to_barrier(
@@ -232,29 +263,38 @@ def nonlocal_apply_to_barrier(
     vanish (every barrier value in them is 1/2), so only the far piece is
     integrated.
 
-    The near piece runs over ``tau`` with ``z = tau^2`` on ``(0, sqrt(p))``,
-    so its ``z^(1-2s)`` end becomes ``tau^(3-4s)``, constant at ``s = 3/4``.
-    It is split at ``sqrt(r)`` for the kernel's jump radii ``r`` (the finite
-    nonzero ends of ``spec.tail_support``) and for ``r = x - CORE_WIDTHS
-    (2 kappa t)^(1/(2s))``, where ``w(x - z)`` enters the barrier's core;
-    points outside ``(0, p)`` are dropped. The far piece is split at the
-    jump radii beyond ``p``. The sample's constants
-    (``a = 2s``, ``kappa t``, ``x^a``, ``g(x)``) are formed once, so a near
-    node costs only the ``math`` calls of the cancellation-free increment.
+    The near piece is split at ``z = x/2`` and runs over a square root of
+    the distance to each end. On ``(0, x/2)`` it takes ``z = tau^2``, so its
+    ``z^(1-2s)`` end becomes ``tau^(3-4s)``, constant at ``s = 3/4``; it is
+    split at ``sqrt(r)`` for the kernel's jump radii ``r`` (the finite
+    nonzero ends of ``spec.tail_support``). On ``(x/2, x)`` it takes
+    ``x - z = sigma^2``, so the plateau end, where ``w(x - z)`` reaches 1/2
+    as ``(x - z)^(2s)``, becomes the smooth ``sigma^(4s)``; the increment is
+    formed from the exact ``y = sigma^2``, never from ``x - z``, which rounds
+    to ``x`` far out. It is split at ``sqrt(x - r)`` for the jump radii in
+    ``(x/2, x)`` and at ``sqrt(CORE_WIDTHS (2 kappa t)^(1/(2s)))``, where
+    ``w(x - z)`` enters the barrier's core. Points outside a map's range are
+    dropped. The far piece is split at the jump radii beyond ``p``. The
+    sample's constants (``a = 2s``, ``kappa t``, ``x^a``, ``g(x)``) are
+    formed once, so a near node costs only the ``math`` calls of the
+    cancellation-free increment.
 
     Integrand calls per sample on the certify layout (c = 2, 20 x 20
     samples, x up to 200), near + tail:
 
-        kernel                      z and 1/v maps    square-root maps
-        s = 1/2 unit                171 + 21  = 192   118 + 21 = 139
-        s = 0.75 fractional Lapl.   940 + 224 = 1164  363 + 21 = 384
-        s = 1 compact flat          360 + 21  = 381   217 + 21 = 238
+        kernel                      z and 1/v    tau only     tau and sigma
+        s = 1/2 unit                171 + 21     118 + 21     62 + 21
+        s = 0.75 fractional Lapl.   940 + 224    363 + 21    107 + 21
+        s = 1 compact flat          360 + 21     217 + 21    154 + 21
 
     The first column split the near piece at 1 and the cutoff, and not at
-    the core. ``params`` reads ``s``, ``j0`` and ``r0`` from its own
-    kernel, so it must be built on ``spec`` (``params.spec == spec``);
-    otherwise this, and so :func:`residual_certificate` and
-    :func:`residual_grid`, raises ``ValueError``.
+    the core; the second ran the whole near piece in ``tau``, with the core
+    edge at ``sqrt(x - CORE_WIDTHS (2 kappa t)^(1/(2s)))``.
+
+    ``params`` reads ``s``, ``j0`` and ``r0`` from its own kernel, so it
+    must be built on ``spec`` (``params.spec == spec``); otherwise this, and
+    so :func:`residual_certificate` and :func:`residual_grid`, raises
+    ``ValueError``.
     """
     if t <= 0:
         raise ValueError("barrier is defined for t > 0")
@@ -279,17 +319,32 @@ def nonlocal_apply_to_barrier(
 
     def near_f(tau: float) -> float:
         z = tau * tau
-        return 2.0 * tau * _increment(kt, a, x, xa, g, z) * eval_kernel(spec, z)
+        return 2.0 * tau * _increment(kt, a, x, xa, g, z, x - z) * eval_kernel(spec, z)
 
-    core_edge = x - CORE_WIDTHS * (2.0 * kt) ** (1.0 / a)
+    def edge_f(sigma: float) -> float:
+        y = sigma * sigma
+        z = x - y
+        return 2.0 * sigma * _increment(kt, a, x, xa, g, z, y) * eval_kernel(spec, z)
+
+    # distances x - z of the plateau side's breaks: the core edge, and the
+    # jump radii beyond x/2
+    core = CORE_WIDTHS * (2.0 * kt) ** (1.0 / a)
+    root_half = math.sqrt(0.5 * x)
     near, _ = integrate_interval(
         near_f,
         0.0,
-        math.sqrt(x),
+        root_half,
         rel_tol=quad_tol,
-        breakpoints=[math.sqrt(r) for r in (*jumps, core_edge) if r > 0.0],
+        breakpoints=[math.sqrt(r) for r in jumps],
     )
-    return near + (0.5 - w_x) * exterior_mass(spec, x) + far
+    edge, _ = integrate_interval(
+        edge_f,
+        0.0,
+        root_half,
+        rel_tol=quad_tol,
+        breakpoints=[math.sqrt(d) for d in (core, *(x - r for r in jumps)) if d > 0.0],
+    )
+    return near + edge + (0.5 - w_x) * exterior_mass(spec, x) + far
 
 
 @dataclass(frozen=True)

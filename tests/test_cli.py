@@ -245,6 +245,28 @@ def test_right_value_under_another_boundary_model_exits_2(tmp_path, caplog):
     cfg = base_config(tmp_path, boundary=boundary)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "takes no right_value" in caplog.text
+    assert "config.boundary.right_value" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "boundary, key",
+    [
+        ({"left_value": -1.0}, "left_value"),
+        ({"right": "mirror"}, "right"),
+        ({"right": "constant", "right_value": -0.5}, "right_value"),
+        # keys are checked in the order BoundaryModel reads them, whatever
+        # their order in the file
+        ({"right_value": 0.3, "right": "constant"}, None),
+    ],
+)
+def test_boundary_error_names_its_config_key(tmp_path, caplog, boundary, key):
+    cfg = base_config(tmp_path, boundary=boundary)
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+    if key is None:
+        assert code == 0
+    else:
+        assert code == 2
+        assert f"config.boundary.{key}:" in caplog.text
 
 
 def test_hypothesis_violating_kernel_rejected(tmp_path):

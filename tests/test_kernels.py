@@ -330,3 +330,11 @@ def test_spec_validation_errors():
         fd.compact_plus_tail(
             0.5, 1.0, near_profile="spike", near_scale=1.0, j0=1.0, j1=1.0, r0=2.0
         )
+    # NaN compares false with 0 either way, so it must fail a `>= 0` test
+    with pytest.raises(ValueError, match="amplitude must be nonnegative"):
+        fd.pure_fractional(0.5, float("nan"), j0=1.0, j1=1.0, r0=2.0)
+    with pytest.raises(ValueError, match="scale must be nonnegative"):
+        fd.compact_plus_tail(
+            0.5, 1.0, near_profile="flat", near_scale=float("nan"),
+            j0=1.0, j1=1.0, r0=2.0,
+        )

@@ -1,5 +1,6 @@
 """Barrier profile, its constants, and the quadrature residual certificate."""
 
+import itertools
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -65,6 +66,8 @@ def test_params_from_kernel(unit_spec, unit_params):
         {"s": 0.5, "j0": 1.0, "c": 1.0, "r0": 1.0},
         {"s": 0.5, "j0": 1.0, "c": float("nan")},
         {"s": 0.5, "j0": 1.0, "c": 1.0, "a": float("nan")},
+        {"s": 0.5, "j0": 1.0, "c": 1.0, "b": float("nan")},
+        {"s": 0.5, "j0": 1.0, "c": 1.0, "b": float("inf")},
     ],
 )
 def test_params_validation(kwargs):
@@ -144,6 +147,18 @@ def test_profile_scalar_input_overflows_like_numpy():
             assert fd.w_eval(p, 3.0, x) == 0.0
 
 
+def test_profile_is_nan_at_nan(unit_params):
+    # x <= 0 is false for NaN as x > 0 is, so NaN must not take the plateau
+    xs = np.array([np.nan, -1.0, 2.0])
+    vec = fd.w_eval(unit_params, 1.0, xs)
+    assert np.isnan(vec[0]) and vec[1] == 0.5
+    assert vec[2] == fd.w_eval(unit_params, 1.0, 2.0)
+    assert np.isnan(fd.w_eval(unit_params, 1.0, float("nan")))
+    assert np.isnan(fd.w_eval(unit_params, 1.0, np.float64("nan")))
+    assert np.isnan(fd.w_eval(unit_params, 1.0, np.array(np.nan)))
+    assert np.isnan(fd.shifted_subsolution(unit_params, 8.0, float("nan")))
+
+
 def test_profile_requires_positive_time(unit_params):
     for t in (0.0, -1.0):
         with pytest.raises(ValueError):
@@ -192,13 +207,16 @@ def decimal_increment(params, t, x, z):
 
 
 @pytest.mark.parametrize("s", [0.5, 0.75, 0.95])
-@pytest.mark.parametrize("ratio", [1e-12, 1e-8, 1e-5, 1e-3, 0.1, 0.9])
+@pytest.mark.parametrize(
+    "ratio", [1e-12, 1e-8, 1e-5, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12]
+)
 def test_symmetric_increment_matches_decimal_oracle(s, ratio):
     # the three barrier values agree to ~ratio^2 relative, so a float sum of
-    # them keeps no digits at small ratios; the increment must keep them all
+    # them keeps no digits at small ratios; the increment must keep them all.
+    # Near ratio 1 the distance x - |z| to the plateau edge is exact while
+    # 1 - |z|/x keeps few digits of it, none once it is below an ulp of x
     p = fd.SubsolutionParams(fd.pure_fractional(s, j0=1.0, j1=1.0, r0=2.0), c=2.0)
-    x = 20.0
-    for t in (0.25 * p.t_star, 0.75 * p.t_star):
+    for x, t in itertools.product((20.0, 1e11), (0.25 * p.t_star, 0.75 * p.t_star)):
         for z in (ratio * x, -ratio * x):
             got = fd.symmetric_increment(p, t, x, z)
             assert isinstance(got, float)
@@ -370,6 +388,45 @@ def test_residual_certificate_evaluates_far_beyond_the_layout(fractional_laplaci
         for x in np.logspace(3.0, 12.0, 19):
             assert fd.residual_certificate(spec, params, float(t), float(x)).passed
     assert fd.residual_certificate(spec, params, params.t_star / 2.0, 1.6e5).passed
+
+
+def test_residual_certificate_evaluates_where_z_rounds_to_x():
+    # at x = 4.6e11 the plateau side of the near piece has nodes whose
+    # distance x - z lies below an ulp of x, where 1 - z/x is 0: the
+    # increment must come from the distance itself
+    spec = fd.pure_fractional(0.3, 1.0, j0=1.0, j1=1.0, r0=2.0)
+    params = fd.SubsolutionParams(spec, 2.0)
+    sample = fd.residual_certificate(
+        spec, params, params.t_star / 100.0, 463081239815.19165
+    )
+    assert sample.passed and sample.resolved
+
+
+def test_residual_certificate_integrand_calls_on_the_certify_layout(
+    monkeypatch, fractional_laplacian
+):
+    """Both ends of the near piece are square-root maps, so QUADPACK need not
+    bisect towards the plateau edge, where ``w(x - z)`` reaches 1/2 as
+    ``(x - z)^(2s)`` and ``sigma = sqrt(x - z)`` makes it smooth."""
+    spec = fractional_laplacian(0.75)
+    params = fd.SubsolutionParams(spec, 2.0)
+    calls = 0
+    kernel_values = subsolution.eval_kernel
+
+    def counted(spec, z):
+        nonlocal calls
+        calls += 1
+        return kernel_values(spec, z)
+
+    monkeypatch.setattr(subsolution, "eval_kernel", counted)
+    # every fourth time and position of the 20 x 20 layout, x up to 200
+    times = params.t_star * np.arange(1, 21)[::4] / 21.0
+    positions = np.linspace(params.onset, 200.0, 20)[::4]
+    for t in times:
+        for x in positions:
+            assert fd.residual_certificate(spec, params, float(t), float(x)).passed
+    # 131.0 measured on these 25 samples; 385.6 with that end in tau = sqrt(z)
+    assert calls / (len(times) * len(positions)) < 160.0
 
 
 def test_far_sample_passes_only_through_the_budget_floor(fractional_laplacian):

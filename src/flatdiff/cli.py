@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -81,7 +82,17 @@ def _leaf(types: tuple, what: str, convert=None):
     return check
 
 
-_number = _leaf((int, float), "a number", float)
+_real = _leaf((int, float), "a number", float)
+
+
+def _number(value, path: str) -> float:
+    # json reads the NaN, Infinity and -Infinity tokens as floats
+    value = _real(value, path)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite")
+    return value
+
+
 _integer = _leaf((int,), "an integer")
 _string = _leaf((str,), "a string")
 
@@ -421,7 +432,7 @@ def cmd_verify_subsolution(cfg: dict, out: Path, args) -> int:
     spec = build_kernel(cfg)
     section = cfg.get("checks", {}).get("subsolution", {})
     c = _need(section, "c", "config.checks.subsolution")
-    params = SubsolutionParams.from_kernel(spec, c)
+    params = SubsolutionParams(spec, c)
     samples = residual_grid(
         spec, params, **_given(section, "nt", "nx", "x_max", "quad_tol")
     )

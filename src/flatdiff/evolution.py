@@ -190,6 +190,8 @@ def evolve(
     stages a step took.
     """
     snaps = sorted({float(s) for s in output_times} | {float(t_final)})
+    if not all(map(math.isfinite, snaps)):
+        raise ValueError(f"output times must be finite, not {snaps}")
     if snaps[0] < u0.t:
         raise ValueError(f"output time {snaps[0]} precedes the initial time {u0.t}")
 

@@ -20,6 +20,20 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge to the requested tolerance."""
 
 
+def _quad(f, a: float, b: float, where: str, **options) -> tuple[float, float]:
+    """``integrate.quad`` raising :class:`QuadratureError` on a QUADPACK warning.
+
+    ``where`` is formatted with ``a``, ``b`` and ``options`` only on failure.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            return integrate.quad(f, a, b, **options)
+        except integrate.IntegrationWarning as exc:
+            where = where.format(a=a, b=b, **options)
+            raise QuadratureError(f"{where} did not converge: {exc}") from exc
+
+
 def integrate_interval(
     f: Callable[[float], float],
     a: float,
@@ -38,17 +52,10 @@ def integrate_interval(
         pts = [p for p in breakpoints if a < p < b]
         if not pts:
             pts = None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(
-                f, a, b, epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=400, points=pts
-            )
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureError(
-                f"quadrature on [{a}, {b}] did not converge: {exc}"
-            ) from exc
-    return val, err
+    return _quad(
+        f, a, b, "quadrature on [{a}, {b}]",
+        epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=400, points=pts
+    )
 
 
 def integrate_tail(
@@ -103,14 +110,7 @@ def fourier_oscillatory_tail(
     if omega <= 0:
         raise ValueError("oscillation frequency must be positive")
     cycles = min(_MAX_CYCLES, max(80, int(16.0 * omega) + 80))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(
-                f, 0.0, np.inf, weight=kind, wvar=omega, epsabs=_OSC_TOL, limlst=cycles
-            )
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureError(
-                f"oscillatory quadrature (omega={omega}) did not converge: {exc}"
-            ) from exc
-    return val, err
+    return _quad(
+        f, 0.0, np.inf, "oscillatory quadrature (omega={wvar})",
+        weight=kind, wvar=omega, epsabs=_OSC_TOL, limlst=cycles
+    )

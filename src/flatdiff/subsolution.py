@@ -96,15 +96,16 @@ class SubsolutionParams:
     b: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise ValueError("barrier scale c must be positive")
-        if not self.a > 0:
-            raise ValueError("plateau height must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("barrier scale c must be positive and finite")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError("plateau height must be positive and finite")
         if not math.isfinite(self.b):
             raise ValueError("plateau edge b must be finite")
 
     @property
     def r0(self) -> float:
+        """``spec.declared_r0``, kept for the benchmark (ROADMAP item 6)."""
         return self.spec.declared_r0
 
     @cached_property
@@ -123,13 +124,20 @@ class SubsolutionParams:
 
     @cached_property
     def onset(self) -> float:
-        return self.r0 + self.r_star
+        return self.spec.declared_r0 + self.r_star
 
     @classmethod
     def from_kernel(
         cls, spec: KernelSpec, c: float, a: float = 1.0, b: float = 0.0
     ) -> "SubsolutionParams":
+        """The constructor, kept for the benchmark (ROADMAP item 6)."""
         return cls(spec, c, a, b)
+
+
+def _check_time(t: float) -> None:
+    """Reject a time outside ``(0, inf)``; NaN fails the chained comparison."""
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"barrier is defined for finite t > 0, not t = {t}")
 
 
 def _barrier_right(kt: float, a: float, x):
@@ -150,8 +158,7 @@ def w_eval(params: SubsolutionParams, t: float, x) -> np.ndarray | float:
     gives a ``float`` out, computed without building an array and with the
     same bits as the array path.
     """
-    if t <= 0:
-        raise ValueError("barrier is defined for t > 0")
+    _check_time(t)
     kt, a = params.kappa * t, 2.0 * params.spec.s
     if isinstance(x, float):
         return 0.5 if x <= 0 else float(_barrier_right(kt, a, x))
@@ -166,8 +173,7 @@ def w_eval(params: SubsolutionParams, t: float, x) -> np.ndarray | float:
 
 def w_time_derivative(params: SubsolutionParams, t: float, x: float) -> float:
     """Exact ``d_t w``: ``kappa x^(2s) / (x^(2s) + 2 kappa t)^2`` for x > 0."""
-    if t <= 0:
-        raise ValueError("barrier is defined for t > 0")
+    _check_time(t)
     if x <= 0:
         return 0.0
     xs = x ** (2.0 * params.spec.s)
@@ -233,8 +239,7 @@ def symmetric_increment(
     Elsewhere the direct sum of three barrier values has no cancellation and
     is used as is.
     """
-    if t <= 0:
-        raise ValueError("barrier is defined for t > 0")
+    _check_time(t)
     z = abs(z)
     if x <= 0 or z >= x:
         return (
@@ -296,8 +301,9 @@ def nonlocal_apply_to_barrier(
     so :func:`residual_certificate` and :func:`residual_grid`, raises
     ``ValueError``.
     """
-    if t <= 0:
-        raise ValueError("barrier is defined for t > 0")
+    _check_time(t)
+    if not math.isfinite(x):
+        raise ValueError(f"D w is evaluated at finite x, not x = {x}")
     if x == 0.0:
         raise ValueError("the profile kink makes the operator singular at x = 0")
     if params.spec != spec:
@@ -405,6 +411,8 @@ def residual_grid(
     x_lo = params.onset
     if x_max is None:
         x_max = 10.0 * x_lo
+    if not math.isfinite(x_max):
+        raise ValueError(f"x_max must be finite, not {x_max}")
     if x_max < x_lo:
         raise ValueError("x_max lies below the validity onset r0 + r_star")
     times = params.t_star * np.arange(1, nt + 1) / (nt + 1)

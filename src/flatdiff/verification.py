@@ -294,7 +294,7 @@ def flattening_ratio(
         )
     state = traj.state_at(t)
     s = spec.s
-    params = SubsolutionParams.from_kernel(spec, c=kappa(spec) * t, a=a, b=b)
+    params = SubsolutionParams(spec, kappa(spec) * t, a, b)
     onset = params.onset + b
     x_max = traj.grid.x_max
     if window is None:

@@ -158,6 +158,9 @@ MALFORMED = [
     ("output.compress", True, "['compress'] in config.output"),
     ("solver.method", "fft", "['method'] in config.solver"),
     ("output.format", "xml", "config.output.format must be one of csv, json, both"),
+    ("times.t_final", float("nan"), "config.times.t_final must be finite"),
+    ("times.t_final", float("inf"), "config.times.t_final must be finite"),
+    ("checks.subsolution.x_max", float("inf"), "config.checks.subsolution.x_max must be finite"),
 ]
 
 

@@ -157,6 +157,18 @@ def test_evolve_rejects_past_targets(small_op):
         fd.evolve(small_op, u0, 2.0, output_times=(0.5,))
 
 
+@pytest.mark.parametrize(
+    "t_final, output_times",
+    [(float("nan"), ()), (float("inf"), ()), (1.0, (float("nan"),)), (1.0, (0.5, float("inf")))],
+    ids=["t_final=nan", "t_final=inf", "output=nan", "output=inf"],
+)
+def test_evolve_rejects_non_finite_times(small_op, t_final, output_times):
+    # a NaN target compares false with every time, and an infinite one is never reached
+    u0 = decreasing_datum(small_op.grid)
+    with pytest.raises(ValueError, match="must be finite"):
+        fd.evolve(small_op, u0, t_final, output_times)
+
+
 def test_divergence_is_detected(unit_spec, unit_cert):
     grid = fd.Grid(-5.0, 5.0, 64)
     op = fd.discretize(

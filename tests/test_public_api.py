@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import types
 
 import flatdiff as fd
 
@@ -24,3 +25,9 @@ def test_package_exports_what_its_modules_declare():
             assert getattr(fd, name) is getattr(module, name)
     assert set(fd.__all__) - {"__version__"} == declared
     assert len(fd.__all__) == len(set(fd.__all__))
+    # a name imported into the package without being declared is not API
+    public = {
+        name for name, value in vars(fd).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public <= set(fd.__all__)

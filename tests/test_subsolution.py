@@ -68,6 +68,8 @@ def test_params_from_kernel(unit_spec, unit_params):
         {"s": 0.5, "j0": 1.0, "c": 1.0, "a": float("nan")},
         {"s": 0.5, "j0": 1.0, "c": 1.0, "b": float("nan")},
         {"s": 0.5, "j0": 1.0, "c": 1.0, "b": float("inf")},
+        {"s": 0.5, "j0": 1.0, "c": float("inf")},
+        {"s": 0.5, "j0": 1.0, "c": 1.0, "a": float("inf")},
     ],
 )
 def test_params_validation(kwargs):
@@ -447,6 +449,27 @@ def test_residual_grid_default_span_and_guards(unit_spec, unit_params):
         fd.residual_grid(unit_spec, unit_params, nt=0, nx=2)
     with pytest.raises(ValueError):
         fd.residual_grid(unit_spec, unit_params, nt=2, nx=2, x_max=10.0)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+# each takes (spec, params, value); t = 8 and x = 30 lie in the validity set
+NON_FINITE_CALLS = {
+    "certificate_t": lambda spec, p, v: fd.residual_certificate(spec, p, v, 30.0),
+    "certificate_x": lambda spec, p, v: fd.residual_certificate(spec, p, 8.0, v),
+    "grid_x_max": lambda spec, p, v: fd.residual_grid(spec, p, nt=2, nx=2, x_max=v),
+    "w_eval_t": lambda spec, p, v: fd.w_eval(p, v, 30.0),
+}
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_non_finite_time_or_position_raises_value_error(
+    unit_spec, unit_params, call, value
+):
+    # NaN passes a one-sided ordering check, and at x = -inf every barrier
+    # value is 1/2, so D w and the residual would read 0
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_CALLS[call](unit_spec, unit_params, value)
 
 
 def test_barrier_constants_must_be_the_kernels(unit_spec, cauchy_spec, unit_params):

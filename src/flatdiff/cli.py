@@ -72,22 +72,27 @@ def _given(mapping: dict, *keys: str) -> dict:
 # -- config schema: each leaf checks one JSON value and returns it typed -----
 
 
-def _leaf(types: tuple, what: str, convert=None):
+def _leaf(types: tuple, what: str):
     # bool is a subclass of int, so a number or an integer never takes true/false
     def check(value, path: str):
         if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
             raise ConfigError(f"{path} must be {what}")
-        return value if convert is None else convert(value)
+        return value
 
     return check
 
 
-_real = _leaf((int, float), "a number", float)
+_real = _leaf((int, float), "a number")
 
 
 def _number(value, path: str) -> float:
-    # json reads the NaN, Infinity and -Infinity tokens as floats
+    # json reads the NaN, Infinity and -Infinity tokens as floats, and an
+    # integer literal of any length as an int, which float() may overflow
     value = _real(value, path)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path} must be finite") from None
     if not math.isfinite(value):
         raise ConfigError(f"{path} must be finite")
     return value

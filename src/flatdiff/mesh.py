@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -23,6 +24,8 @@ class Grid:
     def __post_init__(self) -> None:
         if not self.x_min < self.x_max:
             raise ValueError("grid requires x_min < x_max")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError("grid requires finite x_min and x_max")
         if self.n < 16:
             raise ValueError("grid requires at least 16 nodes")
 

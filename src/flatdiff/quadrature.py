@@ -1,4 +1,5 @@
-"""Thin wrappers around adaptive quadrature with explicit failure reporting."""
+"""Adaptive quadrature with explicit failure reporting: thin wrappers around
+QUADPACK for one integrand, and a batched Gauss-Kronrod rule for many."""
 
 from __future__ import annotations
 
@@ -12,8 +13,39 @@ from scipy import integrate
 __all__ = ["QuadratureError"]
 
 _ABS_FLOOR = 1e-14
-_OSC_TOL = 1e-12
-_MAX_CYCLES = 20000
+# most subintervals one integral may use, in QUADPACK and in the batched rule
+_PANEL_LIMIT = 400
+
+# QUADPACK's qk21 rule: the 11 nonnegative Kronrod nodes, descending, their
+# weights, and the weights of the 10-point Gauss rule at the odd positions;
+# _NODES, _KRONROD and _GAUSS spread them over all 21 nodes of [-1, 1]
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208005421425, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
+_KRONROD = np.concatenate((_WGK, _WGK[-2::-1]))
+_GAUSS = np.zeros(21)
+_GAUSS[1:10:2] = _WG
+_GAUSS[19:10:-2] = _WG
+_EPS = np.finfo(float).eps
 
 
 class QuadratureError(RuntimeError):
@@ -54,7 +86,7 @@ def integrate_interval(
             pts = None
     return _quad(
         f, a, b, "quadrature on [{a}, {b}]",
-        epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=400, points=pts
+        epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=_PANEL_LIMIT, points=pts
     )
 
 
@@ -96,21 +128,89 @@ def integrate_tail(
     )
 
 
-def fourier_oscillatory_tail(
-    f: Callable[[float], float],
-    omega: float,
-    kind: str = "cos",
-) -> tuple[float, float]:
-    """Compute ``int_0^inf f(xi) * cos/sin(omega xi) dxi`` for decaying ``f``.
+def _kronrod21(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
+    """QUADPACK's qk21 on the panels ``[a, b]``: values and error estimates.
 
-    Integrates cycle by cycle between zeros of the oscillating weight and
-    accelerates the resulting alternating series (QUADPACK's QAWF). The cycle
-    budget scales with ``omega`` since the cycles shrink as ``pi / omega``.
+    The estimate is ``resasc * min(1, (200 |K - G| / resasc)^1.5)``, raised
+    to the round-off floor ``50 eps resabs``. Each panel's sums run along its
+    own row, so a panel's result does not depend on the other panels.
     """
-    if omega <= 0:
-        raise ValueError("oscillation frequency must be positive")
-    cycles = min(_MAX_CYCLES, max(80, int(16.0 * omega) + 80))
-    return _quad(
-        f, 0.0, np.inf, "oscillatory quadrature (omega={wvar})",
-        weight=kind, wvar=omega, epsabs=_OSC_TOL, limlst=cycles
-    )
+    half = 0.5 * (b - a)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fx = f((0.5 * (a + b))[:, None] + half[:, None] * _NODES, owner)
+        kronrod = (fx * _KRONROD).sum(axis=1)
+        gauss = (fx * _GAUSS).sum(axis=1)
+        resabs = (np.abs(fx) * _KRONROD).sum(axis=1) * half
+        resasc = (np.abs(fx - 0.5 * kronrod[:, None]) * _KRONROD).sum(axis=1) * half
+        err = np.abs(kronrod - gauss) * half
+        spread = resasc > 0.0
+        ratio = 200.0 * err[spread] / resasc[spread]
+        err[spread] = resasc[spread] * np.minimum(1.0, ratio * np.sqrt(ratio))
+    return kronrod * half, np.maximum(50.0 * _EPS * resabs, err)
+
+
+def integrate_panels(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    edges: np.ndarray,
+    rel_tol: float,
+    where: Callable[[int], str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate one function per row of ``edges`` over that row's interval.
+
+    Row ``i`` of ``edges`` holds ascending breakpoints from its lower to its
+    upper limit; zero-width panels are dropped. ``f(x, owner)`` takes nodes
+    ``x`` of shape ``(m, 21)`` and the row index ``owner`` of each of the
+    ``m`` panels, and returns the integrands' values at ``x``. Each pass
+    applies QUADPACK's 21-point Gauss-Kronrod rule to every open panel of
+    every row in one call to ``f``. A row is retired once its summed error
+    estimate is at most ``rel_tol`` times its summed value; otherwise every
+    panel whose estimate exceeds its even share of that bound is bisected.
+    Returns ``(values, error_estimates)``, one per row. A row that gives a
+    non-finite value, or reaches 400 panels unconverged, raises
+    :class:`QuadratureError` with the description ``where(i)``; the
+    integrand's floating-point warnings are silenced, not raised.
+    """
+    rows = edges.shape[0]
+    lo = edges[:, :-1].ravel()
+    hi = edges[:, 1:].ravel()
+    owner = np.repeat(np.arange(rows), edges.shape[1] - 1)
+    wide = hi > lo
+    new_lo, new_hi, new_owner = lo[wide], hi[wide], owner[wide]
+    lo = hi = val = err = np.empty(0)
+    owner = np.empty(0, dtype=int)
+    values = np.zeros(rows)
+    errors = np.zeros(rows)
+    open_rows = np.ones(rows, dtype=bool)
+    while True:
+        v, e = _kronrod21(f, new_lo, new_hi, new_owner)
+        bad = ~(np.isfinite(v) & np.isfinite(e))
+        if bad.any():
+            raise QuadratureError(f"{where(int(new_owner[bad][0]))} gave a non-finite value")
+        lo = np.concatenate((lo, new_lo))
+        hi = np.concatenate((hi, new_hi))
+        owner = np.concatenate((owner, new_owner))
+        val = np.concatenate((val, v))
+        err = np.concatenate((err, e))
+        total = np.bincount(owner, val, minlength=rows)
+        bound = np.bincount(owner, err, minlength=rows)
+        count = np.bincount(owner, minlength=rows)
+        done = open_rows & (bound <= rel_tol * np.abs(total))
+        values[done] = total[done]
+        errors[done] = bound[done]
+        open_rows &= ~done
+        if not open_rows.any():
+            return values, errors
+        capped = np.flatnonzero(open_rows & (count >= _PANEL_LIMIT))
+        if capped.size:
+            raise QuadratureError(
+                f"{where(int(capped[0]))} did not converge in {_PANEL_LIMIT} panels"
+            )
+        live = open_rows[owner]
+        share = rel_tol * np.abs(total) / np.maximum(count, 1)
+        split = live & (err > share[owner])
+        keep = live & ~split
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        new_owner = np.concatenate((owner[split], owner[split]))
+        lo, hi, owner, val, err = lo[keep], hi[keep], owner[keep], val[keep], err[keep]

@@ -1,23 +1,20 @@
 """Independent oracles built on the fractional-Laplacian heat kernel.
 
 The standardized kernel ``p(1, y)`` and its upper tail mass
-``S(y) = int_y^inf p(1, v) dv`` are evaluated point by point by one router,
-:func:`_standardized`, which picks one of four routes:
+``S(y) = int_y^inf p(1, v) dv`` are evaluated by one router,
+:func:`_standardized`, which sends each point to one of four routes:
 
 * closed forms at s = 1/2 (Cauchy, arctangent) and s = 1 (Gaussian, erfc);
 * otherwise, beyond a switch-on point, the Bergström series in ``y^(-2s)``
   (Bergström 1952; Nolan 2020, section 3.10), which keeps relative accuracy
   in the far tail where the flattening bound lives;
 * near the origin, where the Bergström series is not accepted, the Taylor
-  series at ``y = 0`` (:func:`_taylor`). There the oscillatory quadrature
-  below fails silently: its first cycle, ``pi / y`` long, samples the
-  integrand only where it has decayed to 0;
-* in the rest of the core, Fourier inversion
-
-      p(1, y) = (1/pi) * int_0^inf exp(-xi^(2s)) cos(y xi) dxi
-
-  (and a sine transform for ``S``) by one oscillatory quadrature,
-  :func:`_inversion`.
+  series at ``y = 0`` (:func:`_taylor`);
+* in the rest of the core, Zolotarev's integral over ``theta`` in
+  ``(0, pi/2)`` (Zolotarev 1986; Nolan 1997), whose integrand is smooth and
+  not oscillatory: :func:`_zolotarev` takes all of the call's core points
+  in one batch through the vectorized Gauss-Kronrod rule
+  :func:`~flatdiff.quadrature.integrate_panels`.
 
 A point takes a series when its smallest term plus the rounding of the
 summed terms, ``smallest + eps * sum|terms|``, is at most
@@ -27,8 +24,9 @@ Taylor series holds the density up to about 0.42, 1.6 and 1.8 there, and
 the tail mass up to about 0.45, 2.5 and 2.5. Every route works at t = 1
 and is rescaled through the exact self-similarity
 ``p(t, x) = t^(-1/(2s)) p(1, t^(-1/(2s)) x)``. The series and the
-inversion see ``|y|``, and ``S(-y) = 1 - S(y)`` is applied once, after
-them. A scalar and an array take the same route per point, so they give
+integral see ``|y|``, and ``S(-y) = 1 - S(y)`` is applied once, after
+them. A scalar and an array take the same route per point, and a point's
+quadrature panels are summed apart from the other points', so they give
 the same bits. Convolving the kernel against a plateau datum
 a * 1_{x <= b} yields the reference solution used to cross-validate the
 grid solver, and the algebraic kernel tails provide the two-sided envelope
@@ -47,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .quadrature import QuadratureError, fourier_oscillatory_tail
+from .quadrature import QuadratureError, integrate_panels
 
 __all__ = [
     "fractional_heat_kernel",
@@ -62,6 +60,20 @@ __all__ = [
 # error a point must reach to take a series instead of quadrature
 SERIES_TERMS = 60
 SERIES_REL_TOL = 1e-14
+# Zolotarev's integral: the relative tolerance of its quadrature; its
+# breakpoints, as multiples of the distance u* from the peak to the nearer
+# end, as fractions of pi/2 from a far end where g -> 0, and as the values
+# of log g they mark near the peak; and the search for u*: rounds of 32
+# log-spaced points, which bracket it to 2 % within [1e-300, pi/4], then
+# steps of false position
+ZOLOTAREV_REL_TOL = 1e-13
+_PEAK_MULTIPLES = np.array([1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e3])
+_FAR_END_FRACTIONS = np.array([0.1, 1e-2, 1e-3])
+_PEAK_LEVELS = np.array([-40.0, -10.0, -3.0, -1.0, 1.0, 2.0, 4.0])
+_PEAK_SEARCH_FLOOR = 1e-300
+_PEAK_SEARCH_ROUNDS = 3
+_FALSE_POSITION_STEPS = 8
+_SECTION = np.linspace(0.0, 1.0, 32)
 
 
 def _check_order(s: float) -> None:
@@ -176,7 +188,7 @@ def _standardized(s: float, y: np.ndarray, density: bool) -> np.ndarray:
 
     The closed forms take s = 1/2 and s = 1. Otherwise each point sees
     ``|y|``: the Bergström series where it is accepted, then the Taylor
-    series where that is accepted, :func:`_inversion` elsewhere, and
+    series where that is accepted, :func:`_zolotarev` elsewhere, and
     ``S(-y) = 1 - S(y)`` is applied once, after the three routes.
     """
     if s == 0.5:
@@ -198,38 +210,162 @@ def _standardized(s: float, y: np.ndarray, density: bool) -> np.ndarray:
     series, accepted = _taylor(s, mag[rest], density)
     out[rest[accepted]] = series[accepted]
     rest = rest[~accepted]
-    out[rest] = [_inversion(s, float(v), density)[0] for v in mag[rest]]
+    if rest.size:
+        out[rest] = _zolotarev(s, mag[rest], density)
     if not density:
         out = np.where(flat < 0.0, 1.0 - out, out)
     return out.reshape(y.shape)
 
 
-def _inversion(s: float, y: float, density: bool) -> tuple[float, float]:
-    """``p(1, y)`` or ``S(y)`` and its quadrature error for 0 < s < 1 and
-    ``y > 0``, by one oscillatory quadrature.
+def _zolotarev(s: float, y: np.ndarray, density: bool) -> np.ndarray:
+    """``p(1, y)`` or ``S(y)`` at the points ``y > 0`` for ``s != 1/2``, by
+    Zolotarev's integral over a finite interval, all points in one batch.
 
-    The density is the cosine transform of ``exp(-xi^(2s))``. For the tail
-    mass, ``int_y^inf p = 1/2 - (1/pi) int_0^inf e^{-xi^(2s)} sin(y xi)/xi
-    dxi`` and ``int_0^inf sin(y xi)/xi dxi = pi/2`` absorb the non-decaying
-    part, leaving ``S = -(1/pi)`` times the sine transform of
-    ``(exp(-xi^(2s)) - 1)/xi``, which decays at infinity. A result below
-    minus its error raises :class:`QuadratureError`.
+    With alpha = 2s and ``ex = alpha / (alpha - 1)``, let ``g = y^ex V(theta)``
+    on ``(0, pi/2)``, where ``log V = log(cos theta) / (alpha - 1)
+    - ex log sin(alpha theta) + log cos((alpha - 1) theta)`` (Zolotarev 1986;
+    Nolan 1997, Theorem 1). Then ``p(1, y) = alpha / (pi |alpha - 1| y)
+    int g e^-g``, and ``S(y) = (1/pi) int e^-g`` for alpha > 1 or
+    ``(1/pi) int -expm1(-g)`` for alpha < 1.
+
+    The integrands are smooth and not oscillatory, but they peak, or step,
+    where ``g = 1``, which can lie within 1e-4 of an end and near s = 1/2
+    is only about ``|2s - 1| u*`` wide. Without breakpoints the adaptive
+    rule reads the density as 0, with an error estimate of about 0, at
+    s = 0.3 and 0.45 for small y and at s = 0.99 for y = 100. ``g`` runs
+    monotonically from 0 at one end to infinity at the other, so a section
+    search and false position on ``log g`` find the peak ``u*`` in the
+    distance ``u`` from the nearer end, where every factor of ``V`` is the
+    sine of an argument formed without cancellation. Each point is split at
+    ``_PEAK_MULTIPLES`` times ``u*``, where ``log g`` reaches
+    ``_PEAK_LEVELS``, and, where the far end is the one with ``g -> 0`` (g
+    is a power of the distance there, with a pole just beyond it at s near
+    1), at ``_FAR_END_FRACTIONS`` of pi/2 from that end. The quadrature runs
+    over ``u - u*``, from which ``log g`` is formed near the peak, so that
+    neither the nodes nor the logarithms carry rounding scaled by
+    ``1 / |2s - 1|``. A point whose peak lies below the search range or is
+    not resolved, or whose quadrature does not converge, raises
+    :class:`QuadratureError`. At s = 1 this is Craig's formula for the
+    Gaussian tail mass; there ``g >= y^2/4``, so a point with ``y >= 2`` has
+    no peak to miss.
     """
     alpha = 2.0 * s
+    ex = alpha / (alpha - 1.0)
+    half_pi = 0.5 * math.pi
+    reflect = (1.0 - s) * math.pi
 
-    def damped(xi: float) -> float:
+    def log_g(u, a, b, log_scale):
+        # the factors cos theta, sin(alpha theta) and cos((alpha - 1) theta)
+        # of V, each sin(a + b u) with theta = u, or pi/2 - u where flipped
+        return (
+            log_scale
+            + np.log(np.sin(a[..., 0] + b[..., 0] * u)) / (alpha - 1.0)
+            - ex * np.log(np.sin(a[..., 1] + b[..., 1] * u))
+            + np.log(np.sin(a[..., 2] + b[..., 2] * u))
+        )
+
+    def phases(flip):
+        # sin(alpha theta) = sin(pi - alpha theta) and cos(x) = sin(pi/2 - x)
+        a = np.where(flip[:, None], [0.0, reflect, reflect], [half_pi, 0.0, half_pi])
+        b = np.where(flip[:, None], [1.0, alpha, alpha - 1.0], [-1.0, alpha, alpha - 1.0])
+        return a, b
+
+    log_scale = ex * np.log(y)
+    # g rises with theta for alpha < 1 and falls for alpha > 1; the peak is
+    # past pi/4 when g(pi/4) is on the side of 1 that theta = 0 is on
+    rising = alpha < 1.0
+    unflipped = phases(np.zeros(y.shape, dtype=bool))
+    flip = (log_g(np.full(y.shape, 0.25 * math.pi), *unflipped, log_scale) < 0.0) == rising
+    a, b = phases(flip)
+    # g falls with u, towards 0 at the far end, where flip == rising
+    falls = flip == rising
+    sign = np.where(falls, -1.0, 1.0)
+    lo = np.full(y.shape, math.log(_PEAK_SEARCH_FLOOR))
+    hi = np.full(y.shape, math.log(0.25 * math.pi))
+    rows = np.arange(y.size)
+    for round_ in range(_PEAK_SEARCH_ROUNDS):
+        log_u = lo[:, None] + (hi - lo)[:, None] * _SECTION
+        rise = sign[:, None] * log_g(np.exp(log_u), a[:, None], b[:, None], log_scale[:, None])
+        past = rise >= 0.0
+        past[:, -1] = True
+        if round_ == 0 and alpha != 2.0 and past[:, 0].any():
+            raise QuadratureError(
+                f"Zolotarev integral at y={y[np.argmax(past[:, 0])]}: the peak "
+                f"lies below u = {_PEAK_SEARCH_FLOOR}"
+            )
+        k = np.maximum(np.argmax(past, axis=1), 1)
+        lo, hi = log_u[rows, k - 1], log_u[rows, k]
+        rise_lo, rise_hi = rise[rows, k - 1], rise[rows, k]
+    # d log g / d log u across the last section bracket; the narrower one
+    # below would read rounding. log g moves by 1 over 1/slope in log u,
+    # which near s = 1/2 is far below the multiples' spacing. A slope
+    # under 1 puts every level past the clip, so it is raised to 1.
+    slope = np.maximum((rise_hi - rise_lo) / (hi - lo), 1.0)
+    # false position on the last bracket, over which log g is nearly linear
+    # in log u; a bracket without a sign change (s = 1, y >= 2) stays put
+    for _ in range(_FALSE_POSITION_STEPS):
+        bracketed = rise_lo < 0.0
+        step = rise_lo * (hi - lo) / np.where(bracketed, rise_hi - rise_lo, 1.0)
+        mid = np.where(bracketed, np.clip(lo - step, lo, hi), lo)
+        rise_mid = sign * log_g(np.exp(mid), a, b, log_scale)
+        up = bracketed & (rise_mid >= 0.0)
+        lo, rise_lo = np.where(up, lo, mid), np.where(up, rise_lo, rise_mid)
+        hi, rise_hi = np.where(up, mid, hi), np.where(up, rise_mid, rise_hi)
+    # the level cuts below need the peak to within a fraction of its width
+    missed = (rise_lo < 0.0) & (np.abs(rise_mid) > 0.1)
+    if missed.any():
+        raise QuadratureError(
+            f"Zolotarev integral at y={y[np.argmax(missed)]}: log g is "
+            f"{rise_mid[np.argmax(missed)]:.3g} at the peak found"
+        )
+    peak = np.exp(mid)
+    # where log g crosses _PEAK_LEVELS, by the slope, within [u*/2, 2u*]
+    shift = (sign / slope)[:, None] * _PEAK_LEVELS
+    levels = np.exp(np.clip(shift, -math.log(2.0), math.log(2.0)))
+    near = peak[:, None] * np.column_stack((np.tile(_PEAK_MULTIPLES, (y.size, 1)), levels))
+    far = np.where(falls[:, None], half_pi - half_pi * _FAR_END_FRACTIONS, half_pi)
+    edges = np.column_stack(
+        (np.zeros(y.size), np.minimum(near, half_pi), far, np.full(y.size, half_pi))
+    )
+    edges.sort(axis=1)
+
+    # the quadrature runs over d = u - u*, so that the nodes near the peak
+    # are not rounded to the spacing of floats near u*; within u*/2 of the
+    # peak, where d is exact, log g - log g(u*) is formed factor by factor
+    # from sin(x* + b d) / sin(x*) = 1 + cot(x*) sin(b d) - 2 sin(b d / 2)^2,
+    # as log g itself carries the rounding of its logarithms times 1/|2s - 1|
+    edges -= peak[:, None]
+    cot_peak = 1.0 / np.tan(a + b * peak[:, None])
+    log_g_peak = log_g(peak, a, b, log_scale)
+
+    def log_g_near(d, rows):
+        bd = b[rows] * d[..., None]
+        ratio = np.log1p(cot_peak[rows] * np.sin(bd) - 2.0 * np.sin(0.5 * bd) ** 2)
+        return log_g_peak[rows] + ratio[..., 0] / (alpha - 1.0) - ex * ratio[..., 1] + ratio[..., 2]
+
+    def integrand(d, owner):
+        # a panel wholly within u*/2 of the peak takes the offset form
+        half = 0.5 * peak[owner]
+        near = (np.abs(d[:, 0]) <= half) & (np.abs(d[:, -1]) <= half)
+        log_gu = np.empty(d.shape)
+        i, j = owner[near, None], owner[~near, None]
+        log_gu[near] = log_g_near(d[near], i)
+        log_gu[~near] = log_g(peak[j] + d[~near], a[j], b[j], log_scale[j])
+        # e^700 is finite, and e^-g is 0 well before g reaches it
+        log_gu = np.minimum(log_gu, 700.0)
+        g = np.exp(log_gu)
         if density:
-            return math.exp(-(xi**alpha))
-        return (math.exp(-(xi**alpha)) - 1.0) / xi if xi else 0.0
+            return np.exp(log_gu - g)
+        return np.exp(-g) if alpha > 1.0 else -np.expm1(-g)
 
-    kind = "cos" if density else "sin"
-    val, err = fourier_oscillatory_tail(damped, omega=y, kind=kind)
-    if not density:
-        val = -val
-    if val < -err:
-        what = "density" if density else "tail mass"
-        raise QuadratureError(f"{what} inversion gave {val / math.pi:.3g} < 0 at y={y}")
-    return max(val, 0.0) / math.pi, err / math.pi
+    what = "density" if density else "tail mass"
+    total, _ = integrate_panels(
+        integrand, edges, ZOLOTAREV_REL_TOL,
+        lambda i: f"Zolotarev integral of the {what} at y={y[i]}",
+    )
+    if density:
+        return alpha / (math.pi * abs(alpha - 1.0)) * total / y
+    return total / math.pi
 
 
 def _rescaled(s: float, t: float, x, density: bool):
@@ -248,8 +384,8 @@ def _rescaled(s: float, t: float, x, density: bool):
 def fractional_heat_kernel(s: float, t: float, x):
     """Heat kernel of the order-2s fractional Laplacian at time t, points x.
 
-    Each point takes a closed form, the series or the oscillatory inversion
-    after rescaling to t = 1 (see the module docstring). Accepts scalar or
+    Each point takes a closed form, a series or Zolotarev's integral after
+    rescaling to t = 1 (see the module docstring). Accepts scalar or
     array x: a scalar gives a float, an array an array of the same shape.
     """
     return _rescaled(s, t, x, density=True)

@@ -69,8 +69,8 @@ class InitialDatum:
     def __post_init__(self) -> None:
         if self.kind not in ("step", "mollified_step", "custom"):
             raise ValueError(f"unknown datum kind {self.kind!r}")
-        if not self.a > 0:
-            raise ValueError("plateau height must be positive")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError("datum plateau height must be positive and finite")
         if not np.isfinite(self.b):
             raise ValueError("plateau edge must be finite")
         if self.kind == "mollified_step":

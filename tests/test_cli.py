@@ -161,11 +161,15 @@ MALFORMED = [
     ("times.t_final", float("nan"), "config.times.t_final must be finite"),
     ("times.t_final", float("inf"), "config.times.t_final must be finite"),
     ("checks.subsolution.x_max", float("inf"), "config.checks.subsolution.x_max must be finite"),
+    ("times.t_final", 10**400, "config.times.t_final must be finite"),
 ]
 
 
 @pytest.mark.parametrize(
-    "key, value, message", MALFORMED, ids=[f"{k}={v!r}" for k, v, _ in MALFORMED]
+    "key, value, message",
+    MALFORMED,
+    ids=[f"{k}={v!r}" if len(repr(v)) <= 40 else f"{k}=<{len(repr(v))} digits>"
+         for k, v, _ in MALFORMED],
 )
 def test_malformed_value_exits_2_naming_its_path(tmp_path, caplog, key, value, message):
     sections = json.loads(Path(base_config(tmp_path)).read_text())

@@ -1,5 +1,7 @@
 """Grid, Field, and boundary-extension models."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,10 @@ def test_grid_validation():
         fd.Grid(1.0, 1.0, 32)
     with pytest.raises(ValueError):
         fd.Grid(0.0, 1.0, 8)
+    with pytest.raises(ValueError, match="grid requires finite"):
+        fd.Grid(-5.0, math.inf, 64)
+    with pytest.raises(ValueError, match="grid requires finite"):
+        fd.Grid(-math.inf, 5.0, 64)
 
 
 @settings(max_examples=30, deadline=None)

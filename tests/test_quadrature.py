@@ -2,13 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatdiff.quadrature import (
     QuadratureError,
-    fourier_oscillatory_tail,
     integrate_interval,
+    integrate_panels,
     integrate_tail,
 )
 
@@ -55,18 +56,56 @@ def test_tail_power_law_matches_closed_form(a, p):
     assert val == pytest.approx(a ** (1.0 - p) / (p - 1.0), rel=1e-8)
 
 
-def test_oscillatory_cosine_laplace_pair():
-    # int_0^inf e^-x cos(w x) dx = 1 / (1 + w^2)
-    val, err = fourier_oscillatory_tail(lambda x: math.exp(-x), 3.0, kind="cos")
-    assert val == pytest.approx(0.1, rel=1e-10)
-    assert err < 1e-10
+def test_panels_known_integrals_several_rows_per_call():
+    # one call, four integrands: exp(-c x) on [0, 5] for c = 1 and 40 (the
+    # second split at 0.1, with a repeated edge that makes a zero-width
+    # panel), x^19, which the 10-point Gauss rule integrates exactly, and
+    # sqrt(x), whose derivative is singular at 0
+    edges = np.array([
+        [0.0, 2.0, 2.0, 5.0],
+        [0.0, 0.1, 0.1, 5.0],
+        [0.0, 0.5, 0.5, 1.0],
+        [0.0, 0.5, 0.5, 1.0],
+    ])
+
+    def f(x, owner):
+        row = owner[:, None]
+        decay = np.exp(-np.where(row == 1, 40.0, 1.0) * x)
+        return np.select([row < 2, row == 2], [decay, x**19], np.sqrt(x))
+
+    exact = np.array([
+        -math.expm1(-5.0), -math.expm1(-200.0) / 40.0, 1.0 / 20.0, 2.0 / 3.0
+    ])
+    values, errors = integrate_panels(f, edges, 1e-12, lambda i: f"row {i}")
+    np.testing.assert_allclose(values, exact, rtol=1e-12, atol=0)
+    assert np.all(errors <= 1e-12 * np.abs(values))
 
 
-def test_oscillatory_sine_laplace_pair():
-    val, _ = fourier_oscillatory_tail(lambda x: math.exp(-x), 2.0, kind="sin")
-    assert val == pytest.approx(0.4, rel=1e-10)
+def test_panels_error_estimate_bounds_the_true_error():
+    # 1/(x^2 + e^2) on [-1, 1] is peaked for small e, so each row needs
+    # several passes of bisection; its integral is 2 atan(1/e)/e
+    eps = np.array([1.0, 0.1, 1e-2, 1e-3])
+    edges = np.tile([-1.0, 1.0], (eps.size, 1))
+    for rel_tol in (1e-6, 1e-10):
+        values, errors = integrate_panels(
+            lambda x, owner: 1.0 / (x * x + eps[owner, None] ** 2),
+            edges, rel_tol, lambda i: f"row {i}",
+        )
+        exact = 2.0 * np.arctan(1.0 / eps) / eps
+        assert np.all(np.abs(values - exact) <= errors)
+        assert np.all(errors <= rel_tol * values)
 
 
-def test_oscillatory_requires_positive_frequency():
-    with pytest.raises(ValueError):
-        fourier_oscillatory_tail(lambda x: math.exp(-x), 0.0)
+def test_panels_raise_at_the_cap_or_a_non_finite_value():
+    # 1/x on [0, 1] diverges, so row 1 bisects until it reaches the cap
+    edges = np.array([[0.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(QuadratureError, match="row 1 did not converge in 400 panels"):
+        integrate_panels(
+            lambda x, owner: np.where(owner[:, None] == 1, 1.0 / x, x),
+            edges, 1e-10, lambda i: f"row {i}",
+        )
+    # log of a negative number is NaN, without a RuntimeWarning
+    with pytest.raises(QuadratureError, match="row 0 gave a non-finite value"):
+        integrate_panels(
+            lambda x, owner: np.log(x - 0.5), edges, 1e-10, lambda i: f"row {i}"
+        )

@@ -1,4 +1,4 @@
-"""Closed-form, series and Fourier-inversion oracles for the fractional heat kernel."""
+"""Closed-form, series and Zolotarev-integral oracles for the fractional heat kernel."""
 
 import math
 
@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import flatdiff as fd
 from flatdiff import reference
-from flatdiff.reference import _bergstrom, _inversion, _taylor
+from flatdiff.reference import _bergstrom, _taylor, _zolotarev
 
 
 # -- kernel point values -----------------------------------------------------
@@ -35,10 +35,14 @@ def test_kernel_center_values():
 
 
 @pytest.mark.parametrize("y", [0.3, 2.0, 17.0])
-def test_inversion_profile_matches_cauchy_closed_form(y):
-    val, err = _inversion(0.5, y, True)
-    assert val == pytest.approx(1.0 / (math.pi * (1.0 + y * y)), abs=1e-10)
-    assert err < 1e-10
+def test_zolotarev_route_at_order_one_is_craigs_formula(y):
+    # at s = 1 the route is Craig's formula for the Gaussian tail; from
+    # y = 2 on, g >= y^2/4 >= 1 and the integrand has no interior peak
+    tail = _zolotarev(1.0, np.array([y]), False)[0]
+    assert tail == pytest.approx(0.5 * special.erfc(y / 2.0), rel=1e-13)
+    density = _zolotarev(1.0, np.array([y]), True)[0]
+    gauss = math.exp(-y * y / 4.0) / math.sqrt(4.0 * math.pi)
+    assert density == pytest.approx(gauss, rel=1e-13)
 
 
 def test_kernel_self_similarity_closed_forms():
@@ -93,19 +97,18 @@ def test_generic_survival_matches_tail_series():
         * big ** (-2.0 * s * k)
         for k in (1, 2)
     ) / math.pi
-    assert _inversion(s, big, False)[0] == pytest.approx(series, abs=5e-9)
+    assert _zolotarev(s, np.array([big]), False)[0] == pytest.approx(series, abs=5e-9)
 
 
 def test_generic_survival_differentiates_to_kernel():
-    # d/dx of the plateau solution is minus the kernel; checks the sine
-    # transform against the cosine transform independently of closed forms
+    # d/dx of the plateau solution is minus the kernel; checks the tail mass
+    # integrand e^-g against the density integrand g e^-g independently of
+    # closed forms
     s, d = 0.75, 1e-4
     for x in (0.5, 2.0):
-        fdiff = (
-            _inversion(s, x - d, False)[0] - _inversion(s, x + d, False)[0]
-        ) / (2.0 * d)
-        assert fdiff == pytest.approx(
-            fd.fractional_heat_kernel(s, 1.0, x), rel=1e-5
+        tails = _zolotarev(s, np.array([x - d, x + d]), False)
+        assert (tails[0] - tails[1]) / (2.0 * d) == pytest.approx(
+            fd.fractional_heat_kernel(s, 1.0, x), rel=1e-8
         )
 
 
@@ -144,9 +147,8 @@ def test_series_matches_quadrature_beyond_switch_on(s, density):
     on = int(np.argmax(accepted))
     assert accepted[on] and np.all(accepted[on:])
     assert y[on] < 12.0
-    for v, value in zip(y[on:], series[on:]):
-        quad_value = _inversion(s, float(v), density)[0]
-        assert abs(value - quad_value) <= 1e-11 * quad_value
+    quad_value = _zolotarev(s, y[on:], density)
+    np.testing.assert_allclose(series[on:], quad_value, rtol=1e-13, atol=0)
 
 
 def test_series_at_half_order_sums_the_cauchy_closed_forms():
@@ -179,9 +181,8 @@ def plain_inversion(s, y, density):
 @pytest.mark.parametrize("s", [0.55, 0.75, 0.99])
 @pytest.mark.parametrize("density", [True, False])
 def test_oracles_near_the_origin_match_plain_quadrature(s, density):
-    # QAWF's first cycle is pi/y long, so for small y it samples exp(-xi^(2s))
-    # only where it is already 0 and reports about 0 with an error about 0
-    # (p(1, 1e-4) = 0.0 at s = 0.75); these points need the Taylor series
+    # these points take the Taylor series; plain QUADPACK on the Fourier
+    # integral is an independent check where y is small
     y = np.geomspace(1e-5, 0.1, 41)
     if density:
         got = fd.fractional_heat_kernel(s, 1.0, y)
@@ -200,9 +201,8 @@ def test_taylor_series_matches_quadrature_below_switch_off(s, density):
     off = int(np.argmin(accepted))
     assert off > 0 and not np.any(accepted[off:])
     assert y[off] < 3.0
-    for v, value in zip(y[:off], series[:off]):
-        quad_value = _inversion(s, float(v), density)[0]
-        assert abs(value - quad_value) <= 1e-12 * quad_value
+    quad_value = _zolotarev(s, y[:off], density)
+    np.testing.assert_allclose(series[:off], quad_value, rtol=1e-13, atol=0)
 
 
 def test_rejected_points_take_the_quadrature_route():
@@ -212,58 +212,98 @@ def test_rejected_points_take_the_quadrature_route():
     for density in (False, True):
         assert not _bergstrom(s, np.array([y]), density)[1][0]
         assert not _taylor(s, np.array([y]), density)[1][0]
-    assert fd.reference_solution(s, 1.0, 0.0, 1.0, y) == _inversion(s, y, False)[0]
-    # the reflection S(-y) = 1 - S(y) is applied after the inversion
-    reflected = 1.0 - _inversion(s, y, False)[0]
-    assert fd.reference_solution(s, 1.0, 0.0, 1.0, -y) == reflected
-    assert fd.fractional_heat_kernel(s, 1.0, y) == _inversion(s, y, True)[0]
+    tail = _zolotarev(s, np.array([y]), False)[0]
+    assert fd.reference_solution(s, 1.0, 0.0, 1.0, y) == tail
+    # the reflection S(-y) = 1 - S(y) is applied after the quadrature
+    assert fd.reference_solution(s, 1.0, 0.0, 1.0, -y) == 1.0 - tail
+    density = _zolotarev(s, np.array([y]), True)[0]
+    assert fd.fractional_heat_kernel(s, 1.0, y) == density
 
 
 def test_far_tail_density_keeps_relative_accuracy():
-    # the quadrature route misses these by -9.8 % and +2e-3 (abs_tol 1e-12)
+    # these points take the Bergström series; the Zolotarev route agrees
     for s, y in ((0.99, 1e4), (0.95, 8249.0)):
-        assert fd.fractional_heat_kernel(s, 1.0, y) == pytest.approx(
-            two_term_density(s, y), rel=1e-6
+        density = fd.fractional_heat_kernel(s, 1.0, y)
+        assert density == pytest.approx(two_term_density(s, y), rel=1e-6)
+        assert _zolotarev(s, np.array([y]), True)[0] == pytest.approx(
+            density, rel=1e-13
         )
 
 
-def test_quadrature_routes_raise_on_a_negative_result(monkeypatch):
-    def inversion_gives(val, err):
-        monkeypatch.setattr(
-            reference, "fourier_oscillatory_tail", lambda *args, **kw: (val, err)
-        )
-
-    # the sine transform carries a minus sign: S = -val / pi
-    inversion_gives(-1e-3, 1e-9)
-    with pytest.raises(fd.QuadratureError):
-        _inversion(0.75, 2.0, True)
-    inversion_gives(1e-3, 1e-9)
-    with pytest.raises(fd.QuadratureError):
-        _inversion(0.75, 2.0, False)
-    # a value within its error of zero reads as zero
-    inversion_gives(-1e-10, 1e-9)
-    assert _inversion(0.75, 2.0, True)[0] == 0.0
-    inversion_gives(1e-10, 1e-9)
-    assert _inversion(0.75, 2.0, False)[0] == 0.0
+def test_zolotarev_route_raises_naming_the_point(monkeypatch):
+    # a tolerance below the rule's round-off floor of 50 eps cannot be met,
+    # so every point reaches the panel cap
+    monkeypatch.setattr(reference, "ZOLOTAREV_REL_TOL", 1e-16)
+    with pytest.raises(fd.QuadratureError, match=r"density at y=4\.0 did not"):
+        fd.fractional_heat_kernel(0.9, 1.0, np.array([0.5, -4.0]))
+    with pytest.raises(fd.QuadratureError, match=r"tail mass at y=4\.0 did not"):
+        fd.reference_solution(0.9, 1.0, 0.0, 1.0, 4.0)
+    # the peak of y = 1e-305 lies at theta = y / (2s), below the search range
+    with pytest.raises(fd.QuadratureError, match=r"y=1e-305: the peak lies below"):
+        _zolotarev(0.3, np.array([1.0, 1e-305]), True)
 
 
-# a point of the core where each small order's density raises; at s = 0.15
-# 12 of 41 log-spaced y in [1e-5, 0.1] raise, scattered over [2.5e-5, 1e-3]
+# a point of the density's core at each small order
 SMALL_ORDER_CORE_POINT = {0.05: 0.01, 0.1: 0.01, 0.15: 1e-3}
 
 
 @pytest.mark.parametrize("s", [0.05, 0.1, 0.15])
-def test_small_order_core_density_raises_instead_of_guessing(s):
-    # a stated limit: the core density at s <= 0.15 near y = 0 is out of
-    # reach of QAWF, and the density series does not accept the point, so
-    # the oracle raises; the survival series still covers the same point
+def test_small_order_core_density_is_accurate(s):
     y = SMALL_ORDER_CORE_POINT[s]
-    with pytest.raises(fd.QuadratureError):
-        fd.fractional_heat_kernel(s, 1.0, y)
-    with pytest.raises(fd.QuadratureError):
-        fd.fractional_heat_kernel(s, 1.0, np.array([5.0, y]))
-    assert 0.0 < fd.reference_solution(s, 1.0, 0.0, 1.0, y) < 0.5
-    assert fd.fractional_heat_kernel(0.15, 1.0, 0.01) > 0.0
+    # the density takes neither series there
+    assert not _bergstrom(s, np.array([y]), True)[1][0]
+    assert not _taylor(s, np.array([y]), True)[1][0]
+    p = fd.fractional_heat_kernel(s, 1.0, y)
+    assert p == _zolotarev(s, np.array([y]), True)[0]
+    assert fd.fractional_heat_kernel(s, 1.0, np.array([5.0, y]))[1] == p
+    # -dS/dy against p: the tail mass comes from the Bergström series at
+    # s = 0.05 and 0.1, and from the integrand e^-g, not g e^-g, at 0.15
+    d = 1e-4 * y
+    tails = fd.reference_solution(s, 1.0, 0.0, 1.0, np.array([y - d, y + d]))
+    assert (tails[0] - tails[1]) / (2.0 * d) == pytest.approx(p, rel=1e-8)
+    # self-similarity through the public rescale, at times whose scale is
+    # not a power of 2, so the route sees a y a few ulps away
+    for t in (0.3, 3.0):
+        scale = t ** (1.0 / (2.0 * s))
+        assert scale * fd.fractional_heat_kernel(s, t, scale * y) == pytest.approx(
+            p, rel=1e-12
+        )
+
+
+@pytest.mark.parametrize(
+    "s, rel_to_cauchy",
+    [(0.49999, 1e-4), (0.50001, 1e-4), (0.5 - 1e-7, 1e-6), (0.5 + 1e-12, 1e-11)],
+)
+def test_zolotarev_route_near_half_order(s, rel_to_cauchy):
+    # g = 1 is crossed over a width of about |2s - 1| u* in u, and the
+    # density's prefactor is 1/|2s - 1|; the core lies near y = 1 here
+    y = np.array([0.9, 1.0, 1.2])
+    p = _zolotarev(s, y, True)
+    # each point's peak search and panels are its own: the batch gives the
+    # bits of one point at a time
+    assert np.array_equal(p, [_zolotarev(s, y[i : i + 1], True)[0] for i in range(3)])
+    d = 1e-4 * y
+    tails = _zolotarev(s, np.concatenate((y - d, y + d)), False)
+    np.testing.assert_allclose((tails[:3] - tails[3:]) / (2.0 * d), p, rtol=1e-7)
+    # the kernel moves from the Cauchy kernel by about 2 |s - 1/2|
+    np.testing.assert_allclose(p, 1.0 / (math.pi * (1.0 + y * y)), rtol=rel_to_cauchy)
+    cauchy_tail = 0.5 - np.arctan(y + d) / math.pi
+    np.testing.assert_allclose(tails[3:], cauchy_tail, rtol=rel_to_cauchy)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.15, 0.3, 0.45, 0.55, 0.6, 0.75, 0.9, 0.99])
+def test_zolotarev_route_matches_every_series_point(s):
+    # every point of a log-spaced grid where the Bergström or the Taylor
+    # series accepts, density and tail mass
+    grid = np.geomspace(1e-5, 100.0, 57)
+    for density in (False, True):
+        route = _zolotarev(s, grid, density)
+        for series, accepted in (
+            _bergstrom(s, grid, density), _taylor(s, grid, density)
+        ):
+            np.testing.assert_allclose(
+                route[accepted], series[accepted], rtol=1e-13, atol=0
+            )
 
 
 # -- plateau reference solution ----------------------------------------------

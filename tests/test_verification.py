@@ -92,6 +92,8 @@ def test_datum_validation():
         fd.InitialDatum.step(0.0, 0.0)
     with pytest.raises(ValueError):
         fd.InitialDatum.step(1.0, math.inf)
+    with pytest.raises(ValueError, match="datum plateau height"):
+        fd.InitialDatum.step(math.inf, 0.0)
     with pytest.raises(ValueError):
         fd.InitialDatum.mollified_step(1.0, 0.0, eps=0.0)
 

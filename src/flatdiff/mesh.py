@@ -52,8 +52,8 @@ class Field:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError("field time stamp must be nonnegative")
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError("field time stamp must be finite and nonnegative")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.n,):
             raise ValueError(

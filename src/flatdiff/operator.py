@@ -42,11 +42,14 @@ tail ``A z^(-1-2s)`` it is the Euler integral
 ``A cut^(-4s) / (4s) 2F1(2s, 4s; 4s + 1; -x_i / cut)`` (DLMF 15.6.1),
 evaluated for all rows at once by
 :func:`~flatdiff.kernels.exterior_tail_response`; ``tests/test_operator.py``
-cross-checks it node by node against adaptive quadrature. ``T u`` is a
-sliding correlation with the zero-padded field in ``apply`` and a circulant
-embedding at length ``~2n`` in ``apply_fft``; ``rate`` takes the one named by
-``apply_path``, fixed by the grid size. All three add the same exterior
-terms, and the paths agree to roundoff.
+cross-checks it node by node against adaptive quadrature. ``rate`` forms
+``T u`` by the path named by ``apply_path``, fixed by the grid size: below
+the measured crossover a product with the dense ``T``, built once on the
+first direct ``rate``, and from it on a circulant embedding at length
+``~2n``, which ``apply_fft`` also takes at any size. ``apply`` sums the
+sliding correlation with the zero-padded field at any size, the reference
+that both paths are tested against. All of them add the same exterior
+terms, and they agree to roundoff.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import (
     KernelSpec,
@@ -69,12 +73,17 @@ from .mesh import BoundaryModel, Field, Grid
 __all__ = ["DiscreteOperator", "UnverifiedKernelError", "discretize"]
 
 # measured crossover of ``rate``: unit s = 1/2 kernel on [-10, 10], random
-# values, best per-call time of 4 rounds of timeit 7 x 2000 (2 vCPU,
-# numpy 2.4.6, scipy 1.17.1); the FFT path first wins at n = 256
-#   n       128    192    256    320    384    448    511
-#   direct  10.2   15.8   29.8   33.8   52.0   80.3   89.9  us
-#   fft     27.3   25.9   28.1   27.2   43.3   48.4   39.0  us
-_FFT_THRESHOLD = 256
+# values, best per-call time of 4 runs of 4 rounds of timeit 7 x 2000 (2 vCPU,
+# one BLAS thread, numpy 2.4.6 on OpenBLAS 0.3.31, scipy 1.17.1). The dense
+# product and the FFT are within 4 % of each other at 352 and 384 nodes, and
+# the FFT wins by 15 % or more from 416 on; the correlation that ``apply``
+# sums is the dense product's reference, not a path of ``rate``. At 383 nodes
+# the dense matrix holds 1.2 MB.
+#   n          128    192    256    320    352    384    416    448    511
+#   dense      6.1    9.0   12.9   19.8   24.0   25.4   34.3   39.0   59.7  us
+#   correlate  8.4   16.2   16.9   30.6   32.5   40.8   49.0   49.2   58.9  us
+#   fft       19.9   22.4   24.2   24.7   23.3   26.3   29.4   30.8   33.8  us
+_FFT_THRESHOLD = 384
 
 
 class UnverifiedKernelError(ValueError):
@@ -155,6 +164,14 @@ class DiscreteOperator:
         # only the FFT path needs it, so small direct-path operators never pay
         return scipy.fft.rfft(self._stencil, self._fft_len)
 
+    @cached_property
+    def _toeplitz(self) -> np.ndarray:
+        # T itself, built on the first direct rate; row i is
+        # stencil[n-1-i : 2n-1-i]. Only direct-path operators pay its n^2
+        # floats, fewer than _FFT_THRESHOLD^2.
+        n = self.grid.n
+        return np.ascontiguousarray(sliding_window_view(self._stencil, n)[::-1])
+
     def _algebraic_right(self, tail_cut: float) -> np.ndarray:
         """Response of every row to the unit-amplitude extension ``x^(-2s)``.
 
@@ -178,8 +195,9 @@ class DiscreteOperator:
         """``D u`` on the grid values ``u``, with the boundary extensions.
 
         ``apply_path`` picks the inner product ``T u``: the FFT from
-        ``n = 256`` nodes on, the measured crossover, and the direct sum
-        below it. The FFT takes its worker count from ``scipy.fft.set_workers``,
+        ``n = 384`` nodes on, the measured crossover, and below it a product
+        with the dense symmetric Toeplitz ``T``, built on the first call and
+        kept. The FFT takes its worker count from ``scipy.fft.set_workers``,
         which :func:`~flatdiff.evolution.evolve` sets for a run.
         """
         values = np.asarray(values, dtype=float)
@@ -188,10 +206,14 @@ class DiscreteOperator:
             raise ValueError(f"values shape {values.shape} does not match {n} nodes")
         if self.apply_path == "fft":
             return self._finish(values, self._fft_inner(values))
-        return self._finish(values, self._direct_inner(values))
+        return self._finish(values, self._toeplitz @ values)
 
     def _direct_inner(self, values: np.ndarray) -> np.ndarray:
-        """``T u`` by sliding correlation with the zero-padded field; O(n^2)."""
+        """``T u`` by sliding correlation with the zero-padded field; O(n^2).
+
+        Only :meth:`apply` runs it, as the reference that both paths of
+        :meth:`rate` are tested against.
+        """
         pad = np.zeros(self.grid.n - 1)
         padded = np.concatenate([pad, values, pad])
         return np.correlate(padded, self._stencil, mode="valid")

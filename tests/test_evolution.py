@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import flatdiff as fd
 from flatdiff import evolution
+from flatdiff.operator import _FFT_THRESHOLD
 
 
 @pytest.fixture()
@@ -51,6 +52,8 @@ def test_step_refuses_unstable_dt(small_op):
         fd.step(small_op, u, 1.01 / small_op.row_sum)
     with pytest.raises(ValueError):
         fd.step(small_op, u, -0.1)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        fd.step(small_op, u, np.nan)
     small_op.row_sum = 0.0
     with pytest.raises(ValueError, match="degenerate"):
         fd.step(small_op, u, 0.1)
@@ -202,6 +205,31 @@ def test_step_divergence_is_typed_not_a_warning(unit_spec, unit_cert, safety):
             u = fd.step(op, u, dt)
 
 
+class ZeroRate:
+    """Operator stand-in whose rate is 0, so an Euler stage returns its input."""
+
+    def __init__(self, grid):
+        self.grid = grid
+
+    def rate(self, values):
+        return np.zeros_like(values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stage_finiteness_is_per_entry(bad):
+    grid = fd.Grid(0.0, 1.0, 16)
+    # every entry finite, but their sum overflows: the stage must pass
+    huge = np.full(16, 1.5e308)
+    op = ZeroRate(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(evolution._euler_stage(op, huge, 0.1, 1.0), huge)
+        values = np.ones(16)
+        values[5] = bad
+        x = f"{grid.points()[5]:.6g}"
+        with pytest.raises(fd.SimulationDivergedError, match=f"t = 1, x = {x}$"):
+            evolution._euler_stage(op, values, 0.1, 1.0)
+
+
 @pytest.mark.parametrize("n", [128, 1024])
 def test_one_evolve_step_is_ssprk22_of_step(unit_spec, unit_cert, n):
     # both sides of the size rule that picks the direct or the FFT apply; a
@@ -346,7 +374,12 @@ def test_comparison_flags_a_crossing(small_op):
     assert report.worst_x == pytest.approx(grid.points()[10], rel=1e-12)
 
 
-# -- invariants on the FFT path ----------------------------------------------
+# -- invariants on both apply paths ------------------------------------------
+
+# grid sizes on the direct side of the crossover; every other size is meant
+# for the FFT. A crossover that moves past one of them fails
+# discretize_on_its_path instead of quietly testing the other path.
+DIRECT_SIZES = (128, 256, _FFT_THRESHOLD - 1)
 
 
 KERNEL_FAMILIES = {
@@ -364,15 +397,23 @@ KERNEL_FAMILIES = {
 }
 
 
-def check_fft_order_and_bounds(rng, n, family, right):
-    """Evolve a random ordered pair for 60 stable FFT-path steps on [-10, 10];
-    assert it stays ordered, nonnegative and below the data and boundary
-    values. Returns the operator and the final time."""
+def discretize_on_its_path(n, family, bm):
+    """The family's operator on ``n`` nodes of [-10, 10], checked to run the
+    apply path that ``n`` is meant for."""
     spec, force = KERNEL_FAMILIES[family]
-    grid = fd.Grid(-10.0, 10.0, n)
+    op = fd.discretize(spec, fd.Grid(-10.0, 10.0, n), bm, force=force)
+    assert op.apply_path == ("direct" if n in DIRECT_SIZES else "fft")
+    return op
+
+
+def check_order_and_bounds(rng, n, family, right):
+    """Evolve a random ordered pair for 60 stable steps on [-10, 10]; assert
+    it stays ordered, nonnegative and below the data and boundary values.
+    Returns the operator and the final time."""
     right_value = 0.25 if right == "constant" else 0.0
     bm = fd.BoundaryModel(left_value=0.5, right=right, right_value=right_value)
-    op = fd.discretize(spec, grid, bm, force=force)
+    op = discretize_on_its_path(n, family, bm)
+    grid = op.grid
     lower0 = rng.uniform(0.05, 0.5, n)
     upper0 = lower0 + rng.uniform(0.0, 0.5, n)
     t_final = 60 * fd.stable_dt(op, 0.45)
@@ -389,9 +430,9 @@ def check_fft_order_and_bounds(rng, n, family, right):
     return op, t_final
 
 
-def check_fft_keeps_monotone(rng, op, t_final):
+def check_keeps_monotone(rng, op, t_final):
     """A nonincreasing datum between the right and left extensions stays
-    nonincreasing on the FFT path."""
+    nonincreasing."""
     grid, bm = op.grid, op.boundary
     floor = bm.right_value if bm.right == "constant" else 0.0
     mono0 = np.clip(np.sort(rng.uniform(0.0, 0.6, grid.n))[::-1], floor, bm.left_value)
@@ -402,33 +443,32 @@ def check_fft_keeps_monotone(rng, op, t_final):
 
 @pytest.mark.parametrize("right", ["zero", "constant", "algebraic_tail"])
 @pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
-@pytest.mark.parametrize("n", [256, 512, 2048])
+@pytest.mark.parametrize("n", [*DIRECT_SIZES, _FFT_THRESHOLD, 512, 2048])
 def test_fft_path_keeps_order_and_bounds(rng, n, family, right):
-    op, t_final = check_fft_order_and_bounds(rng, n, family, right)
-    check_fft_keeps_monotone(rng, op, t_final)
+    op, t_final = check_order_and_bounds(rng, n, family, right)
+    check_keeps_monotone(rng, op, t_final)
 
 
 @settings(max_examples=8, deadline=None)
 @given(
-    n=st.integers(min_value=256, max_value=8192),
+    n=st.integers(min_value=_FFT_THRESHOLD, max_value=8192),
     family=st.sampled_from(sorted(KERNEL_FAMILIES)),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_fft_path_keeps_order_and_bounds_algebraic_tail_any_n(n, family, seed):
     rng = np.random.default_rng(seed)
-    op, t_final = check_fft_order_and_bounds(rng, n, family, "algebraic_tail")
-    check_fft_keeps_monotone(rng, op, t_final)
+    op, t_final = check_order_and_bounds(rng, n, family, "algebraic_tail")
+    check_keeps_monotone(rng, op, t_final)
 
 
 @pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
-@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("n", [*DIRECT_SIZES, _FFT_THRESHOLD, 1024])
 def test_fft_path_invariants_at_full_stage_bound(rng, n, family):
     # safety 1.0: every Euler stage sits on the convex-combination bound 1/W;
     # the steps double with t, so the last one runs 31 stages
-    spec, force = KERNEL_FAMILIES[family]
-    grid = fd.Grid(-10.0, 10.0, n)
     bm = fd.BoundaryModel(left_value=0.5, right="constant", right_value=0.25)
-    op = fd.discretize(spec, grid, bm, force=force)
+    op = discretize_on_its_path(n, family, bm)
+    grid = op.grid
     t_final = 60 * fd.stable_dt(op, 1.0)
     times = (t_final / 4, t_final / 2)
 

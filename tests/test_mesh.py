@@ -54,6 +54,9 @@ def test_field_validation():
         fd.Field(g, 0.0, np.zeros(15))
     with pytest.raises(ValueError):
         fd.Field(g, -1.0, np.zeros(16))
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fd.Field(g, t, np.zeros(16))
     bad = np.zeros(16)
     bad[3] = np.inf
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import flatdiff as fd
+from flatdiff.operator import _FFT_THRESHOLD
 from flatdiff.quadrature import integrate_interval, integrate_tail
 
 
@@ -332,16 +333,28 @@ def test_fft_agrees_with_direct(unit_spec, unit_cert, rng, right, n):
     assert np.max(np.abs(direct - fast)) <= 1e-10 * scale
 
 
-@pytest.mark.parametrize("n,path", [(255, "apply"), (256, "apply_fft")])
+@pytest.mark.parametrize(
+    "n,path", [(_FFT_THRESHOLD - 1, "direct"), (_FFT_THRESHOLD, "fft")]
+)
 def test_rate_switches_to_the_fft_at_the_crossover(unit_spec, unit_cert, rng, n, path):
+    # below the crossover rate multiplies by the dense T, which sums in
+    # another order than the correlation of apply: equal to roundoff only
     g = fd.Grid(-10.0, 10.0, n)
     u = fd.Field(g, 0.0, rng.uniform(0.0, 1.0, n))
     for right in RIGHT_MODELS:
         op = make_op(
             unit_spec, unit_cert, g, left=0.8, right=right, right_value=RIGHT_VALUE[right]
         )
-        assert op.apply_path == {"apply": "direct", "apply_fft": "fft"}[path]
-        assert np.array_equal(op.rate(u.values), getattr(op, path)(u).values)
+        assert op.apply_path == path
+        assert "_toeplitz" not in vars(op)
+        rate = op.rate(u.values)
+        # only a direct rate builds the dense T: n^2 floats, 56 GB at 84 001
+        assert ("_toeplitz" in vars(op)) == (path == "direct")
+        if path == "fft":
+            assert np.array_equal(rate, op.apply_fft(u).values)
+        else:
+            reference = op.apply(u).values
+            assert np.max(np.abs(rate - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def padded_reference(op, u):

@@ -507,9 +507,21 @@ def cmd_reference_compare(cfg: dict, out: Path, args) -> int:
 def run_bench(
     spec: KernelSpec, sizes, reps: int, domain: tuple[float, float], seed: int
 ) -> list[dict]:
-    """Time direct vs FFT operator application; returns one row per size."""
+    """Time direct vs FFT operator application; returns one row per size.
+
+    ``direct_ms`` times ``apply``, the correlation reference, and ``fft_ms``
+    ``apply_fft``; ``rate_ms`` times ``rate``, the product ``evolve`` pays
+    for, on the path named by ``apply_path``.
+    """
     rng = np.random.default_rng(seed)
     cert = validate_hypothesis(spec)
+
+    def per_call_ms(call) -> float:
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            call()
+        return (time.perf_counter() - t0) * 1e3 / reps
+
     rows = []
     for n in sizes:
         grid = Grid(domain[0], domain[1], int(n))
@@ -519,20 +531,17 @@ def run_bench(
         u = Field(grid, 0.0, rng.uniform(0.0, 1.0, grid.n))
         op.apply(u)
         op.apply_fft(u)
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            op.apply(u)
-        direct_ms = (time.perf_counter() - t0) * 1e3 / reps
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            op.apply_fft(u)
-        fft_ms = (time.perf_counter() - t0) * 1e3 / reps
+        op.rate(u.values)
+        direct_ms = per_call_ms(lambda: op.apply(u))
+        fft_ms = per_call_ms(lambda: op.apply_fft(u))
         rows.append(
             {
                 "n": int(n),
                 "direct_ms": direct_ms,
                 "fft_ms": fft_ms,
                 "speedup": direct_ms / fft_ms,
+                "rate_ms": per_call_ms(lambda: op.rate(u.values)),
+                "apply_path": op.apply_path,
             }
         )
     return rows
@@ -548,19 +557,21 @@ def cmd_bench(cfg: dict, out: Path, args) -> int:
         args.seed,
     )
     with (out / "bench.csv").open("w") as fh:
-        fh.write("n,direct_ms,fft_ms,speedup\n")
+        fh.write("n,direct_ms,fft_ms,speedup,rate_ms,apply_path\n")
         for row in rows:
             fh.write(
                 f"{row['n']},{_fmt(row['direct_ms'])},{_fmt(row['fft_ms'])},"
-                f"{_fmt(row['speedup'])}\n"
+                f"{_fmt(row['speedup'])},{_fmt(row['rate_ms'])},{row['apply_path']}\n"
             )
     for row in rows:
         log.info(
-            "n=%d direct=%.3fms fft=%.3fms speedup=%.2fx",
+            "n=%d direct=%.3fms fft=%.3fms speedup=%.2fx rate=%.3fms (%s)",
             row["n"],
             row["direct_ms"],
             row["fft_ms"],
             row["speedup"],
+            row["rate_ms"],
+            row["apply_path"],
         )
     return EXIT_OK
 

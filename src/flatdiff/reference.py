@@ -9,7 +9,10 @@ The standardized kernel ``p(1, y)`` and its upper tail mass
   (Bergström 1952; Nolan 2020, section 3.10), which keeps relative accuracy
   in the far tail where the flattening bound lives;
 * near the origin, where the Bergström series is not accepted, the Taylor
-  series at ``y = 0`` (:func:`_taylor`);
+  series at ``y = 0`` (:func:`_taylor`). It stays although the integral
+  below reaches most of its points: alone, the integral misreads the
+  density at tiny ``y`` without raising (by 1.1e-6 relative at s = 0.75
+  from y = 1e-12 down);
 * in the rest of the core, Zolotarev's integral over ``theta`` in
   ``(0, pi/2)`` (Zolotarev 1986; Nolan 1997), whose integrand is smooth and
   not oscillatory: :func:`_zolotarev` takes all of the call's core points
@@ -18,20 +21,24 @@ The standardized kernel ``p(1, y)`` and its upper tail mass
 
 A point takes a series when its smallest term plus the rounding of the
 summed terms, ``smallest + eps * sum|terms|``, is at most
-``SERIES_REL_TOL`` times the value. The Bergström switch-on point depends
-on s (about 1.1 at s = 0.45, 6.1 at s = 0.75 and 9.8 at s = 0.9); the
-Taylor series holds the density up to about 0.42, 1.6 and 1.8 there, and
-the tail mass up to about 0.45, 2.5 and 2.5. Every route works at t = 1
-and is rescaled through the exact self-similarity
-``p(t, x) = t^(-1/(2s)) p(1, t^(-1/(2s)) x)``. The series and the
-integral see ``|y|``, and ``S(-y) = 1 - S(y)`` is applied once, after
-them. A scalar and an array take the same route per point, and a point's
-quadrature panels are summed apart from the other points', so they give
-the same bits. Convolving the kernel against a plateau datum
-a * 1_{x <= b} yields the reference solution used to cross-validate the
-grid solver, and the algebraic kernel tails provide the two-sided envelope
-fit and the large-x limit of x^(2s) u(t, x) / t. None of this shares code
-with the solver.
+``SERIES_REL_TOL`` times the value. Both series form every term of up to
+``SERIES_BLOCK`` points at once, as a (term x point) array, and add the
+terms row by row, so each point gets the bits of a loop over its terms.
+The Bergström switch-on point depends on s (about 1.1 at s = 0.45, 6.1 at
+s = 0.75 and 9.8 at s = 0.9); the Taylor series holds the density up to
+about 0.42, 1.6 and 1.8 there, and the tail mass up to about 0.45, 2.5 and
+2.5. Every route works at t = 1 and is rescaled through the exact
+self-similarity ``p(t, x) = t^(-1/(2s)) p(1, t^(-1/(2s)) x)``. Each
+distinct ``|y|`` of a call goes through the routes once; the values are
+scattered back to the points, and ``S(-y) = 1 - S(y)`` is applied after
+that. A scalar and an array take the same route per point, and a point's
+series terms and quadrature panels are summed apart from the other
+points', so they give the same bits.
+
+Convolving the kernel against a plateau datum a * 1_{x <= b} yields the
+reference solution used to cross-validate the grid solver, and the
+algebraic kernel tails provide the two-sided envelope fit and the large-x
+limit of x^(2s) u(t, x) / t. None of this shares code with the solver.
 
 Orders are restricted to (0, 1] here; the grid solver itself accepts any
 positive order.
@@ -39,6 +46,7 @@ positive order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +68,9 @@ __all__ = [
 # error a point must reach to take a series instead of quadrature
 SERIES_TERMS = 60
 SERIES_REL_TOL = 1e-14
+# the series form all terms of this many points at once, so that a call
+# holds O(SERIES_TERMS * SERIES_BLOCK) floats whatever its size
+SERIES_BLOCK = 512
 # Zolotarev's integral: the relative tolerance of its quadrature; its
 # breakpoints, as multiples of the distance u* from the peak to the nearer
 # end, as fractions of pi/2 from a far end where g -> 0, and as the values
@@ -95,6 +106,54 @@ def solution_tail_constant(s: float) -> float:
     return heat_kernel_tail_constant(s) / (2.0 * s)
 
 
+@functools.lru_cache(maxsize=64)
+def _bergstrom_coefficients(alpha: float, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Size coefficients ``Gamma(alpha k + shift)/k!`` of the Bergström terms
+    k = 1..SERIES_TERMS, and the signed sines ``(-1)^(k+1) sin(pi alpha k/2)``."""
+    ks = range(1, SERIES_TERMS + 1)
+    coef = np.array([math.gamma(alpha * k + shift) / math.factorial(k) for k in ks])
+    sines = np.array([math.sin(0.5 * math.pi * alpha * k) for k in ks])
+    sines[1::2] *= -1.0
+    coef.flags.writeable = sines.flags.writeable = False
+    return coef, sines
+
+
+@functools.lru_cache(maxsize=64)
+def _taylor_coefficients(alpha: float, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Log size coefficients ``lgamma((2k+1)/alpha) - lgamma(m+1)`` of the
+    Taylor terms k = 0..SERIES_TERMS, and their exponents ``m = 2k + shift``."""
+    ms = [2 * k + shift for k in range(SERIES_TERMS + 1)]
+    log_coef = np.array(
+        [math.lgamma((2 * k + 1) / alpha) - math.lgamma(m + 1) for k, m in enumerate(ms)]
+    )
+    exponents = np.array(ms, dtype=float)
+    log_coef.flags.writeable = exponents.flags.writeable = False
+    return log_coef, exponents
+
+
+def _sum_to_smallest(sizes: np.ndarray, terms: np.ndarray):
+    """Sum each column of a (term x point) block up to, not including, its
+    smallest term: the terms before the first size that does not fall.
+
+    Returns the sums, the sums of the added sizes and the smallest sizes.
+    The rows are added one by one, as a loop over terms adds them, so every
+    column gets the same bits whatever the number of columns;
+    ``sum(axis=0)`` would add a lone column pairwise. Zeroes the entries of
+    ``sizes`` and ``terms`` that are not added.
+    """
+    falling = np.logical_and.accumulate(sizes[1:] < sizes[:-1], axis=0)
+    last = np.count_nonzero(falling, axis=0)
+    smallest = np.take_along_axis(sizes, last[None], axis=0)[0]
+    np.copyto(terms[:-1], 0.0, where=~falling)
+    np.copyto(sizes[:-1], 0.0, where=~falling)
+    total = np.zeros(last.shape)
+    spread = np.zeros(last.shape)
+    for k in range(last.max(initial=0)):
+        total += terms[k]
+        spread += sizes[k]
+    return total, spread, smallest
+
+
 def _bergstrom(s: float, y: np.ndarray, density: bool) -> tuple[np.ndarray, np.ndarray]:
     """Bergström series of ``S(y)``, or of ``p(1, y)``, at the points ``y > 0``.
 
@@ -105,34 +164,30 @@ def _bergstrom(s: float, y: np.ndarray, density: bool) -> tuple[np.ndarray, np.n
     point adds its terms up to, not including, its smallest one (k <=
     SERIES_TERMS). A term's size leaves the sine out: the sine vanishes at
     some k (every even k at s = 1/2) and would fake a small term. Returns
-    the sums and the accept mask of the module docstring. Works term by
-    term on whole arrays, so memory stays O(len(y)).
+    the sums and the accept mask of the module docstring. All terms of up
+    to SERIES_BLOCK points are formed at once, so memory stays
+    O(SERIES_TERMS * SERIES_BLOCK); the powers ``z^k`` are running
+    products, as a loop of ``power *= z`` would form them.
     """
     alpha = 2.0 * s
     shift = 1.0 if density else 0.0
-    total = np.zeros_like(y)
-    spread = np.zeros_like(y)  # sum of the sizes of the added terms
-    active = np.ones(y.shape, dtype=bool)
-    # y^(-alpha k) may overflow for y < 1; sizes there only grow, so such a
-    # point stops at once
-    with np.errstate(over="ignore"):
-        z = y**-alpha
-        power = z.copy()  # z^k
-        size = math.gamma(alpha + shift) * power  # size of the pending term
-        pending = math.sin(0.5 * math.pi * alpha) * size  # next term to add
-        for k in range(2, SERIES_TERMS + 1):
-            power *= z
-            nxt = (math.gamma(alpha * k + shift) / math.factorial(k)) * power
-            # the pending term is not the smallest while the sizes still fall
-            active &= nxt < size
-            if not active.any():
-                break
-            total += np.where(active, pending, 0.0)
-            spread += np.where(active, size, 0.0)
-            sine = math.sin(0.5 * math.pi * alpha * k)
-            pending = np.where(active, (sine if k % 2 else -sine) * nxt, pending)
-            size = np.where(active, nxt, size)
-    accepted = size + np.finfo(float).eps * spread <= SERIES_REL_TOL * np.abs(total)
+    coef, sines = _bergstrom_coefficients(alpha, shift)
+    total = np.empty(y.shape)
+    accepted = np.empty(y.shape, dtype=bool)
+    for start in range(0, y.size, SERIES_BLOCK):
+        part = slice(start, start + SERIES_BLOCK)
+        # y^(-alpha k) may overflow for y < 1; sizes there only grow, so
+        # such a point stops at once
+        with np.errstate(over="ignore"):
+            z = y[part] ** -alpha
+            sizes = np.empty((SERIES_TERMS, z.size))
+            sizes[0] = z
+            for k in range(1, SERIES_TERMS):
+                np.multiply(sizes[k - 1], z, out=sizes[k])
+            sizes *= coef[:, None]
+            terms = sines[:, None] * sizes
+        total[part], spread, size = _sum_to_smallest(sizes, terms)
+        accepted[part] = size + np.finfo(float).eps * spread <= SERIES_REL_TOL * np.abs(total[part])
     if density:
         total /= y
     return total / math.pi, accepted
@@ -148,35 +203,31 @@ def _taylor(s: float, y: np.ndarray, density: bool) -> tuple[np.ndarray, np.ndar
     as in :func:`_bergstrom`, with the same accept rule, measured against
     ``|S|`` so that cancellation in ``1/2 - sum`` rejects a point. At
     ``y = 0`` only the first term is left. Sizes are formed from
-    ``lgamma``, so a large ``Gamma`` cannot overflow a float.
+    ``lgamma``, so a large ``Gamma`` cannot overflow a float. Blocks of
+    points as in :func:`_bergstrom`.
     """
     alpha = 2.0 * s
     shift = 0 if density else 1
+    log_coef, exponents = _taylor_coefficients(alpha, shift)
+    # the density's first term, y^0, is a constant
+    first = 1 if density else 0
+    signs = np.where(np.arange(SERIES_TERMS + 1) % 2, -1.0, 1.0)[:, None]
     with np.errstate(divide="ignore"):
         log_y = np.log(y)
-
-    def size_of(k: int) -> np.ndarray:
-        m = 2 * k + shift
-        log_coef = math.lgamma((2 * k + 1) / alpha) - math.lgamma(m + 1)
-        if m == 0:
-            return np.full(y.shape, math.exp(log_coef))
+    total = np.empty(y.shape)
+    spread = np.empty(y.shape)
+    size = np.empty(y.shape)
+    for start in range(0, y.size, SERIES_BLOCK):
+        part = slice(start, start + SERIES_BLOCK)
+        sizes = np.empty((SERIES_TERMS + 1, log_y[part].size))
+        if density:
+            sizes[0] = math.exp(log_coef[0])
         with np.errstate(over="ignore"):
-            return np.exp(log_coef + m * log_y)
-
-    total = np.zeros_like(y)
-    spread = np.zeros_like(y)  # sum of the sizes of the added terms
-    active = np.ones(y.shape, dtype=bool)
-    size = size_of(0)  # size of the pending term
-    pending = size  # next term to add
-    for k in range(1, SERIES_TERMS + 1):
-        nxt = size_of(k)
-        active &= nxt < size
-        if not active.any():
-            break
-        total += np.where(active, pending, 0.0)
-        spread += np.where(active, size, 0.0)
-        pending = np.where(active, -nxt if k % 2 else nxt, pending)
-        size = np.where(active, nxt, size)
+            np.exp(
+                log_coef[first:, None] + exponents[first:, None] * log_y[part],
+                out=sizes[first:],
+            )
+        total[part], spread[part], size[part] = _sum_to_smallest(sizes, signs * sizes)
     scale = math.pi * alpha
     value = total / scale if density else 0.5 - total / scale
     error = (size + np.finfo(float).eps * spread) / scale
@@ -186,10 +237,11 @@ def _taylor(s: float, y: np.ndarray, density: bool) -> tuple[np.ndarray, np.ndar
 def _standardized(s: float, y: np.ndarray, density: bool) -> np.ndarray:
     """``p(1, y)`` or ``S(y)`` at every point of ``y``: the one router.
 
-    The closed forms take s = 1/2 and s = 1. Otherwise each point sees
-    ``|y|``: the Bergström series where it is accepted, then the Taylor
-    series where that is accepted, :func:`_zolotarev` elsewhere, and
-    ``S(-y) = 1 - S(y)`` is applied once, after the three routes.
+    The closed forms take s = 1/2 and s = 1. Otherwise each distinct
+    ``|y|`` goes through the routes once: the Bergström series where it is
+    accepted, then the Taylor series where that is accepted,
+    :func:`_zolotarev` elsewhere. The values are scattered back to the
+    points, and ``S(-y) = 1 - S(y)`` is applied once, after that.
     """
     if s == 0.5:
         if density:
@@ -200,8 +252,8 @@ def _standardized(s: float, y: np.ndarray, density: bool) -> np.ndarray:
             return np.exp(-y * y / 4.0) / math.sqrt(4.0 * math.pi)
         return 0.5 * special.erfc(y / 2.0)
     flat = y.ravel()
-    mag = np.abs(flat)
-    out = np.empty(flat.shape)
+    mag, inverse = np.unique(np.abs(flat), return_inverse=True)
+    out = np.empty(mag.shape)
     far = mag > 0.0
     series, accepted = _bergstrom(s, mag[far], density)
     far[far] = accepted
@@ -212,6 +264,7 @@ def _standardized(s: float, y: np.ndarray, density: bool) -> np.ndarray:
     rest = rest[~accepted]
     if rest.size:
         out[rest] = _zolotarev(s, mag[rest], density)
+    out = out[inverse]
     if not density:
         out = np.where(flat < 0.0, 1.0 - out, out)
     return out.reshape(y.shape)

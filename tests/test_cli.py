@@ -540,9 +540,12 @@ def test_bench_schema(tmp_path):
     out = tmp_path / "bench"
     assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "bench.csv").read_text().splitlines()
-    assert lines[0] == "n,direct_ms,fft_ms,speedup"
+    assert lines[0] == "n,direct_ms,fft_ms,speedup,rate_ms,apply_path"
     assert len(lines) == 3
-    for line, n in zip(lines[1:], (256, 512)):
+    # rate takes the path of the grid size: the dense product below the
+    # crossover, the FFT from it on
+    for line, n, path in zip(lines[1:], (256, 512), ("direct", "fft")):
         cells = line.split(",")
         assert int(cells[0]) == n
-        assert float(cells[1]) > 0 and float(cells[2]) > 0 and float(cells[3]) > 0
+        assert all(float(cell) > 0 for cell in cells[1:5])
+        assert cells[5] == path

@@ -205,6 +205,21 @@ def test_taylor_series_matches_quadrature_below_switch_off(s, density):
     np.testing.assert_allclose(series[:off], quad_value, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("s", [0.55, 0.75, 0.9, 0.99])
+@pytest.mark.parametrize("y", [1e-12, 1e-15, 1e-100, 1e-300])
+def test_density_at_tiny_y_is_the_center_value(s, y):
+    # the Taylor route takes these points, and its first term is the center
+    # value Gamma(1/alpha) / (pi alpha). The integral alone reads them wrong,
+    # with no error raised: by 1.1e-6 relative at s = 0.75 from y = 1e-12
+    # down, 2e-4 at s = 0.9 from 1e-15, 9.8e-4 at s = 0.99 from 1e-25, and
+    # 100 % at s = 0.05 from 1e-25; at y = 1e-300 it raises. That is why
+    # the Taylor route stays.
+    alpha = 2.0 * s
+    center = math.gamma(1.0 / alpha) / (math.pi * alpha)
+    assert _taylor(s, np.array([y]), True)[1][0]
+    assert fd.fractional_heat_kernel(s, 1.0, y) == pytest.approx(center, rel=1e-14)
+
+
 def test_rejected_points_take_the_quadrature_route():
     # at s = 0.9, y = 2 takes the Taylor series of the tail mass; y = 4
     # takes neither series
@@ -304,6 +319,127 @@ def test_zolotarev_route_matches_every_series_point(s):
             np.testing.assert_allclose(
                 route[accepted], series[accepted], rtol=1e-13, atol=0
             )
+
+
+# -- series routes against term-by-term loops ---------------------------------
+
+
+def bergstrom_by_term(s, y, density):
+    """The Bergström route as a loop over terms on whole arrays, the form
+    the batched route must reproduce bit for bit."""
+    alpha = 2.0 * s
+    shift = 1.0 if density else 0.0
+    total = np.zeros_like(y)
+    spread = np.zeros_like(y)
+    active = np.ones(y.shape, dtype=bool)
+    with np.errstate(over="ignore"):
+        z = y**-alpha
+        power = z.copy()
+        size = math.gamma(alpha + shift) * power
+        pending = math.sin(0.5 * math.pi * alpha) * size
+        for k in range(2, reference.SERIES_TERMS + 1):
+            power *= z
+            nxt = (math.gamma(alpha * k + shift) / math.factorial(k)) * power
+            active &= nxt < size
+            if not active.any():
+                break
+            total += np.where(active, pending, 0.0)
+            spread += np.where(active, size, 0.0)
+            sine = math.sin(0.5 * math.pi * alpha * k)
+            pending = np.where(active, (sine if k % 2 else -sine) * nxt, pending)
+            size = np.where(active, nxt, size)
+    accepted = size + np.finfo(float).eps * spread <= reference.SERIES_REL_TOL * np.abs(total)
+    if density:
+        total /= y
+    return total / math.pi, accepted
+
+
+def taylor_by_term(s, y, density):
+    """The Taylor route as a loop over terms on whole arrays."""
+    alpha = 2.0 * s
+    shift = 0 if density else 1
+    with np.errstate(divide="ignore"):
+        log_y = np.log(y)
+
+    def size_of(k):
+        m = 2 * k + shift
+        log_coef = math.lgamma((2 * k + 1) / alpha) - math.lgamma(m + 1)
+        if m == 0:
+            return np.full(y.shape, math.exp(log_coef))
+        with np.errstate(over="ignore"):
+            return np.exp(log_coef + m * log_y)
+
+    total = np.zeros_like(y)
+    spread = np.zeros_like(y)
+    active = np.ones(y.shape, dtype=bool)
+    size = size_of(0)
+    pending = size
+    for k in range(1, reference.SERIES_TERMS + 1):
+        nxt = size_of(k)
+        active &= nxt < size
+        if not active.any():
+            break
+        total += np.where(active, pending, 0.0)
+        spread += np.where(active, size, 0.0)
+        pending = np.where(active, -nxt if k % 2 else nxt, pending)
+        size = np.where(active, nxt, size)
+    scale = math.pi * alpha
+    value = total / scale if density else 0.5 - total / scale
+    error = (size + np.finfo(float).eps * spread) / scale
+    return value, error <= reference.SERIES_REL_TOL * np.abs(value)
+
+
+# from below the smallest normal float to far beyond every switch-on point,
+# so that powers overflow and underflow and every stopping index occurs
+SERIES_SWEEP = np.concatenate(
+    ([5e-324, 1e-310], np.geomspace(1e-300, 1e3, 1500), np.geomspace(0.05, 40.0, 301))
+)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.45, 0.55, 0.75, 0.9, 0.99])
+@pytest.mark.parametrize("density", [False, True])
+def test_series_routes_keep_the_bits_of_a_term_by_term_loop(s, density, monkeypatch):
+    y = SERIES_SWEEP
+    assert y.size > 3 * reference.SERIES_BLOCK
+    for route, by_term, points in (
+        (_bergstrom, bergstrom_by_term, y),
+        (_taylor, taylor_by_term, np.concatenate(([0.0], y))),
+    ):
+        value, accepted = route(s, points, density)
+        want_value, want_accepted = by_term(s, points, density)
+        assert np.array_equal(value, want_value)
+        assert np.array_equal(accepted, want_accepted)
+        # a lone point, and blocks of a few points, give the same bits
+        for i in (0, 1, 700, points.size - 1):
+            lone = route(s, points[i : i + 1], density)
+            assert lone[0][0] == value[i] and lone[1][0] == accepted[i]
+        with monkeypatch.context() as patch:
+            patch.setattr(reference, "SERIES_BLOCK", 7)
+            small_blocks = route(s, points[:100], density)
+        assert np.array_equal(small_blocks[0], value[:100])
+        assert np.array_equal(small_blocks[1], accepted[:100])
+
+
+def test_router_takes_each_distinct_magnitude_once(monkeypatch):
+    # at s = 0.9, 4 takes the integral and 40 the Bergström series; the
+    # router sends each |y| once and reflects the tail mass afterwards
+    seen = {}
+    for name in ("_bergstrom", "_taylor", "_zolotarev"):
+        route = getattr(reference, name)
+
+        def spy(s, y, density, route=route, name=name):
+            seen[name] = y.copy()
+            return route(s, y, density)
+
+        monkeypatch.setattr(reference, name, spy)
+    x = np.array([[4.0, -4.0, 40.0], [-40.0, 4.0, -4.0]])
+    tail = fd.reference_solution(0.9, 1.0, 0.0, 1.0, x)
+    assert np.array_equal(seen["_bergstrom"], [4.0, 40.0])
+    assert np.array_equal(seen["_taylor"], [4.0])
+    assert np.array_equal(seen["_zolotarev"], [4.0])
+    assert tail[0, 0] == tail[1, 1] == fd.reference_solution(0.9, 1.0, 0.0, 1.0, 4.0)
+    assert tail[0, 1] == tail[1, 2] == 1.0 - tail[0, 0]
+    assert tail[1, 0] == 1.0 - tail[0, 2]
 
 
 # -- plateau reference solution ----------------------------------------------

@@ -181,13 +181,7 @@ def compact_plus_tail(
 
 
 def _power_law(spec: KernelSpec, r):
-    """``A r^(-1-2s)`` at ``r > 0``, for a float or an array.
-
-    ``np.power`` takes a float through the same loop as an array element, so
-    both give the same bits. Bare ``**`` on a float calls the C library's
-    ``pow``, which differs from numpy's vectorized power in the last bit on
-    some hosts, and raises ``OverflowError`` where numpy returns ``inf``.
-    """
+    """``A r^(-1-2s)`` at ``r > 0``; overflows to ``inf`` as numpy does."""
     return spec.amplitude * np.power(r, -1.0 - 2.0 * spec.s)
 
 
@@ -199,22 +193,12 @@ def _near_profile(spec: KernelSpec, r):
 def eval_kernel(spec: KernelSpec, z) -> np.ndarray | float:
     """Evaluate ``J(z)``; accepts scalars or arrays, rejects ``z = 0``.
 
-    A ``float`` in (``np.float64`` included) gives a ``float`` out, computed
-    without building an array and with the same bits as the array path;
-    quadrature integrands call it once per node.
+    A scalar gives a ``float``, through the same 0-d array path as an array
+    element, so both give the same bits.
     """
     lo, hi = spec.tail_support
-    if isinstance(z, float):
-        if z == 0.0:
-            raise ValueError("kernel is undefined at z = 0")
-        r = abs(z)
-        if r > hi:
-            return 0.0
-        if r <= lo:
-            return float(_near_profile(spec, r))
-        return float(_power_law(spec, r))
     z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr == 0.0):
+    if not z_arr.all():
         raise ValueError("kernel is undefined at z = 0")
     r = np.abs(z_arr)
     if spec.near_slope is None:

@@ -1,19 +1,16 @@
-"""Adaptive quadrature with explicit failure reporting: thin wrappers around
-QUADPACK for one integrand, and a batched Gauss-Kronrod rule for many."""
+"""Adaptive quadrature with explicit failure reporting: QUADPACK's 21-point
+Gauss-Kronrod rule run as array passes over many integrals at once."""
 
 from __future__ import annotations
 
 import math
-import warnings
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 import numpy as np
-from scipy import integrate
 
 __all__ = ["QuadratureError"]
 
-_ABS_FLOOR = 1e-14
-# most subintervals one integral may use, in QUADPACK and in the batched rule
+# most panels one integral may use
 _PANEL_LIMIT = 400
 
 # QUADPACK's qk21 rule: the 11 nonnegative Kronrod nodes, descending, their
@@ -46,86 +43,12 @@ _GAUSS = np.zeros(21)
 _GAUSS[1:10:2] = _WG
 _GAUSS[19:10:-2] = _WG
 _EPS = np.finfo(float).eps
+_WEIGHTS = np.stack((_KRONROD, _GAUSS))
+_sum = np.add.reduce
 
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge to the requested tolerance."""
-
-
-def _quad(f, a: float, b: float, where: str, **options) -> tuple[float, float]:
-    """``integrate.quad`` raising :class:`QuadratureError` on a QUADPACK warning.
-
-    ``where`` is formatted with ``a``, ``b`` and ``options`` only on failure.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            return integrate.quad(f, a, b, **options)
-        except integrate.IntegrationWarning as exc:
-            where = where.format(a=a, b=b, **options)
-            raise QuadratureError(f"{where} did not converge: {exc}") from exc
-
-
-def integrate_interval(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-10,
-    breakpoints: Sequence[float] | None = None,
-) -> tuple[float, float]:
-    """Integrate ``f`` over the finite interval ``[a, b]``.
-
-    Returns ``(value, error_estimate)``. Interior breakpoints (kinks of the
-    integrand) may be supplied; points outside ``(a, b)`` are ignored.
-    Raises :class:`QuadratureError` if the routine reports non-convergence.
-    """
-    pts: list[float] | None = None
-    if breakpoints is not None:
-        pts = [p for p in breakpoints if a < p < b]
-        if not pts:
-            pts = None
-    return _quad(
-        f, a, b, "quadrature on [{a}, {b}]",
-        epsabs=_ABS_FLOOR, epsrel=rel_tol, limit=_PANEL_LIMIT, points=pts
-    )
-
-
-def integrate_tail(
-    f: Callable[[float], float],
-    a: float,
-    rel_tol: float = 1e-10,
-    breakpoints: Sequence[float] | None = None,
-) -> tuple[float, float]:
-    """Integrate ``f`` over ``[a, inf)`` for ``a > 0``.
-
-    Uses the substitution ``z = tau^(-2)``, ``dz = -2 tau^(-3) dtau``, which
-    maps the tail onto ``(0, 1/sqrt(a)]``. Breakpoints are given in ``z``,
-    as for :func:`integrate_interval`, and mapped to ``tau = z^(-1/2)``;
-    points outside ``(a, inf)`` are ignored. A tail ``f ~ z^(-1-2s)`` becomes
-    ``tau^(4s-1)`` at ``tau -> 0``, a polynomial for ``s`` = 1/2, 3/4 and 1;
-    the map ``z = 1/v`` gives ``v^(2s-1)``, which is not smooth at ``s = 3/4``
-    and unbounded below ``s = 1/2``. Integrand calls per sample for the far
-    field of the barrier residual on the certify layout (c = 2, 20 x 20
-    samples, x up to 200):
-
-        kernel                      z = 1/v   z = tau^(-2)
-        s = 1/2 unit                21        21
-        s = 0.75 fractional Lapl.   224       21
-        s = 1 compact flat          21        21
-    """
-    if a <= 0:
-        raise ValueError("tail integration requires a positive lower limit")
-
-    def g(tau: float) -> float:
-        z = 1.0 / (tau * tau)
-        # f z^2 tau = f tau^(-3) without forming tau^(-3), which overflows
-        # at nodes where f z^2 tau is still finite
-        return 2.0 * f(z) * z * z * tau
-
-    taus = [1.0 / math.sqrt(z) for z in breakpoints or () if z > a]
-    return integrate_interval(
-        g, 0.0, 1.0 / math.sqrt(a), rel_tol=rel_tol, breakpoints=taus
-    )
 
 
 def _kronrod21(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
@@ -133,19 +56,23 @@ def _kronrod21(f, a: np.ndarray, b: np.ndarray, owner: np.ndarray):
 
     The estimate is ``resasc * min(1, (200 |K - G| / resasc)^1.5)``, raised
     to the round-off floor ``50 eps resabs``. Each panel's sums run along its
-    own row, so a panel's result does not depend on the other panels.
+    own row, so a panel's result does not depend on the other panels. The
+    caller silences floating-point warnings.
     """
     half = 0.5 * (b - a)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fx = f((0.5 * (a + b))[:, None] + half[:, None] * _NODES, owner)
-        kronrod = (fx * _KRONROD).sum(axis=1)
-        gauss = (fx * _GAUSS).sum(axis=1)
-        resabs = (np.abs(fx) * _KRONROD).sum(axis=1) * half
-        resasc = (np.abs(fx - 0.5 * kronrod[:, None]) * _KRONROD).sum(axis=1) * half
-        err = np.abs(kronrod - gauss) * half
-        spread = resasc > 0.0
-        ratio = 200.0 * err[spread] / resasc[spread]
-        err[spread] = resasc[spread] * np.minimum(1.0, ratio * np.sqrt(ratio))
+    fx = f((0.5 * (a + b))[:, None] + half[:, None] * _NODES, owner)
+    kronrod, gauss = _sum(fx[:, None, :] * _WEIGHTS, axis=2).T
+    # resabs and resasc: |f| and |f - K/2| against the Kronrod weights
+    spread = np.empty((fx.shape[0], 2, fx.shape[1]))
+    np.abs(fx, out=spread[:, 0])
+    np.abs(fx - 0.5 * kronrod[:, None], out=spread[:, 1])
+    spread *= _KRONROD
+    resabs, resasc = (_sum(spread, axis=2) * half[:, None]).T
+    ratio = 200.0 * (np.abs(kronrod - gauss) * half) / resasc
+    # resasc = 0 only where every value is K/2, and there |K - G| is below
+    # the round-off floor, so fmin's 1 for the ratio's NaN or inf changes
+    # no estimate
+    err = resasc * np.fmin(1.0, ratio * np.sqrt(ratio))
     return kronrod * half, np.maximum(50.0 * _EPS * resabs, err)
 
 
@@ -154,6 +81,7 @@ def integrate_panels(
     edges: np.ndarray,
     rel_tol: float,
     where: Callable[[int], str],
+    known: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate one function per row of ``edges`` over that row's interval.
 
@@ -163,54 +91,70 @@ def integrate_panels(
     ``m`` panels, and returns the integrands' values at ``x``. Each pass
     applies QUADPACK's 21-point Gauss-Kronrod rule to every open panel of
     every row in one call to ``f``. A row is retired once its summed error
-    estimate is at most ``rel_tol`` times its summed value; otherwise every
-    panel whose estimate exceeds its even share of that bound is bisected.
-    Returns ``(values, error_estimates)``, one per row. A row that gives a
+    estimate is at most ``rel_tol`` times the size of its summed value, to
+    which ``known[i]`` is added when a part of row ``i``'s quantity is
+    integrated in closed form; otherwise every panel whose estimate exceeds
+    its even share of that bound is bisected. Returns
+    ``(values, error_estimates)``, one per row, without ``known``. A row that gives a
     non-finite value, or reaches 400 panels unconverged, raises
     :class:`QuadratureError` with the description ``where(i)``; the
     integrand's floating-point warnings are silenced, not raised.
     """
     rows = edges.shape[0]
-    lo = edges[:, :-1].ravel()
-    hi = edges[:, 1:].ravel()
-    owner = np.repeat(np.arange(rows), edges.shape[1] - 1)
-    wide = hi > lo
-    new_lo, new_hi, new_owner = lo[wide], hi[wide], owner[wide]
-    lo = hi = val = err = np.empty(0)
-    owner = np.empty(0, dtype=int)
-    values = np.zeros(rows)
-    errors = np.zeros(rows)
-    open_rows = np.ones(rows, dtype=bool)
-    while True:
-        v, e = _kronrod21(f, new_lo, new_hi, new_owner)
-        bad = ~(np.isfinite(v) & np.isfinite(e))
-        if bad.any():
-            raise QuadratureError(f"{where(int(new_owner[bad][0]))} gave a non-finite value")
-        lo = np.concatenate((lo, new_lo))
-        hi = np.concatenate((hi, new_hi))
-        owner = np.concatenate((owner, new_owner))
-        val = np.concatenate((val, v))
-        err = np.concatenate((err, e))
-        total = np.bincount(owner, val, minlength=rows)
-        bound = np.bincount(owner, err, minlength=rows)
-        count = np.bincount(owner, minlength=rows)
-        done = open_rows & (bound <= rel_tol * np.abs(total))
-        values[done] = total[done]
-        errors[done] = bound[done]
-        open_rows &= ~done
-        if not open_rows.any():
-            return values, errors
-        capped = np.flatnonzero(open_rows & (count >= _PANEL_LIMIT))
-        if capped.size:
-            raise QuadratureError(
-                f"{where(int(capped[0]))} did not converge in {_PANEL_LIMIT} panels"
-            )
-        live = open_rows[owner]
-        share = rel_tol * np.abs(total) / np.maximum(count, 1)
-        split = live & (err > share[owner])
-        keep = live & ~split
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate((lo[split], mid))
-        new_hi = np.concatenate((mid, hi[split]))
-        new_owner = np.concatenate((owner[split], owner[split]))
-        lo, hi, owner, val, err = lo[keep], hi[keep], owner[keep], val[keep], err[keep]
+    new = np.array((edges[:, :-1].ravel(), edges[:, 1:].ravel()))
+    wide = new[1] > new[0]
+    new = new[:, wide]
+    new_owner = np.arange(rows).repeat(edges.shape[1] - 1)[wide]
+    # every panel of an open row: its ends, value and error estimate
+    panels = open_rows = None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            v, e = _kronrod21(f, new[0], new[1], new_owner)
+            # a sum of finite values overflows only beyond 1e308
+            if not math.isfinite(_sum(v + e)):
+                bad = ~(np.isfinite(v) & np.isfinite(e))
+                if bad.any():
+                    raise QuadratureError(
+                        f"{where(int(new_owner[bad][0]))} gave a non-finite value"
+                    )
+            block = np.concatenate((new, (v, e)))
+            if panels is None:
+                panels, owner = block, new_owner
+            else:
+                panels = np.concatenate((panels, block), axis=1)
+                owner = np.concatenate((owner, new_owner))
+            val, err = panels[2:]
+            total = np.bincount(owner, val, minlength=rows)
+            bound = np.bincount(owner, err, minlength=rows)
+            allowed = rel_tol * np.abs(total if known is None else total + known)
+            done = bound <= allowed
+            if open_rows is None:
+                if done.all():
+                    return total, bound
+                # an open row's entry is overwritten in the pass that retires it
+                values, errors, open_rows = total, bound, ~done
+            else:
+                done &= open_rows
+                np.copyto(values, total, where=done)
+                np.copyto(errors, bound, where=done)
+                open_rows ^= done
+                if not open_rows.any():
+                    return values, errors
+            count = np.bincount(owner, minlength=rows)
+            if count.max() >= _PANEL_LIMIT:
+                capped = (open_rows & (count >= _PANEL_LIMIT)).nonzero()[0]
+                if capped.size:
+                    raise QuadratureError(
+                        f"{where(int(capped[0]))} did not converge in {_PANEL_LIMIT} panels"
+                    )
+            # an open row holds a panel, so its count is positive
+            live = open_rows[owner]
+            split = live & (err > (allowed / count)[owner])
+            keep = live ^ split
+            # each split panel [lo, hi] becomes [lo, mid] and then [mid, hi]
+            lo, hi = panels[:2, split]
+            mid = 0.5 * (lo + hi)
+            new = np.array(((lo, mid), (mid, hi))).reshape(2, -1)
+            new_owner = owner[split]
+            new_owner = np.concatenate((new_owner, new_owner))
+            panels, owner = panels[:, keep], owner[keep]

@@ -451,15 +451,15 @@ def test_verify_subsolution_counts_unresolved_samples(tmp_path):
 
 
 def test_verify_subsolution_nan_residual_fails(tmp_path, monkeypatch):
-    certify = subsolution.residual_certificate
-    calls = []
+    # residual_grid certifies all samples through one batched call
+    certify = subsolution._residual_samples
 
     def nan_on_second_sample(*args, **kwargs):
-        sample = certify(*args, **kwargs)
-        calls.append(sample)
-        return dataclasses.replace(sample, residual=math.nan) if len(calls) == 2 else sample
+        samples = certify(*args, **kwargs)
+        samples[1] = dataclasses.replace(samples[1], residual=math.nan)
+        return samples
 
-    monkeypatch.setattr(subsolution, "residual_certificate", nan_on_second_sample)
+    monkeypatch.setattr(subsolution, "_residual_samples", nan_on_second_sample)
     cfg = write_config(
         tmp_path,
         kernel=UNIT_KERNEL,

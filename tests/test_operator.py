@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 import flatdiff as fd
 from flatdiff.operator import _FFT_THRESHOLD
-from flatdiff.quadrature import integrate_interval, integrate_tail
 
 
 def make_op(spec, cert, grid, left=0.0, right="zero", right_value=0.0):
@@ -420,6 +419,21 @@ FAR_SHAPE_KERNELS = {
 }
 
 
+def quadpack(f, a, b):
+    return quad(f, a, b, epsabs=1e-14, epsrel=1e-11, limit=400)[0]
+
+
+def quadpack_tail(f, a):
+    """``int_a^inf f`` by QUADPACK over ``tau = z^(-1/2)``, where a tail
+    ``z^(-1-2s)`` becomes ``tau^(4s-1)``."""
+
+    def g(tau):
+        z = 1.0 / (tau * tau)
+        return 2.0 * f(z) * z * z * tau
+
+    return quadpack(g, 0.0, 1.0 / math.sqrt(a))
+
+
 def quadrature_far_shape(spec, cut, x):
     """``int_cut^inf (x + z)^(-2s) J(z) dz`` by adaptive quadrature, split at
     the kernel's jumps (the truncation cutoff, the near-profile edge at 1)."""
@@ -431,11 +445,10 @@ def quadrature_far_shape(spec, cut, x):
     if spec.family == "truncated_fractional":
         if cut >= spec.cutoff:
             return 0.0
-        return integrate_interval(f, cut, spec.cutoff, rel_tol=1e-11)[0]
+        return quadpack(f, cut, spec.cutoff)
     if spec.family == "compact_plus_tail" and cut < 1.0:
-        near = integrate_interval(f, cut, 1.0, rel_tol=1e-11)[0]
-        return near + integrate_tail(f, 1.0, rel_tol=1e-11)[0]
-    return integrate_tail(f, cut, rel_tol=1e-11)[0]
+        return quadpack(f, cut, 1.0) + quadpack_tail(f, 1.0)
+    return quadpack_tail(f, cut)
 
 
 # (100, 110) puts -x/cut below -1, (-10, 0.05) takes it close to 1, and the

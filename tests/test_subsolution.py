@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 import flatdiff as fd
 from flatdiff import subsolution
+from flatdiff.quadrature import QuadratureError
 from flatdiff.subsolution import RESIDUAL_BUDGET_FLOOR
 
 # flat near profile: J = 1 on |z| <= 1 and z^-3 beyond, a jump at z = 1
@@ -306,6 +307,28 @@ def test_operator_matches_split_oracle_for_kernel_with_jump(x):
     assert ours == pytest.approx(oracle, rel=1e-8)
 
 
+@pytest.mark.parametrize("s", [0.3, 0.6, 0.9, 0.99])
+def test_operator_matches_quadpack_across_orders(s):
+    # with the square-root maps the ends behave as tau^(3-4s) and tau^(4s-1),
+    # which bisection alone resolves slowly unless 4s is an integer: the near
+    # piece subtracts its z^2 term in closed form and the far map turns
+    # to z = tau^(-1/s). QUADPACK's extrapolation needs neither.
+    spec = fd.pure_fractional(s, 1.0, j0=1.0, j1=1.0, r0=2.0)
+    p = fd.SubsolutionParams(spec, 2.0)
+    t, x = 0.5 * p.t_star, 1.5 * p.onset
+
+    def integrand(z):
+        return fd.symmetric_increment(p, t, x, z) * z ** (-1.0 - 2.0 * s)
+
+    oracle = sum(
+        quad(integrand, a, b, limit=400, epsabs=0.0, epsrel=1e-12)[0]
+        for a, b in ((0.0, 0.5 * x), (0.5 * x, x), (x, np.inf))
+    )
+    ours = fd.nonlocal_apply_to_barrier(spec, p, t, x, quad_tol=1e-10)
+    assert ours == pytest.approx(oracle, rel=1e-8, abs=0.0)
+    assert fd.residual_certificate(spec, p, t, x).resolved
+
+
 def test_far_piece_is_split_at_the_cutoff():
     # |x| < cutoff, so J jumps to 0 inside the far piece; integrated unsplit,
     # D w was off by 1.2e-5 relative here while QUADPACK reported 1.8e-10
@@ -323,6 +346,22 @@ def test_far_piece_is_split_at_the_cutoff():
     )
     ours = fd.nonlocal_apply_to_barrier(spec, p, t, x)
     assert ours == pytest.approx(oracle, rel=10.0 * subsolution.DEFAULT_QUAD_TOL)
+
+
+def test_tiny_operator_values_keep_their_relative_accuracy():
+    # far beyond a truncation cutoff D w is about 1e-14; an absolute floor of
+    # 1e-14 on the quadrature let it stop 3.9 % off here
+    spec = fd.truncated_fractional(0.9, 1.0, 30.0, j0=1.0, j1=1.0, r0=2.0)
+    p = fd.SubsolutionParams(spec, 2.0)
+    t, x = 0.1 * p.t_star, 1e4
+
+    def integrand(z):
+        return fd.symmetric_increment(p, t, x, z) * z**-2.8
+
+    oracle = quad(integrand, 0.0, 30.0, limit=400, epsabs=0.0, epsrel=1e-12)[0]
+    assert 1e-15 < oracle < 1e-13
+    ours = fd.nonlocal_apply_to_barrier(spec, p, t, x)
+    assert ours == pytest.approx(oracle, rel=10.0 * subsolution.DEFAULT_QUAD_TOL, abs=0.0)
 
 
 # -- residual certificate ----------------------------------------------------
@@ -407,17 +446,17 @@ def test_residual_certificate_evaluates_where_z_rounds_to_x():
 def test_residual_certificate_integrand_calls_on_the_certify_layout(
     monkeypatch, fractional_laplacian
 ):
-    """Both ends of the near piece are square-root maps, so QUADPACK need not
-    bisect towards the plateau edge, where ``w(x - z)`` reaches 1/2 as
+    """Both ends of the near piece are square-root maps, so the quadrature need
+    not bisect towards the plateau edge, where ``w(x - z)`` reaches 1/2 as
     ``(x - z)^(2s)`` and ``sigma = sqrt(x - z)`` makes it smooth."""
     spec = fractional_laplacian(0.75)
     params = fd.SubsolutionParams(spec, 2.0)
-    calls = 0
+    nodes = 0
     kernel_values = subsolution.eval_kernel
 
     def counted(spec, z):
-        nonlocal calls
-        calls += 1
+        nonlocal nodes
+        nodes += np.size(z)
         return kernel_values(spec, z)
 
     monkeypatch.setattr(subsolution, "eval_kernel", counted)
@@ -427,8 +466,27 @@ def test_residual_certificate_integrand_calls_on_the_certify_layout(
     for t in times:
         for x in positions:
             assert fd.residual_certificate(spec, params, float(t), float(x)).passed
-    # 131.0 measured on these 25 samples; 385.6 with that end in tau = sqrt(z)
-    assert calls / (len(times) * len(positions)) < 160.0
+    # 21 Gauss-Kronrod nodes a panel: 131.04 measured on these 25 samples
+    # (6.24 panels each, over about two passes); QUADPACK took 131.0
+    # integrand calls, and 385.6 with the plateau end in tau = sqrt(z)
+    assert nodes % 21 == 0
+    assert nodes / (len(times) * len(positions)) < 160.0
+
+
+def test_sample_at_the_panel_cap_raises_naming_t_and_x(monkeypatch, unit_spec, unit_params):
+    # a kernel value that swings with every node keeps every panel's error
+    # estimate large, so the rows bisect until they reach 400 panels
+    kernel_values = subsolution.eval_kernel
+
+    def rough(spec, z):
+        return kernel_values(spec, z) * (1.0 + np.sin(1e6 * z))
+
+    monkeypatch.setattr(subsolution, "eval_kernel", rough)
+    with pytest.raises(QuadratureError, match=r"at t=8\.0, x=30\.0 did not converge in 400 panels"):
+        fd.residual_certificate(unit_spec, unit_params, 8.0, 30.0)
+    # in a batch, the message names the sample whose row reached the cap
+    with pytest.raises(QuadratureError, match=r"x=(18|60)\.0 did not converge"):
+        fd.residual_grid(unit_spec, unit_params, nt=1, nx=2, x_max=60.0)
 
 
 def test_far_sample_passes_only_through_the_budget_floor(fractional_laplacian):
@@ -496,12 +554,12 @@ def test_barrier_constants_must_be_the_kernels(unit_spec, cauchy_spec, unit_para
 
 
 @pytest.mark.parametrize("kernel", ["unit", "laplacian_075", "compact_1", "truncated_075"])
-def test_residual_certificate_same_through_array_path(
-    monkeypatch, unit_spec, fractional_laplacian, kernel
+def test_residual_grid_batch_gives_the_per_sample_bits(
+    unit_spec, fractional_laplacian, kernel
 ):
-    """The scalar branches of ``eval_kernel`` and ``w_eval`` change no residual
-    bit: routing every integrand call through the array path gives the same
-    residuals."""
+    """One batched ``residual_grid`` call gives every sample the residual and
+    budget bits of its own ``residual_certificate`` call: the quadrature sums
+    each row apart from the others."""
     spec = {
         "unit": unit_spec,
         "laplacian_075": fractional_laplacian(0.75),
@@ -511,24 +569,9 @@ def test_residual_certificate_same_through_array_path(
         ),
     }[kernel]
     params = fd.SubsolutionParams.from_kernel(spec, c=2.0)
-    scalar = [r.residual for r in fd.residual_grid(spec, params, nt=3, nx=3)]
-
-    used = set()
-    kernel_values, barrier_values = subsolution.eval_kernel, subsolution.w_eval
-
-    def eval_kernel_via_array(spec, z):
-        used.add("eval_kernel")
-        return float(kernel_values(spec, np.array([z]))[0])
-
-    def w_eval_via_array(params, t, x):
-        used.add("w_eval")
-        return float(barrier_values(params, t, np.array([x]))[0])
-
-    monkeypatch.setattr(subsolution, "eval_kernel", eval_kernel_via_array)
-    monkeypatch.setattr(subsolution, "w_eval", w_eval_via_array)
-    routed = [r.residual for r in fd.residual_grid(spec, params, nt=3, nx=3)]
-    assert used == {"eval_kernel", "w_eval"}
-    assert routed == scalar
+    batch = fd.residual_grid(spec, params, nt=3, nx=3, x_max=200.0)
+    single = [fd.residual_certificate(spec, params, s.t, s.x) for s in batch]
+    assert batch == single
 
 
 # -- shifted lower bound -----------------------------------------------------

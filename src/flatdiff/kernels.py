@@ -256,7 +256,7 @@ def interval_mass(spec: KernelSpec, lo, hi):
     """One-sided mass ``int_lo^hi J(z) dz`` with ``0 < lo <= hi`` (vectorized)."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    # one reduction: operator set-up and every residual sample call this
+    # one reduction: operator set-up calls this, through exterior_mass
     if ((lo <= 0) | (hi < lo)).any():
         raise ValueError("interval must satisfy 0 < lo <= hi")
     out = _power_interval(spec.amplitude, spec.s, *_tail_part(spec, lo, hi))

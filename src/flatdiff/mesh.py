@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -26,6 +27,12 @@ class Grid:
             raise ValueError("grid requires x_min < x_max")
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
             raise ValueError("grid requires finite x_min and x_max")
+        # index() takes int and numpy integers, and refuses 32.0 as well as 32.5
+        try:
+            index(self.n)
+        except TypeError:
+            msg = f"grid node count must be an integer, not {self.n!r}"
+            raise ValueError(msg) from None
         if self.n < 16:
             raise ValueError("grid requires at least 16 nodes")
 

@@ -58,7 +58,6 @@ __all__ = [
     "shifted_subsolution",
 ]
 
-RESIDUAL_BUDGET_FLOOR = 1e-10
 DEFAULT_QUAD_TOL = 1e-8
 # The plateau side of the near piece of D w is split where x - z is this many
 # core widths (2 kappa t)^(1/(2s)) of the barrier: inside it w(x - z) climbs
@@ -110,7 +109,7 @@ class SubsolutionParams:
 
     @property
     def r0(self) -> float:
-        """``spec.declared_r0``, kept for the benchmark (ROADMAP item 6)."""
+        """``spec.declared_r0``, kept for the benchmark (ROADMAP item 8)."""
         return self.spec.declared_r0
 
     @cached_property
@@ -135,7 +134,7 @@ class SubsolutionParams:
     def from_kernel(
         cls, spec: KernelSpec, c: float, a: float = 1.0, b: float = 0.0
     ) -> "SubsolutionParams":
-        """The constructor, kept for the benchmark (ROADMAP item 6)."""
+        """The constructor, kept for the benchmark (ROADMAP item 8)."""
         return cls(spec, c, a, b)
 
 
@@ -484,7 +483,7 @@ def _residual_samples(
     samples = []
     for ti, xi, d in zip(t.tolist(), x.tolist(), dw.tolist()):
         residual = w_time_derivative(params, ti, xi) - d
-        budget = max(10.0 * quad_tol * abs(d), RESIDUAL_BUDGET_FLOOR)
+        budget = 10.0 * quad_tol * abs(d)
         samples.append(ResidualSample(t=ti, x=xi, residual=residual, budget=budget))
     return samples
 
@@ -496,7 +495,12 @@ def residual_certificate(
     x: float,
     quad_tol: float = DEFAULT_QUAD_TOL,
 ) -> ResidualSample:
-    """Residual plus the tolerance budget ``max(10 tol |D w|, floor)``."""
+    """Residual plus the tolerance budget ``10 tol |D w|``.
+
+    The budget is relative, as is the rule each quadrature row stops on, so
+    it shrinks with ``D w`` far out and a sample there is resolved by its
+    own value.
+    """
     batch = np.array([t], dtype=float), np.array([x], dtype=float)
     return _residual_samples(spec, params, *batch, quad_tol)[0]
 

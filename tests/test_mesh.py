@@ -35,6 +35,15 @@ def test_grid_validation():
         fd.Grid(-math.inf, 5.0, 64)
 
 
+def test_grid_node_count_must_be_an_integer():
+    for n in (32.5, 32.0):
+        with pytest.raises(ValueError, match="node count must be an integer"):
+            fd.Grid(-1.0, 1.0, n)
+    g = fd.Grid(-1.0, 1.0, np.int64(32))
+    assert g.h == fd.Grid(-1.0, 1.0, 32).h
+    assert g.points().shape == (32,)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(min_value=16, max_value=400))
 def test_grid_points_strictly_increasing(n):

@@ -201,18 +201,35 @@ def test_constant_field_maps_to_zero_on_the_fft_path(kernel):
     assert np.max(np.abs(out)) <= 1e-12 * op.row_sum * c
 
 
+def paths(spec, cert, grid, **boundary):
+    """``(name, op, D)`` for each route to ``D u`` on grid values ``u``.
+
+    ``apply`` is the correlation reference. ``rate``, which ``evolve`` calls,
+    takes the FFT on ``grid`` (401 nodes) and the dense product on a grid of
+    the same span below the crossover.
+    """
+    op = make_op(spec, cert, grid, **boundary)
+    small = make_op(spec, cert, fd.Grid(grid.x_min, grid.x_max, 201), **boundary)
+    assert (op.apply_path, small.apply_path) == ("fft", "direct")
+    return [
+        ("apply", op, lambda u: op.apply(fd.Field(grid, 0.0, u)).values),
+        ("fft", op, op.rate),
+        ("dense", small, small.rate),
+    ]
+
+
 def test_delta_field_reads_off_stencil(unit_spec, unit_cert, h01_grid):
-    op = make_op(unit_spec, unit_cert, h01_grid)
-    n = h01_grid.n
-    c = n // 2
-    u = np.zeros(n)
-    u[c] = 1.0
-    out = op.apply(fd.Field(h01_grid, 0.0, u)).values
-    assert out[c] == pytest.approx(-op.row_sum, rel=1e-13)
-    assert out[c + 5] == pytest.approx(op.near_weights[4], rel=1e-13)
-    assert out[c - 5] == pytest.approx(op.near_weights[4], rel=1e-13)
-    assert out[c + 1] == pytest.approx(op.near_weights[0], rel=1e-13)
-    assert out[c - 1] == pytest.approx(op.near_weights[0], rel=1e-13)
+    for _, op, apply in paths(unit_spec, unit_cert, h01_grid):
+        n = op.grid.n
+        c = n // 2
+        u = np.zeros(n)
+        u[c] = 1.0
+        out = apply(u)
+        assert out[c] == pytest.approx(-op.row_sum, rel=1e-13)
+        assert out[c + 5] == pytest.approx(op.near_weights[4], rel=1e-13)
+        assert out[c - 5] == pytest.approx(op.near_weights[4], rel=1e-13)
+        assert out[c + 1] == pytest.approx(op.near_weights[0], rel=1e-13)
+        assert out[c - 1] == pytest.approx(op.near_weights[0], rel=1e-13)
 
 
 def test_odd_field_vanishes_at_center(unit_spec, unit_cert, h01_grid):
@@ -224,51 +241,53 @@ def test_odd_field_vanishes_at_center(unit_spec, unit_cert, h01_grid):
 
 
 def test_linearity(unit_spec, unit_cert, h01_grid, rng):
-    op = make_op(unit_spec, unit_cert, h01_grid)
-    u = rng.uniform(0.0, 1.0, h01_grid.n)
-    v = rng.uniform(0.0, 1.0, h01_grid.n)
-    a, b = 1.7, -0.4
-    left = op.apply(fd.Field(h01_grid, 0.0, a * u + b * v)).values
-    right = a * op.apply(fd.Field(h01_grid, 0.0, u)).values + b * op.apply(
-        fd.Field(h01_grid, 0.0, v)
-    ).values
-    assert np.max(np.abs(left - right)) <= 1e-12 * op.row_sum
+    for _, op, apply in paths(unit_spec, unit_cert, h01_grid):
+        u = rng.uniform(0.0, 1.0, op.grid.n)
+        v = rng.uniform(0.0, 1.0, op.grid.n)
+        a, b = 1.7, -0.4
+        left = apply(a * u + b * v)
+        right = a * apply(u) + b * apply(v)
+        assert np.max(np.abs(left - right)) <= 1e-12 * op.row_sum
 
 
 def test_translation_equivariance_compact_bump(unit_spec, unit_cert, h01_grid):
-    op = make_op(unit_spec, unit_cert, h01_grid)
-    n = h01_grid.n
-    x = h01_grid.points()
-    bump = np.exp(-np.clip(x * x, 0, 50)) * (np.abs(x) < 5)
-    shifted = np.roll(bump, 1)
-    shifted[0] = 0.0
-    out = op.apply(fd.Field(h01_grid, 0.0, bump)).values
-    out_shifted = op.apply(fd.Field(h01_grid, 0.0, shifted)).values
-    # zero extensions make the shifted convolution an exact index shift
-    assert np.array_equal(out_shifted[1:], out[:-1])
+    for path, op, apply in paths(unit_spec, unit_cert, h01_grid):
+        x = op.grid.points()
+        bump = np.exp(-np.clip(x * x, 0, 50)) * (np.abs(x) < 5)
+        shifted = np.roll(bump, 1)
+        shifted[0] = 0.0
+        out = apply(bump)
+        out_shifted = apply(shifted)
+        # zero extensions make the shifted convolution an exact index shift;
+        # the FFT sums every row in another order and agrees to roundoff
+        if path == "fft":
+            gap = np.max(np.abs(out_shifted[1:] - out[:-1]))
+            assert gap <= 1e-13 * op.row_sum
+        else:
+            assert np.array_equal(out_shifted[1:], out[:-1])
 
 
 def test_monotone_coupling(unit_spec, unit_cert, h01_grid, rng):
-    op = make_op(unit_spec, unit_cert, h01_grid)
-    n = h01_grid.n
-    u = rng.uniform(0.0, 1.0, n)
-    gap = rng.uniform(0.0, 1.0, n)
-    i0 = 120
-    gap[i0] = 0.0
-    v = u + gap
-    du = op.apply(fd.Field(h01_grid, 0.0, u)).values
-    dv = op.apply(fd.Field(h01_grid, 0.0, v)).values
-    # u <= v with equality at i0 forces D[u](x_i0) <= D[v](x_i0)
-    assert du[i0] <= dv[i0] + 1e-12 * op.row_sum
+    for _, op, apply in paths(unit_spec, unit_cert, h01_grid):
+        n = op.grid.n
+        u = rng.uniform(0.0, 1.0, n)
+        gap = rng.uniform(0.0, 1.0, n)
+        i0 = 3 * n // 10
+        gap[i0] = 0.0
+        v = u + gap
+        du = apply(u)
+        dv = apply(v)
+        # u <= v with equality at i0 forces D[u](x_i0) <= D[v](x_i0)
+        assert du[i0] <= dv[i0] + 1e-12 * op.row_sum
 
 
 def test_interior_maximum_nonpositive(unit_spec, unit_cert, h01_grid, rng):
-    op = make_op(unit_spec, unit_cert, h01_grid, left=0.2, right="constant", right_value=0.1)
-    u = rng.uniform(0.0, 0.9, h01_grid.n)
-    i0 = 250
-    u[i0] = 1.5
-    out = op.apply(fd.Field(h01_grid, 0.0, u)).values
-    assert out[i0] <= 0.0
+    boundary = dict(left=0.2, right="constant", right_value=0.1)
+    for _, op, apply in paths(unit_spec, unit_cert, h01_grid, **boundary):
+        u = rng.uniform(0.0, 0.9, op.grid.n)
+        i0 = 5 * op.grid.n // 8
+        u[i0] = 1.5
+        assert apply(u)[i0] <= 0.0
 
 
 def test_grid_mismatch_rejected(unit_spec, unit_cert, h01_grid):

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 import flatdiff as fd
 from flatdiff import subsolution
 from flatdiff.quadrature import QuadratureError
-from flatdiff.subsolution import RESIDUAL_BUDGET_FLOOR
 
 # flat near profile: J = 1 on |z| <= 1 and z^-3 beyond, a jump at z = 1
 COMPACT_FLAT_1 = fd.compact_plus_tail(
@@ -376,7 +375,8 @@ def test_residual_certificate_fields(unit_spec, unit_params):
     cert = fd.residual_certificate(unit_spec, unit_params, 8.0, 30.0)
     assert cert.passed and cert.resolved
     assert cert.residual <= cert.budget
-    assert cert.budget >= RESIDUAL_BUDGET_FLOOR == 1e-10
+    dw = fd.nonlocal_apply_to_barrier(unit_spec, unit_params, 8.0, 30.0)
+    assert cert.budget == 10.0 * subsolution.DEFAULT_QUAD_TOL * abs(dw)
     row = cert.as_row()
     assert set(row) == {"t", "x", "residual", "budget", "pass"}
     assert row["pass"] is True
@@ -489,15 +489,17 @@ def test_sample_at_the_panel_cap_raises_naming_t_and_x(monkeypatch, unit_spec, u
         fd.residual_grid(unit_spec, unit_params, nt=1, nx=2, x_max=60.0)
 
 
-def test_far_sample_passes_only_through_the_budget_floor(fractional_laplacian):
-    # far out the residual decays like x^(-2s) below the absolute budget
-    # floor: the sample passes although its sign is not resolved
+@pytest.mark.parametrize("x", [1e6, 1e12], ids=["1e6", "1e12"])
+def test_far_sample_is_resolved_by_its_relative_budget(fractional_laplacian, x):
+    # far out D w decays like x^(-2s); the budget scales with it, as the
+    # quadrature's stopping rule does, so the sign of the residual shows
     spec = fractional_laplacian(0.75)
     params = fd.SubsolutionParams.from_kernel(spec, c=2.0)
-    sample = fd.residual_certificate(spec, params, params.t_star / 2.0, 1e6)
-    assert sample.budget == RESIDUAL_BUDGET_FLOOR
-    assert -RESIDUAL_BUDGET_FLOOR < sample.residual < 0.0
-    assert sample.passed and not sample.resolved
+    t = params.t_star / 2.0
+    sample = fd.residual_certificate(spec, params, t, x)
+    dw = fd.nonlocal_apply_to_barrier(spec, params, t, x)
+    assert sample.budget == 10.0 * subsolution.DEFAULT_QUAD_TOL * abs(dw)
+    assert sample.passed and sample.resolved
 
 
 def test_residual_grid_default_span_and_guards(unit_spec, unit_params):

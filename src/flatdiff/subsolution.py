@@ -31,7 +31,10 @@ split at ``z = p/2`` and runs over ``tau = sqrt(z)`` and
 quadrature sees (see :func:`nonlocal_apply_to_barrier`). The three integrals
 of every sample of a call go through one batched adaptive Gauss-Kronrod
 quadrature (:func:`~flatdiff.quadrature.integrate_panels`), as rows of
-array passes.
+array passes. They start on panels graded geometrically (ratio
+``GRADING``) from the barrier's core edge, and for compact kernels from the
+near profile's edge, up to ``sqrt(p/2)``, so almost every sample converges
+in its first pass, at any ``x``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from . import quadrature
-from .kernels import KernelSpec, eval_kernel, interval_moments
+from .kernels import HypothesisViolationError, KernelSpec, eval_kernel
 
 __all__ = [
     "SubsolutionParams",
@@ -59,23 +62,34 @@ __all__ = [
 ]
 
 DEFAULT_QUAD_TOL = 1e-8
-# The plateau side of the near piece of D w is split where x - z is this many
-# core widths (2 kappa t)^(1/(2s)) of the barrier: inside it w(x - z) climbs
-# to 1/2 over a layer that is narrow against sqrt(x) for large x. Passes and
-# Gauss-Kronrod nodes per sample on the certify layout (c = 2, 20 x 20, x up
-# to 200; s05 / s075 / s1), and on a far scan of 1436 samples (c = 2; the
-# unit-amplitude pure kernels with s in 0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8,
-# 0.9, 0.95, the compact flat s = 1 kernel and the s = 0.75 kernel truncated
-# at 30; times 0.01, 1/3, 2/3 and 0.99 t_star; 33 log-spaced positions from
-# 20 to 1e12, those below the onset left out), where no sample raised:
-#   1   1.14 / 1.65 / 2.06 passes,  90 / 111 / 178 nodes; far 8.8 passes
-#   2   1.06 / 1.23 / 2.00 passes,  86 /  94 / 197 nodes; far 8.5 passes
-#   3   1.02 / 1.71 / 1.97 passes,  84 / 117 / 182 nodes; far 8.2 passes
-#   4   1.02 / 2.00 / 1.96 passes,  83 / 129 / 178 nodes; far 8.2 passes
-#   6   1.01 / 2.00 / 1.96 passes,  81 / 126 / 173 nodes; far 8.0 passes
-# 4 keeps the panels that QUADPACK's first passes used: the certify layout's
-# residuals stay within 2e-15 of the QUADPACK ones, against 1.1e-13 at 2.
+# The plateau side of the near piece of D w is graded from where x - z is
+# this many core widths (2 kappa t)^(1/(2s)) of the barrier: inside it
+# w(x - z) climbs to 1/2 over a layer that is narrow against sqrt(x) for
+# large x. Passes and Gauss-Kronrod nodes per sample on the certify layout
+# (c = 2, 20 x 20, x up to 200; s05 / s075 / s1), and on a far scan of 1436
+# samples (c = 2; the unit-amplitude pure kernels with s in 0.3, 0.4, 0.5,
+# 0.6, 0.7, 0.75, 0.8, 0.9, 0.95, the compact flat s = 1 kernel and the
+# s = 0.75 kernel truncated at 30; times 0.01, 1/3, 2/3 and 0.99 t_star; 33
+# log-spaced positions from 20 to 1e12, those below the onset left out),
+# at GRADING = 4, where no sample raised:
+#   1   1.00 / 1.00 / 1.76 passes, 114 / 120 / 191 nodes; far 1.26, 229
+#   2   1.00 / 1.00 / 1.47 passes, 109 / 112 / 171 nodes; far 1.25, 222
+#   3   1.00 / 1.00 / 1.00 passes, 106 / 108 / 147 nodes; far 1.08, 211
+#   4   1.00 / 1.00 / 1.00 passes, 105 / 107 / 144 nodes; far 1.09, 209
+#   6   1.00 / 1.00 / 1.00 passes, 102 / 105 / 142 nodes; far 1.02, 203
+# 4 stays, the width at which the values were checked against the tests'
+# 60-digit route (6 would save about 2 % of the nodes).
 CORE_WIDTHS = 4.0
+# Ratio of the graded breaks on the plateau side (from the core edge) and
+# on the near piece of a compact kernel (from its profile edge), each up to
+# sqrt(x/2). The same layout and far scan at CORE_WIDTHS = 4:
+#   2   1.00 / 1.00 / 1.00 passes, 114 / 122 / 187 nodes; far 1.01, 314
+#   4   1.00 / 1.00 / 1.00 passes, 105 / 107 / 144 nodes; far 1.09, 209
+#   8   1.02 / 1.05 / 1.70 passes, 104 / 107 / 166 nodes; far 2.05, 293
+#  16   1.02 / 1.05 / 1.70 passes, 104 / 107 / 158 nodes; far 2.87, 343
+# Bisected from uniform panels instead, the far scan took 8.16 passes and
+# 448 nodes a sample.
+GRADING = 4.0
 
 
 def kappa(spec: KernelSpec) -> float:
@@ -283,7 +297,8 @@ def _apply_to_barrier(
     # every t and |x| in (0, inf); NaN fails both comparisons, in a
     # reduction as well
     both = np.concatenate((t, p))
-    if not (np.minimum.reduce(both) > 0.0 and np.maximum.reduce(both) < math.inf):
+    least, most = float(np.minimum.reduce(both)), float(np.maximum.reduce(both))
+    if not (least > 0.0 and most < math.inf):
         for ti in t.tolist():
             _check_time(ti)
         if (x == 0.0).any():
@@ -330,26 +345,57 @@ def _apply_to_barrier(
         r = xa[0] / g[0]
         w2[0] = a * -c[0] * r * (2.0 * a * r - a + 1.0) / (x * x)
         np.copyto(w2[0], 0.0, where=x < 0.0)
+        # int_0^h A z^(1-2s) dz = A h^q / q, q = 2 - 2s, h = min(p/2, hi):
+        # the bits of interval_moments, without its per-call validation
+        q = 2.0 - a
+        if q <= 0.0:
+            raise HypothesisViolationError(
+                "near-field second moment diverges for an unbounded "
+                f"kernel with s = {spec.s:g} >= 1"
+            )
         known = np.zeros((3, n))
-        known[0] = w2[0] * interval_moments(spec, np.zeros(n), 0.5 * p)[0]
+        h = np.minimum(0.5 * p, spec.tail_support[1])
+        known[0] = w2[0] * (h**q * (spec.amplitude / q))
 
     # each row runs from 0 through its breaks to its limit: the near piece's
     # breaks are sqrt(r) for the jump radii r, the plateau side's sqrt(d)
-    # for the distances d = x - z of the core edge and of the jump radii,
-    # and the far piece's r^(-1/k). A break beyond its row's limit is
-    # clipped to it and makes an empty panel, which integrate_panels drops;
-    # the near and plateau-side rows of x < 0 have limit 0, so no panel.
+    # for the distances d = x - z of the jump radii, and the far piece's
+    # r^(-1/k). The plateau side is graded from the core edge sigma_c:
+    # breaks at sigma_c / 2, sigma_c and sigma_c GRADING^j. The near piece of
+    # a kernel that is a power law beyond its near profile (lo > 0) is
+    # graded from the profile's edge: breaks at sqrt(lo) GRADING^j, j >= 1.
+    # Every row takes the steps that the batch's widest span needs, in logs
+    # from the least origin (sigma_c at the least of all t and |x|, or
+    # sqrt(lo)) to the limit sqrt(x/2) at the largest of them, and at most
+    # 64, so that GRADING^(2j) stays finite. A break beyond its row's limit
+    # is clipped to it and makes an empty panel, which integrate_panels
+    # drops, so a sample's panels do not depend on the batch; the near and
+    # plateau-side rows of x < 0 have limit 0, so no panel.
+    lo = spec.tail_support[0]
     jumps = [r for r in spec.tail_support if 0.0 < r < math.inf]
-    edges = np.empty((3, n, len(jumps) + 3))
-    edges[:] = np.array([
-        [0.0, *(math.sqrt(r) for r in jumps), math.inf, math.inf],
-        [0.0] * (len(jumps) + 2) + [math.inf],
-        [0.0, *(r ** (-1.0 / k) for r in jumps), math.inf, math.inf],
-    ])[:, None, :]
-    side = edges[1]
-    np.sqrt(CORE_WIDTHS * np.power(k2[0], 1.0 / a), out=side[:, 1])
+    start = 0.5 * (
+        math.log(CORE_WIDTHS) + (math.log(2.0 * params.kappa) + math.log(least)) / a
+    )
+    if lo > 0.0:
+        start = min(start, 0.5 * math.log(lo))
+    reach = 0.5 * math.log(0.5 * most) - start
+    steps = min(2 + int(reach / math.log(GRADING)), 64) if reach > 0.0 else 1
+    edges = np.full((3, n, len(jumps) + steps + 3), math.inf)
+    edges[:, :, 0] = 0.0
     if jumps:
-        np.sqrt(np.maximum(x[:, None] - jumps, 0.0), out=side[:, 2:-1])
+        edges[0, :, 1 : len(jumps) + 1] = [math.sqrt(r) for r in jumps]
+        edges[2, :, 1 : len(jumps) + 1] = [r ** (-1.0 / k) for r in jumps]
+    if lo > 0.0:
+        edges[0, :, len(jumps) + 1 : len(jumps) + steps + 1] = [
+            math.sqrt(lo) * GRADING**j for j in range(1, steps + 1)
+        ]
+    # sigma_c GRADING^j = sqrt(CORE_WIDTHS GRADING^(2j) (2 kappa t)^(1/(2s)))
+    side = edges[1]
+    widths = [0.25 * CORE_WIDTHS]
+    widths += [CORE_WIDTHS * GRADING ** (2 * j) for j in range(steps)]
+    np.sqrt(np.power(k2[0], 1.0 / a)[:, None] * widths, out=side[:, 1 : steps + 2])
+    if jumps:
+        np.sqrt(np.maximum(x[:, None] - jumps, 0.0), out=side[:, steps + 2 : -1])
     limit = np.empty((3, n, 1))
     np.sqrt(0.5 * np.maximum(x, 0.0), out=limit[0, :, 0])
     limit[1] = limit[0]
@@ -410,29 +456,37 @@ def nonlocal_apply_to_barrier(
     the distance to each end. On ``(0, x/2)`` it takes ``z = tau^2``, so its
     ``z^(1-2s)`` end becomes ``tau^(3-4s)``, constant at ``s = 3/4``; it is
     split at ``sqrt(r)`` for the kernel's jump radii ``r`` (the finite
-    nonzero ends of ``spec.tail_support``). Where ``J`` is unbounded at 0 and
-    ``4s`` is not an integer, ``w''(x) z^2 J(z)`` is subtracted from the
-    increment there and integrated in closed form, which leaves
-    ``tau^(7-4s)``. On ``(x/2, x)`` it takes ``x - z = sigma^2``, so the
-    plateau end, where ``w(x - z)`` reaches 1/2 as ``(x - z)^(2s)``, becomes
-    the smooth ``sigma^(4s)``; the increment is formed from the exact
-    ``y = sigma^2``, never from ``x - z``, which rounds to ``x`` far out. It
-    is split at ``sqrt(x - r)`` for the jump radii in ``(x/2, x)`` and at
-    ``sqrt(CORE_WIDTHS (2 kappa t)^(1/(2s)))``, where ``w(x - z)`` enters
-    the barrier's core. The far piece runs over ``z = tau^(-k)`` (``k = 2``
-    when ``4s`` is an integer, ``1/s`` otherwise) and is split at the jump
-    radii beyond ``p``. Points outside a map's range are dropped.
+    nonzero ends of ``spec.tail_support``). A kernel that is a power law
+    beyond its near profile on ``(0, lo]`` is also split at
+    ``sqrt(lo) GRADING^j`` up to ``sqrt(x/2)``, so that its panels grow
+    with the distance from the profile's edge. Where ``J`` is unbounded at 0 and ``4s`` is not an integer,
+    ``w''(x) z^2 J(z)`` is subtracted from the increment there and
+    integrated in closed form, which leaves ``tau^(7-4s)``. On ``(x/2, x)``
+    it takes ``x - z = sigma^2``, so the plateau end, where ``w(x - z)``
+    reaches 1/2 as ``(x - z)^(2s)``, becomes the smooth ``sigma^(4s)``; the
+    increment is formed from the exact ``y = sigma^2``, never from
+    ``x - z``, which rounds to ``x`` far out. It is split at ``sqrt(x - r)``
+    for the jump radii in ``(x/2, x)``, and graded from the core edge
+    ``sigma_c = sqrt(CORE_WIDTHS (2 kappa t)^(1/(2s)))``, where ``w(x - z)``
+    enters the barrier's core: at ``sigma_c / 2``, ``sigma_c`` and
+    ``sigma_c GRADING^j`` up to ``sqrt(x/2)``. The far piece runs over
+    ``z = tau^(-k)`` (``k = 2`` when ``4s`` is an integer, ``1/s``
+    otherwise) and is split at the jump radii beyond ``p``. Points outside a
+    map's range are dropped.
 
     The three pieces are rows of one batched Gauss-Kronrod quadrature, each
     to the relative tolerance ``quad_tol``. Passes and nodes per sample on
-    the certify layout (c = 2, 20 x 20 samples, x up to 200):
+    the certify layout (c = 2, 20 x 20 samples, x up to 200), and passes at
+    ``t_star / 2`` for ``x`` = 1e3, 1e6, 1e9 and 1e12:
 
-        kernel                      passes   nodes
-        s = 1/2 unit                1.02      83
-        s = 0.75 fractional Lapl.   2.00     129
-        s = 1 compact flat          1.96     178
+        kernel                      passes   nodes   passes far out
+        s = 1/2 unit                1.00     105     1 / 1 / 1 / 1
+        s = 0.75 fractional Lapl.   1.00     107     1 / 1 / 1 / 1
+        s = 1 compact flat          1.00     144     2 / 2 / 2 / 2
 
-    QUADPACK, on the same maps, took 83, 128 and 175 integrand calls there.
+    Bisected from uniform panels instead, these took 1.02 / 2.00 / 1.96
+    passes and 83 / 129 / 178 nodes, and far out 1 / 6 / 11 / 16 passes
+    (s = 1/2) and 4 / 9 / 14 / 19 (s = 1).
     A piece that reaches 400 panels, or gives a non-finite value, raises
     :class:`~flatdiff.quadrature.QuadratureError` naming ``t`` and ``x``.
 

@@ -20,13 +20,13 @@ CONTINUUM = {"quadrature", "subsolution", "reference"}
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
-def flatdiff_imports(name: str) -> set[str]:
-    """The flatdiff modules that module ``name`` imports, by their short names."""
+def imported_names(name: str) -> set[str]:
+    """The dotted names that module ``name`` imports, relative ones resolved."""
     tree = ast.parse((PACKAGE / f"{name}.py").read_text())
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            dotted = [alias.name for alias in node.names]
+            found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
@@ -34,12 +34,16 @@ def flatdiff_imports(name: str) -> set[str]:
             # ``from . import quadrature`` names modules of the package,
             # ``from .kernels import eval_kernel`` attributes of one module
             if base == "flatdiff":
-                dotted = [f"flatdiff.{alias.name}" for alias in node.names]
+                found.update(f"flatdiff.{alias.name}" for alias in node.names)
             else:
-                dotted = [base]
-        else:
-            continue
-        found.update(d.split(".")[1] for d in dotted if d.startswith("flatdiff."))
+                found.add(base)
+    return found
+
+
+def flatdiff_imports(name: str) -> set[str]:
+    """The flatdiff modules that module ``name`` imports, by their short names."""
+    dotted = imported_names(name)
+    found = {d.split(".")[1] for d in dotted if d.startswith("flatdiff.")}
     return found & MODULES - {name}
 
 
@@ -65,3 +69,10 @@ def test_reference_oracle_uses_only_the_quadrature():
 
 def test_residual_certificate_uses_only_kernels_and_quadrature():
     assert flatdiff_imports("subsolution") == {"kernels", "quadrature"}
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_module_imports_mpmath(name):
+    # the 60-digit route for D w lives in the tests; the library must not
+    # lean on the arithmetic that checks it
+    assert not {d for d in imported_names(name) if d.split(".")[0] == "mpmath"}

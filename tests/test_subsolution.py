@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 import flatdiff as fd
 from flatdiff import subsolution
+from flatdiff.kernels import HypothesisViolationError
 from flatdiff.quadrature import QuadratureError
 
 # flat near profile: J = 1 on |z| <= 1 and z^-3 beyond, a jump at z = 1
@@ -466,11 +467,40 @@ def test_residual_certificate_integrand_calls_on_the_certify_layout(
     for t in times:
         for x in positions:
             assert fd.residual_certificate(spec, params, float(t), float(x)).passed
-    # 21 Gauss-Kronrod nodes a panel: 131.04 measured on these 25 samples
-    # (6.24 panels each, over about two passes); QUADPACK took 131.0
-    # integrand calls, and 385.6 with the plateau end in tau = sqrt(z)
+    # 21 Gauss-Kronrod nodes a panel: 108.36 measured on these 25 samples
+    # (5.16 panels each, in one pass on the graded panels); QUADPACK took
+    # 131.0 integrand calls, and 385.6 with the plateau end in tau = sqrt(z)
     assert nodes % 21 == 0
     assert nodes / (len(times) * len(positions)) < 160.0
+
+
+@pytest.mark.parametrize("kernel", ["unit", "laplacian_075", "compact_1"])
+def test_far_samples_take_at_most_two_passes(monkeypatch, unit_spec, fractional_laplacian, kernel):
+    """The plateau side is graded geometrically from the core edge to
+    ``sqrt(x/2)``, and the compact kernel's near piece from its profile edge,
+    so the passes do not grow with ``log x``. Bisection from uniform panels
+    took 1/6/11/16 passes (s = 1/2) and 4/9/14/19 (compact s = 1) at these
+    positions; the graded panels take 1 (2 for the compact kernel)."""
+    spec = {
+        "unit": unit_spec,
+        "laplacian_075": fractional_laplacian(0.75),
+        "compact_1": COMPACT_FLAT_1,
+    }[kernel]
+    params = fd.SubsolutionParams(spec, 2.0)
+    passes = 0
+    kronrod21 = subsolution.quadrature._kronrod21
+
+    def counted(*args):
+        nonlocal passes
+        passes += 1
+        return kronrod21(*args)
+
+    monkeypatch.setattr(subsolution.quadrature, "_kronrod21", counted)
+    for x in (1e3, 1e6, 1e9, 1e12):
+        passes = 0
+        sample = fd.residual_certificate(spec, params, params.t_star / 2.0, x)
+        assert sample.passed and sample.resolved
+        assert passes <= 2, f"x = {x:g} took {passes} passes"
 
 
 def test_sample_at_the_panel_cap_raises_naming_t_and_x(monkeypatch, unit_spec, unit_params):
@@ -500,6 +530,15 @@ def test_far_sample_is_resolved_by_its_relative_budget(fractional_laplacian, x):
     dw = fd.nonlocal_apply_to_barrier(spec, params, t, x)
     assert sample.budget == 10.0 * subsolution.DEFAULT_QUAD_TOL * abs(dw)
     assert sample.passed and sample.resolved
+
+
+def test_divergent_near_moment_raises_hypothesis_violation():
+    # an unbounded kernel with s > 1 has no second moment at the origin, so
+    # D w diverges; the near piece's closed-form term says so
+    spec = fd.pure_fractional(1.2, 1.0, j0=1.0, j1=1.0, r0=2.0)
+    params = fd.SubsolutionParams(spec, 2.0)
+    with pytest.raises(HypothesisViolationError, match="diverges"):
+        fd.residual_certificate(spec, params, params.t_star / 2.0, 30.0)
 
 
 def test_residual_grid_default_span_and_guards(unit_spec, unit_params):
@@ -571,9 +610,11 @@ def test_residual_grid_batch_gives_the_per_sample_bits(
         ),
     }[kernel]
     params = fd.SubsolutionParams.from_kernel(spec, c=2.0)
-    batch = fd.residual_grid(spec, params, nt=3, nx=3, x_max=200.0)
-    single = [fd.residual_certificate(spec, params, s.t, s.x) for s in batch]
-    assert batch == single
+    # far out the batch takes more graded steps than a sample near the onset
+    for x_max in (200.0, 1e12):
+        batch = fd.residual_grid(spec, params, nt=3, nx=3, x_max=x_max)
+        single = [fd.residual_certificate(spec, params, s.t, s.x) for s in batch]
+        assert batch == single
 
 
 # -- shifted lower bound -----------------------------------------------------

@@ -9,20 +9,23 @@ rule of Takahasi and Mori, 1974) on the plain integrand
     D w(x) = int_0^inf (w(x + z) + w(x - z) - 2 w(x)) J(z) dz,
 
 evaluated in ``mpmath`` arithmetic with its own barrier and kernel. It
-shares no map, breakpoint rule or closed form with the library:
+shares no map or breakpoint rule with the library, and its one closed form,
+the moments below ``z0``, covers ``(0, 1e-6 x)`` where the library's covers
+``(0, x/2)``:
 
 * below ``z0 = 1e-6 x`` the increment is replaced by its Taylor form
   ``w'' z^2 + w'''' z^4 / 12``, whose error is ``(z/x)^4`` below the
   leading term; ``w''`` and ``w''''`` come from ``mpmath.taylor`` and the
   moments ``int_0^z0 z^k J dz`` are elementary;
 * above ``z0`` the plain sum of three barrier values is integrated, with
-  breakpoints at the decades ``10^j z0`` below ``x/2``, at the decades
-  ``x - 10^j 4 c`` above it (``c = (2 kappa t)^(1/(2s))``, the core width),
-  at ``x``, ``2x`` and ``10x``, and at the kernel's jump radii. For
-  ``x < 0`` the integrand vanishes below ``|x|``, and the breakpoints are
-  ``|x| + 10^j 4 c``, ``2|x|`` and ``10|x|``.
+  breakpoints at ``1000^j z0`` below ``x/2``, at ``x - 1000^j 4 c`` above
+  it (``c = (2 kappa t)^(1/(2s))``, the core width), at ``x``, ``2x`` and
+  ``10x``, and at the kernel's jump radii. For ``x < 0`` the integrand
+  vanishes below ``|x|``, and the breakpoints are ``|x| + 1000^j 4 c``,
+  ``2|x|`` and ``10|x|``.
 
-The working precision is 60 digits for ``s >= 0.9`` and 30 otherwise.
+The integrand is evaluated in 60 digits for ``s >= 0.9`` and in 30
+otherwise; the tanh-sinh rule converges to 30 digits on each piece.
 """
 
 import math

@@ -58,6 +58,11 @@ def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+def _shape_label(shape: tuple[int, int] | None) -> str:
+    # the FFT torus as "p x q" in a word: "27x6250", or "none" on the direct path
+    return "none" if shape is None else f"{shape[0]}x{shape[1]}"
+
+
 def _need(mapping: dict, key: str, path: str):
     if key not in mapping:
         raise ConfigError(f"missing required key {key!r} in {path}")
@@ -300,8 +305,10 @@ def _run_simulation(
         safety=safety,
     )
     log.debug(
-        "run record: %s apply path, %d steps, %d applies, dt in [%.6g, %.6g]",
+        "run record: %s apply path, fft shape %s, %d steps, %d applies, "
+        "dt in [%.6g, %.6g]",
         op.apply_path,
+        _shape_label(op.fft_shape),
         traj.steps,
         traj.applies,
         traj.dt_min,
@@ -333,6 +340,7 @@ def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, safety: flo
             "h": op.grid.h,
             "row_sum": op.row_sum,
             "apply_path": op.apply_path,
+            "fft_shape": op.fft_shape,
             "dt_stable": stable_dt(op, safety),
             "kernel_certificate": {
                 "verified": cert.verified,
@@ -511,7 +519,8 @@ def run_bench(
 
     ``direct_ms`` times ``apply``, the correlation reference, and ``fft_ms``
     ``apply_fft``; ``rate_ms`` times ``rate``, the product ``evolve`` pays
-    for, on the path named by ``apply_path``.
+    for, on the path named by ``apply_path`` and, on the FFT path, the torus
+    named by ``fft_shape``.
     """
     rng = np.random.default_rng(seed)
     cert = validate_hypothesis(spec)
@@ -542,6 +551,7 @@ def run_bench(
                 "speedup": direct_ms / fft_ms,
                 "rate_ms": per_call_ms(lambda: op.rate(u.values)),
                 "apply_path": op.apply_path,
+                "fft_shape": op.fft_shape,
             }
         )
     return rows
@@ -557,21 +567,24 @@ def cmd_bench(cfg: dict, out: Path, args) -> int:
         args.seed,
     )
     with (out / "bench.csv").open("w") as fh:
-        fh.write("n,direct_ms,fft_ms,speedup,rate_ms,apply_path\n")
+        fh.write("n,direct_ms,fft_ms,speedup,rate_ms,apply_path,fft_shape\n")
         for row in rows:
             fh.write(
                 f"{row['n']},{_fmt(row['direct_ms'])},{_fmt(row['fft_ms'])},"
-                f"{_fmt(row['speedup'])},{_fmt(row['rate_ms'])},{row['apply_path']}\n"
+                f"{_fmt(row['speedup'])},{_fmt(row['rate_ms'])},{row['apply_path']},"
+                f"{_shape_label(row['fft_shape'])}\n"
             )
     for row in rows:
         log.info(
-            "n=%d direct=%.3fms fft=%.3fms speedup=%.2fx rate=%.3fms (%s)",
+            "n=%d direct=%.3fms fft=%.3fms speedup=%.2fx rate=%.3fms "
+            "(%s, fft shape %s)",
             row["n"],
             row["direct_ms"],
             row["fft_ms"],
             row["speedup"],
             row["rate_ms"],
             row["apply_path"],
+            _shape_label(row["fft_shape"]),
         )
     return EXIT_OK
 

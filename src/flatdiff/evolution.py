@@ -189,9 +189,11 @@ def evolve(
     only, so a restart from a snapshot reproduces the rest of the run bit
     for bit. ``op.rate`` takes the operator's ``apply_path``. ``workers`` is
     the ``scipy.fft`` worker count for the run, set once around the stepping
-    loop; ``scipy.fft`` does not split a single 1-D transform, so it changes
-    no bit. The same scope holds the ``np.errstate`` under which every Euler
-    stage overflows silently into its divergence check. The trajectory
+    loop. No stage transform goes through ``scipy.fft``: the FFT path runs
+    on ``numpy.fft``, which that setting does not reach, so ``workers``
+    changes neither the time nor any bit. The same scope holds the
+    ``np.errstate`` under which every Euler stage overflows silently into
+    its divergence check. The trajectory
     always holds the initial and final states, counts the steps and applies
     taken, and records the step range and the most stages a step took.
     """

@@ -45,19 +45,25 @@ evaluated for all rows at once by
 cross-checks it node by node against adaptive quadrature. ``rate`` forms
 ``T u`` by the path named by ``apply_path``, fixed by the grid size: below
 the measured crossover a product with the dense ``T``, built once on the
-first direct ``rate``, and from it on a circulant embedding at length
-``~2n``, which ``apply_fft`` also takes at any size. ``apply`` sums the
-sliding correlation with the zero-padded field at any size, the reference
-that both paths are tested against. All of them add the same exterior
-terms, and they agree to roundoff.
+first direct ``rate``, and from it a circular convolution of length
+``m = p q >= 2n - 1``, which ``apply_fft`` also takes at any size. With
+``gcd(p, q) = 1`` the Chinese-remainder index map turns it exactly into a
+convolution on the ``p x q`` torus, with no twiddle factors: the
+prime-factor algorithm of Good (1958, J. R. Stat. Soc. B 20:361) and
+Thomas (1963). Its transforms are ``numpy.fft``'s, written into buffers the
+operator holds, so a stage allocates no transform-sized scratch; small
+grids take ``p = 1``, one row. ``apply`` sums the sliding correlation with
+the zero-padded field at any size, the reference that both paths are
+tested against. All of them add the same exterior terms, and they agree to
+roundoff.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import (
@@ -74,15 +80,16 @@ __all__ = ["DiscreteOperator", "UnverifiedKernelError", "discretize"]
 
 # measured crossover of ``rate``: unit s = 1/2 kernel on [-10, 10], random
 # values, best per-call time of 4 runs of 4 rounds of timeit 7 x 2000 (2 vCPU,
-# one BLAS thread, numpy 2.4.6 on OpenBLAS 0.3.31, scipy 1.17.1). The dense
-# product and the FFT are within 4 % of each other at 352 and 384 nodes, and
-# the FFT wins by 15 % or more from 416 on; the correlation that ``apply``
-# sums is the dense product's reference, not a path of ``rate``. At 383 nodes
-# the dense matrix holds 1.2 MB.
+# one BLAS thread, numpy 2.4.6 on OpenBLAS 0.3.31, scipy 1.17.1), against the
+# torus product (one row, p = 1, at these sizes). The dense product wins by
+# 13 % at 352 nodes, the two are within 3 % at 384, and the FFT wins by 14 %
+# or more from 416 on; the correlation that ``apply`` sums is the dense
+# product's reference, not a path of ``rate``. At 383 nodes the dense matrix
+# holds 1.2 MB.
 #   n          128    192    256    320    352    384    416    448    511
-#   dense      6.1    9.0   12.9   19.8   24.0   25.4   34.3   39.0   59.7  us
-#   correlate  8.4   16.2   16.9   30.6   32.5   40.8   49.0   49.2   58.9  us
-#   fft       19.9   22.4   24.2   24.7   23.3   26.3   29.4   30.8   33.8  us
+#   dense      6.2    8.1   12.8   17.9   20.6   24.3   30.2   37.2   60.7  us
+#   correlate 10.8   14.6   23.5   28.9   38.2   37.5   49.3   54.2   70.4  us
+#   fft       17.2   18.8   20.5   22.3   23.7   23.7   25.9   25.8   27.3  us
 _FFT_THRESHOLD = 384
 
 
@@ -90,11 +97,133 @@ class UnverifiedKernelError(ValueError):
     """The kernel failed admissibility validation and force was not set."""
 
 
+# the FFT torus: m = p q >= 2n - 1 with q 5-smooth and coprime to p. Below
+# _TORUS_MIN_N nodes p = 1, one row; from it on the least m over the p in
+# _TORUS_P (the first p on a tie). Per-call time of one product T u in us
+# (unit s = 1/2 kernel on [-10, 10], random values, best of 5 alternating
+# rounds, same host): the rule's shape, the fastest over p = 1, 3, 5, 9, ...,
+# 625 with the least q for each, and the 1-D scipy.fft product of length m
+# that the torus replaced. p = 3 and 5 never came first: their columns of 3
+# or 5 cost more than they save (3 x 2048 took twice the time of 25 x 256 at
+# 3072 nodes). From 1000 to 6000 nodes the product is 5-40 % slower than the
+# 1-D one, mostly because numpy's irfft takes about 20 % longer than scipy's
+# there; from 8001 on it is faster, 1.8 times at 84 001 nodes.
+#        n   rule                fastest               1-D
+#     1024   1 x 2048        45   1 x 2048        45        32
+#     2047   1 x 4096        81   27 x 160        81        62
+#     2560   1 x 5120        96   81 x 64         94        72
+#     3072   25 x 256       110   81 x 80        103        95
+#     4096   27 x 320       126   27 x 320       126       118
+#     6144   25 x 512       184   81 x 160       183       172
+#     8001   81 x 200       233   81 x 200       233       251
+#    16001   81 x 400       432   81 x 400       432       477
+#    42001   27 x 3125     1410   243 x 400     1334      2322
+#    84001   27 x 6250     3204   27 x 6250     3204      5802
+#   168001   27 x 12500    7566   27 x 12500    7566     12962
+#   336001   27 x 25000   17577   27 x 25000   17577     28503
+_TORUS_P = (9, 27, 81, 243, 25, 125, 625)
+_TORUS_MIN_N = 3072
+
+
+def _smooth_at_least(lo: int, odd: tuple[int, ...]) -> int:
+    """The least ``2^a f >= lo`` with ``f`` a product of powers of ``odd``."""
+    factors = [1]
+    for prime in odd:
+        factors = [
+            f * prime**b
+            for f in factors
+            for b in range(lo.bit_length() + 1)
+            if f * prime**b < 2 * lo
+        ]
+    return min(f << max(0, (-(-lo // f) - 1).bit_length()) for f in factors)
+
+
+def _torus_shape(n: int) -> tuple[int, int]:
+    """``(p, q)`` of the torus for an ``n``-node operator (see ``_TORUS_P``)."""
+    need = 2 * n - 1
+    shapes = [
+        (p, _smooth_at_least(-(-need // p), tuple(f for f in (3, 5) if p % f)))
+        for p in ((1,) if n < _TORUS_MIN_N else _TORUS_P)
+    ]
+    return min(shapes, key=lambda shape: shape[0] * shape[1])
+
+
+def _crt_index(p: int, q: int, count: int) -> np.ndarray:
+    """Flat offsets on the ``p x q`` torus of circle positions ``0 .. count - 1``:
+    position ``k`` sits at ``(k mod p, k mod q)``."""
+    k = np.arange(count)
+    return ((k % p) * q + k % q).astype(np.int32)
+
+
+class _Torus:
+    """Circular convolution of length ``m = p q`` as a 2-D one on ``p x q``.
+
+    With ``gcd(p, q) = 1`` the Chinese-remainder map, which puts circle
+    position ``k`` at ``(k mod p, k mod q)``, is a group isomorphism of the
+    circle of length ``m`` onto the torus. So it turns a circular convolution
+    exactly into a 2-D one, with no twiddle factors: the prime-factor
+    algorithm of Good (1958) and Thomas (1963). ``index`` holds the flat
+    torus offsets of circle positions ``0 .. 2n - 2`` as ``int32``; on a
+    single row (``p = 1``) they are the positions themselves, and slices
+    stand in for it. The transforms write into two buffers the torus holds,
+    so a product allocates only the values it returns; a lock lets one
+    thread at a time use them.
+    """
+
+    def __init__(self, n: int) -> None:
+        p, q = _torus_shape(n)
+        self.index = _crt_index(p, q, 2 * n - 1) if p > 1 else None
+        self._real = np.zeros((p, q))
+        self._work = np.empty((p, q // 2 + 1), dtype=complex)
+        self._lock = threading.Lock()
+
+    def _cells(self, lo: int, count: int) -> np.ndarray | slice:
+        # flat torus offsets of circle positions [lo, lo + count)
+        if self.index is None:
+            return slice(lo, lo + count)
+        return self.index[lo : lo + count]
+
+    def _forward(self, a: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        # the 2-D spectrum of a placed at circle positions [0, len(a))
+        real = self._real
+        real.fill(0.0)
+        real.reshape(-1)[self._cells(0, a.size)] = a
+        out = np.fft.rfft(real, axis=1, out=out)
+        # along a single row (p = 1) the axis-0 transforms are the identity
+        if real.shape[0] > 1:
+            np.fft.fft(out, axis=0, out=out)
+        return out
+
+    def spectrum(self, a: np.ndarray) -> np.ndarray:
+        """The 2-D spectrum of ``a`` placed at circle positions ``[0, len(a))``."""
+        with self._lock:
+            return self._forward(a, None)
+
+    def convolve(self, a: np.ndarray, spectrum: np.ndarray, lo: int, count: int) -> np.ndarray:
+        """Positions ``[lo, lo + count)`` of the circular convolution of ``a``,
+        placed at ``[0, len(a))``, with the sequence whose torus spectrum is
+        ``spectrum``; a fresh array."""
+        real = self._real
+        with self._lock:
+            work = self._forward(a, self._work)
+            work *= spectrum
+            if real.shape[0] > 1:
+                np.fft.ifft(work, axis=0, out=work)
+            np.fft.irfft(work, real.shape[1], axis=1, out=real)
+            cells = self._cells(lo, count)
+            values = real.reshape(-1)[cells]
+            # a slice views the buffer, which the caller must not share
+            return values.copy() if isinstance(cells, slice) else values
+
+
 class DiscreteOperator:
     """Precomputed weights for one (kernel, grid, boundary) combination.
 
     ``apply_path`` (``"direct"`` or ``"fft"``) names the inner product that
-    :meth:`rate` uses; it is fixed by the grid size at construction.
+    :meth:`rate` uses; it is fixed by the grid size at construction, and
+    :attr:`fft_shape` names the torus of the FFT path. The FFT path writes
+    into buffers the operator holds, so threads that share an operator take
+    its FFT products one at a time.
     """
 
     def __init__(
@@ -134,18 +263,13 @@ class DiscreteOperator:
         w /= hi[:-1]
         w /= h
 
-        stencil = np.zeros(2 * n - 1)
-        stencil[n:] = w
-        stencil[: n - 1] = w[::-1]
-
         self.near_weights = w
+        stencil = self._stencil()
         tail_cut = n * h
         t_left = t_right = exterior_mass(spec, tail_cut)
         self.far_tail_coefficients = (t_left, t_right)
         self.row_sum = float(stencil.sum()) + t_left + t_right
 
-        self._stencil = stencil
-        self._fft_len = scipy.fft.next_fast_len(2 * n - 1, real=True)
         self.apply_path = "fft" if n >= _FFT_THRESHOLD else "direct"
         # stencil mass landing on the i-th row's left pad; by symmetry the
         # right pad of row i carries the mass of the left pad of row n-1-i
@@ -159,10 +283,30 @@ class DiscreteOperator:
         elif boundary.right == "algebraic_tail":
             self._tail_shape = self._algebraic_right(tail_cut)
 
+    def _stencil(self) -> np.ndarray:
+        """Entries ``k = -(n-1) .. n-1`` of the stencil of ``T``, ``w_|k|``.
+
+        Built afresh on each call: an FFT-path operator keeps the stencil's
+        spectrum, and 2n - 1 more floats would only raise its footprint.
+        """
+        w = self.near_weights
+        return np.concatenate([w[::-1], [0.0], w])
+
+    @cached_property
+    def _torus(self) -> _Torus:
+        # only the FFT path and the algebraic tail's pad response need it, so
+        # other direct-path operators never pay for its index and buffers
+        return _Torus(self.grid.n)
+
     @cached_property
     def _spectrum(self) -> np.ndarray:
-        # only the FFT path needs it, so small direct-path operators never pay
-        return scipy.fft.rfft(self._stencil, self._fft_len)
+        return self._torus.spectrum(self._stencil())
+
+    @property
+    def fft_shape(self) -> tuple[int, int] | None:
+        """``(p, q)`` of the torus that :meth:`rate` transforms on, or ``None``
+        on the direct path."""
+        return _torus_shape(self.grid.n) if self.apply_path == "fft" else None
 
     @cached_property
     def _toeplitz(self) -> np.ndarray:
@@ -170,13 +314,13 @@ class DiscreteOperator:
         # stencil[n-1-i : 2n-1-i]. Only direct-path operators pay its n^2
         # floats, fewer than _FFT_THRESHOLD^2.
         n = self.grid.n
-        return np.ascontiguousarray(sliding_window_view(self._stencil, n)[::-1])
+        return np.ascontiguousarray(sliding_window_view(self._stencil(), n)[::-1])
 
     def _algebraic_right(self, tail_cut: float) -> np.ndarray:
         """Response of every row to the unit-amplitude extension ``x^(-2s)``.
 
-        Row ``i`` sees the pad sample at ``x_max + q h`` through stencil entry
-        ``i - q`` of the left half, a convolution evaluated by FFT, plus the
+        Row ``i`` sees the pad sample at ``x_max + j h`` through stencil entry
+        ``i - j`` of the left half, a convolution taken on the torus, plus the
         far shape ``int_cut^inf (x_i + z)^(-2s) J(z) dz`` beyond the last hat,
         ``A cut^(-4s) / (4s) 2F1(2s, 4s; 4s + 1; -x_i / cut)`` for the power
         tail, from :func:`~flatdiff.kernels.exterior_tail_response`.
@@ -185,11 +329,11 @@ class DiscreteOperator:
         """
         n, ex = self.grid.n, 2.0 * self.spec.s
         shape = self.grid.x_max + self.grid.h * np.arange(1, n)
-        m = self._fft_len
-        half = scipy.fft.rfft(self._stencil[: n - 1], m)
-        pad = scipy.fft.irfft(half * scipy.fft.rfft(shape**-ex, m), m)
+        torus = self._torus
+        pad = torus.convolve(shape**-ex, torus.spectrum(self.near_weights[::-1]), 0, n - 1)
         far = exterior_tail_response(self.spec, tail_cut, self.grid.points())
-        return np.append(0.0, pad[: n - 1]) + far
+        far[1:] += pad
+        return far
 
     def rate(self, values: np.ndarray) -> np.ndarray:
         """``D u`` on the grid values ``u``, with the boundary extensions.
@@ -197,8 +341,8 @@ class DiscreteOperator:
         ``apply_path`` picks the inner product ``T u``: the FFT from
         ``n = 384`` nodes on, the measured crossover, and below it a product
         with the dense symmetric Toeplitz ``T``, built on the first call and
-        kept. The FFT takes its worker count from ``scipy.fft.set_workers``,
-        which :func:`~flatdiff.evolution.evolve` sets for a run.
+        kept. The FFT runs on ``numpy.fft`` in the calling thread; it takes
+        no worker count, and ``scipy.fft.set_workers`` does not reach it.
         """
         values = np.asarray(values, dtype=float)
         n = self.grid.n
@@ -216,18 +360,20 @@ class DiscreteOperator:
         """
         pad = np.zeros(self.grid.n - 1)
         padded = np.concatenate([pad, values, pad])
-        return np.correlate(padded, self._stencil, mode="valid")
+        return np.correlate(padded, self._stencil(), mode="valid")
 
     def _fft_inner(self, values: np.ndarray) -> np.ndarray:
-        """``T u`` by circulant embedding; O(n log n)."""
-        n, m = self.grid.n, self._fft_len
-        prod = scipy.fft.rfft(values, m)
-        prod *= self._spectrum
-        return scipy.fft.irfft(prod, m)[n - 1 : 2 * n - 1]
+        """``T u`` by the circulant product on the torus; O(n log n).
+
+        ``u`` sits at circle positions ``[0, n)`` and the stencil at
+        ``[0, 2n - 1)``, so ``T u`` is read at ``[n - 1, 2n - 1)``.
+        """
+        n = self.grid.n
+        return self._torus.convolve(values, self._spectrum, n - 1, n)
 
     def _finish(self, values: np.ndarray, inner: np.ndarray) -> np.ndarray:
         # (T u - W u) + left + right from inner = T u, formed in the array of
-        # W u: a fresh array of n values, where ``inner`` may view twice that
+        # W u, which is returned: no buffer of the operator can alias it
         out = values * self.row_sum
         np.subtract(inner, out, out=out)
         out += self._exterior
@@ -242,7 +388,7 @@ class DiscreteOperator:
         return u.with_values(self._finish(u.values, self._direct_inner(u.values)))
 
     def apply_fft(self, u: Field) -> Field:
-        """``D u`` by the circulant-embedded FFT at any size."""
+        """``D u`` by the torus FFT at any size."""
         self.check_field(u)
         return u.with_values(self._finish(u.values, self._fft_inner(u.values)))
 

@@ -78,6 +78,9 @@ def test_simulate_writes_csv_and_metadata(tmp_path):
     assert isinstance(derived["k_max"], int)
     assert 2 <= derived["k_max"] and applies <= steps * derived["k_max"]
     assert derived["apply_path"] == "fft"
+    # the FFT torus: p x q cells for the 2n - 1 of the circulant product
+    p, q = derived["fft_shape"]
+    assert isinstance(p, int) and isinstance(q, int) and p * q >= 2 * 401 - 1
     assert not (out / "trajectory.json").exists()
 
 
@@ -88,10 +91,11 @@ def test_simulate_logs_the_run_record_under_verbose(tmp_path, caplog):
         assert main(["simulate", "--config", cfg, "--out", str(out), "-v"]) == 0
     derived = json.loads((out / "metadata.json").read_text())["derived"]
     assert derived["apply_path"] == "direct"
+    assert derived["fft_shape"] is None
     records = [r for r in caplog.records if r.getMessage().startswith("run record")]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     message = records[0].getMessage()
-    assert message.startswith("run record: direct apply path")
+    assert message.startswith("run record: direct apply path, fft shape none,")
     assert f"{derived['steps']} steps, {derived['applies']} applies" in message
     assert f"dt in [{derived['dt_min']:.6g}, {derived['dt_max']:.6g}]" in message
 
@@ -543,12 +547,14 @@ def test_bench_schema(tmp_path):
     out = tmp_path / "bench"
     assert main(["bench", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "bench.csv").read_text().splitlines()
-    assert lines[0] == "n,direct_ms,fft_ms,speedup,rate_ms,apply_path"
+    assert lines[0] == "n,direct_ms,fft_ms,speedup,rate_ms,apply_path,fft_shape"
     assert len(lines) == 3
     # rate takes the path of the grid size: the dense product below the
-    # crossover, the FFT from it on
-    for line, n, path in zip(lines[1:], (256, 512), ("direct", "fft")):
+    # crossover, the FFT from it on, on the torus named in fft_shape
+    for line, n, path, shape in zip(
+        lines[1:], (256, 512), ("direct", "fft"), ("none", "1x1024")
+    ):
         cells = line.split(",")
         assert int(cells[0]) == n
         assert all(float(cell) > 0 for cell in cells[1:5])
-        assert cells[5] == path
+        assert cells[5:] == [path, shape]

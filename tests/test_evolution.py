@@ -129,7 +129,7 @@ def test_zero_length_evolution_returns_initial_state(small_op):
 
 @pytest.mark.parametrize("n,path", [(128, "direct"), (512, "fft")])
 def test_fft_workers_change_no_bit(unit_spec, unit_cert, n, path):
-    # scipy.fft splits only batched transforms; every rate takes one 1-D one
+    # the stage transforms run on numpy.fft, which scipy.fft.set_workers does not reach
     grid = fd.Grid(-5.0, 5.0, n)
     op = fd.discretize(
         unit_spec,
@@ -443,7 +443,8 @@ def check_keeps_monotone(rng, op, t_final):
 
 @pytest.mark.parametrize("right", ["zero", "constant", "algebraic_tail"])
 @pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
-@pytest.mark.parametrize("n", [*DIRECT_SIZES, _FFT_THRESHOLD, 512, 2048])
+# 4096 nodes take the two-axis torus (27, 320) that production-size runs take
+@pytest.mark.parametrize("n", [*DIRECT_SIZES, _FFT_THRESHOLD, 512, 2048, 4096])
 def test_fft_path_keeps_order_and_bounds(rng, n, family, right):
     op, t_final = check_order_and_bounds(rng, n, family, right)
     check_keeps_monotone(rng, op, t_final)

@@ -1,13 +1,22 @@
 """Discretized nonlocal operator: weights, evaluation, and the fast path."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import flatdiff as fd
-from flatdiff.operator import _FFT_THRESHOLD
+from flatdiff.operator import (
+    _FFT_THRESHOLD,
+    _TORUS_MIN_N,
+    _TORUS_P,
+    _Torus,
+    _crt_index,
+    _torus_shape,
+)
 
 
 def make_op(spec, cert, grid, left=0.0, right="zero", right_value=0.0):
@@ -337,7 +346,13 @@ RIGHT_MODELS = ("zero", "constant", "algebraic_tail")
 RIGHT_VALUE = {"zero": 0.0, "constant": 0.3, "algebraic_tail": 0.0}
 
 
-@pytest.mark.parametrize("n", [256, 1024])
+# the torus shape changes between these sizes: (1, 512), (1, 2048),
+# (1, 6144), then two axes at (25, 256), (81, 125) and (81, 200); odd and
+# even node counts on both sides of _TORUS_MIN_N
+FFT_SHAPE_SIZES = [256, 1024, _TORUS_MIN_N - 1, _TORUS_MIN_N, 5001, 8001]
+
+
+@pytest.mark.parametrize("n", FFT_SHAPE_SIZES)
 @pytest.mark.parametrize("right", RIGHT_MODELS)
 def test_fft_agrees_with_direct(unit_spec, unit_cert, rng, right, n):
     g = fd.Grid(-10.0, 10.0, n)
@@ -349,6 +364,110 @@ def test_fft_agrees_with_direct(unit_spec, unit_cert, rng, right, n):
     fast = op.apply_fft(u).values
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(direct - fast)) <= 1e-10 * scale
+
+
+def test_fft_sizes_cover_every_kind_of_shape():
+    shapes = [_torus_shape(n) for n in FFT_SHAPE_SIZES]
+    assert len(set(shapes)) == len(shapes)
+    assert {p == 1 for p, _ in shapes} == {True, False}
+    assert {n % 2 for n in FFT_SHAPE_SIZES} == {0, 1}
+
+
+def is_smooth(q, primes):
+    for prime in primes:
+        while q % prime == 0:
+            q //= prime
+    return q == 1
+
+
+@pytest.mark.parametrize(
+    "n", [2, 3, 100, _FFT_THRESHOLD, _TORUS_MIN_N - 1, _TORUS_MIN_N, 5001, 8001, 84001, 336001]
+)
+def test_torus_index_map_is_a_bijection(n):
+    p, q = _torus_shape(n)
+    m = p * q
+    assert m >= 2 * n - 1 and math.gcd(p, q) == 1
+    assert p == 1 if n < _TORUS_MIN_N else p in _TORUS_P
+    assert is_smooth(q, (2, 3, 5))
+    index = _crt_index(p, q, m)
+    assert index.dtype == np.int32
+    # every torus cell is hit exactly once, circle position k at (k mod p, k mod q)
+    assert np.array_equal(np.sort(index), np.arange(m))
+    k = np.arange(m)
+    assert np.array_equal(index // q, k % p) and np.array_equal(index % q, k % q)
+
+
+def test_torus_shapes_of_the_acceptance_runs():
+    assert [_torus_shape(n) for n in (8001, 84001, 336001)] == [
+        (81, 200),
+        (27, 6250),
+        (27, 25000),
+    ]
+
+
+@pytest.mark.parametrize("n", [5, 300, _TORUS_MIN_N, 5001])
+def test_torus_product_is_the_linear_convolution(rng, n):
+    # m >= 2n - 1, so the circular convolution of two n-long sequences on the
+    # torus is their linear one at positions [0, 2n - 1)
+    a, b = rng.uniform(-1.0, 1.0, (2, n))
+    torus = _Torus(n)
+    got = torus.convolve(a, torus.spectrum(b), 0, 2 * n - 1)
+    want = np.convolve(a, b)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(a)) * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("n", [1024, 5001])
+@pytest.mark.parametrize("right", RIGHT_MODELS)
+def test_fft_rate_carries_nothing_between_calls(unit_spec, unit_cert, rng, right, n):
+    g = fd.Grid(-10.0, 10.0, n)
+
+    def fresh():
+        return make_op(
+            unit_spec, unit_cert, g, left=0.8, right=right, right_value=RIGHT_VALUE[right]
+        )
+
+    op = fresh()
+    assert op.apply_path == "fft"
+    u1, u2 = rng.uniform(0.0, 1.0, (2, n))
+    first = op.rate(u1)
+    second = op.rate(u2)
+    # the held buffers keep nothing of u1
+    assert np.array_equal(second, fresh().rate(u2))
+    # and a returned rate is the caller's own: writing into it changes no
+    # later one
+    first[:] = 7.0
+    second[:] = np.nan
+    assert np.array_equal(op.rate(u1), fresh().rate(u1))
+    assert np.array_equal(op.apply_fft(fd.Field(g, 0.0, u2)).values, fresh().rate(u2))
+
+
+def test_threads_sharing_an_fft_operator_get_their_own_rates(unit_spec, unit_cert, rng):
+    # the FFT path writes into buffers the operator holds; more threads than
+    # cores, switching often, each must still read the rate of its own field
+    g = fd.Grid(-10.0, 10.0, 5001)
+    op = make_op(unit_spec, unit_cert, g, left=0.8)
+    fields = rng.uniform(0.0, 1.0, (4, g.n))
+    want = [op.rate(u) for u in fields]
+    got = [[] for _ in fields]
+
+    def work(i):
+        for _ in range(25):
+            got[i].append(op.rate(fields[i]))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for rates, rate in zip(got, want):
+        assert len(rates) == 25
+        assert all(np.array_equal(r, rate) for r in rates)
 
 
 @pytest.mark.parametrize(

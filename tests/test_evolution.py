@@ -443,7 +443,7 @@ def check_keeps_monotone(rng, op, t_final):
 
 @pytest.mark.parametrize("right", ["zero", "constant", "algebraic_tail"])
 @pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
-# 4096 nodes take the two-axis torus (27, 320) that production-size runs take
+# 4096 nodes take a two-axis torus, (27, 320), as production-size runs do
 @pytest.mark.parametrize("n", [*DIRECT_SIZES, _FFT_THRESHOLD, 512, 2048, 4096])
 def test_fft_path_keeps_order_and_bounds(rng, n, family, right):
     op, t_final = check_order_and_bounds(rng, n, family, right)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .mesh import Field, Grid
 from .operator import DiscreteOperator
@@ -188,14 +187,12 @@ def evolve(
     snapshot time is hit exactly. The step depends on the absolute time
     only, so a restart from a snapshot reproduces the rest of the run bit
     for bit. ``op.rate`` takes the operator's ``apply_path``. ``workers`` is
-    the ``scipy.fft`` worker count for the run, set once around the stepping
-    loop. No stage transform goes through ``scipy.fft``: the FFT path runs
-    on ``numpy.fft``, which that setting does not reach, so ``workers``
-    changes neither the time nor any bit. The same scope holds the
-    ``np.errstate`` under which every Euler stage overflows silently into
-    its divergence check. The trajectory
-    always holds the initial and final states, counts the steps and applies
-    taken, and records the step range and the most stages a step took.
+    accepted and ignored: every stage transform runs on ``numpy.fft`` in the
+    calling thread, so it changes neither the time nor any bit. Every Euler
+    stage runs under one ``np.errstate``, set around the stepping loop, and
+    overflows silently into its divergence check. The trajectory always
+    holds the initial and final states, counts the steps and applies taken,
+    and records the step range and the most stages a step took.
     """
     snaps = sorted({float(s) for s in output_times} | {float(t_final)})
     if not all(map(math.isfinite, snaps)):
@@ -213,10 +210,7 @@ def evolve(
     dt_min, dt_max = math.inf, 0.0
 
     t = u0.t
-    with (
-        scipy.fft.set_workers(workers),
-        np.errstate(over="ignore", invalid="ignore"),
-    ):
+    with np.errstate(over="ignore", invalid="ignore"):
         for target in snaps:
             while t < target:
                 dt = max(THETA * t, dt_stable)

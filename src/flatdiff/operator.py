@@ -344,8 +344,8 @@ class DiscreteOperator:
         ``apply_path`` picks the inner product ``T u``: the FFT from
         ``n = 384`` nodes on, the measured crossover, and below it a product
         with the dense symmetric Toeplitz ``T``, built on the first call and
-        kept. The FFT runs on ``numpy.fft`` in the calling thread; it takes
-        no worker count, and ``scipy.fft.set_workers`` does not reach it.
+        kept. The FFT runs on ``numpy.fft`` in the calling thread and takes
+        no worker count.
         """
         values = np.asarray(values, dtype=float)
         n = self.grid.n

@@ -36,9 +36,9 @@ series terms and quadrature panels are summed apart from the other
 points', so they give the same bits.
 
 Convolving the kernel against a plateau datum a * 1_{x <= b} yields the
-reference solution used to cross-validate the grid solver, and the
-algebraic kernel tails provide the two-sided envelope fit and the large-x
-limit of x^(2s) u(t, x) / t. None of this shares code with the solver.
+reference solution used to cross-validate the grid solver, and
+:func:`heat_kernel_tail_constant` gives the coefficient of the kernel's
+algebraic tail. None of this shares code with the solver.
 
 Orders are restricted to (0, 1] here; the grid solver itself accepts any
 positive order.
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -59,9 +58,6 @@ __all__ = [
     "fractional_heat_kernel",
     "reference_solution",
     "heat_kernel_tail_constant",
-    "solution_tail_constant",
-    "HeatKernelBoundsFit",
-    "heat_kernel_bounds_fit",
 ]
 
 # Bergström and Taylor series: the highest term index and the relative
@@ -99,11 +95,6 @@ def heat_kernel_tail_constant(s: float) -> float:
     """
     _check_order(s)
     return special.gamma(1.0 + 2.0 * s) * math.sin(math.pi * s) / math.pi
-
-
-def solution_tail_constant(s: float) -> float:
-    """Limit of ``x^(2s) u(t, x) / (a t)`` for the plateau datum: K / (2s)."""
-    return heat_kernel_tail_constant(s) / (2.0 * s)
 
 
 @functools.lru_cache(maxsize=64)
@@ -454,84 +445,3 @@ def reference_solution(s: float, a: float, b: float, t: float, x):
     if a < 0:
         raise ValueError("plateau height must be nonnegative")
     return a * _rescaled(s, t, np.asarray(x, dtype=float) - b, density=False)
-
-
-@dataclass(frozen=True)
-class HeatKernelBoundsFit:
-    """Two-sided envelope constant and the induced tail-limit check.
-
-    ``c1`` is the smallest constant >= 1 with
-    ``g/c1 <= p <= c1 g`` at every sample, where
-    ``g(t, x) = 1 / (t^(1/(2s)) (1 + |t^(-1/(2s)) x|^(1+2s)))``.
-    ``limit_value`` is ``x^(2s) u(t, x) / t`` for the unit plateau datum at
-    the farthest self-similar sample; the envelope forces it to stay above
-    ``limit_floor = 1/c1`` up to the relative finite-sample slack
-    ``rel_slack``, which ``limit_ok`` checks.
-    """
-
-    s: float
-    c1: float
-    sample_count: int
-    decade_span: float
-    tail_constant: float
-    limit_value: float
-    limit_floor: float
-    rel_slack: float
-
-    @property
-    def limit_ok(self) -> bool:
-        return self.limit_value >= self.limit_floor * (1.0 - self.rel_slack)
-
-
-def heat_kernel_bounds_fit(
-    s: float, t_samples, x_samples, rel_slack: float = 0.01
-) -> HeatKernelBoundsFit:
-    """Fit the two-sided kernel envelope over a product sample set.
-
-    The samples must span at least two decades in the self-similar variable
-    ``|x| t^(-1/(2s))``. The fitted constant is exact on the samples; the
-    limit check evaluates the plateau solution at the farthest sample and
-    allows a relative slack for the not-yet-converged limit.
-    """
-    _check_order(s)
-    ts = np.asarray(t_samples, dtype=float)
-    xs = np.asarray(x_samples, dtype=float)
-    if ts.size == 0 or xs.size == 0:
-        raise ValueError("sample sets must be nonempty")
-    if np.any(ts <= 0):
-        raise ValueError("time samples must be positive")
-
-    ys = []
-    c1 = 1.0
-    for t in ts:
-        scale = t ** (-1.0 / (2.0 * s))
-        p = fractional_heat_kernel(s, float(t), xs)
-        y = scale * np.abs(xs)
-        ys.append(y[y > 0])
-        envelope = scale / (1.0 + y ** (1.0 + 2.0 * s))
-        ratio = p / envelope
-        c1 = max(c1, float(np.max(ratio)), float(np.max(1.0 / ratio)))
-
-    all_y = np.concatenate(ys)
-    if all_y.size == 0:
-        raise ValueError("need at least one sample away from the origin")
-    span = float(np.max(all_y) / np.min(all_y))
-    if span < 100.0:
-        raise ValueError(
-            "samples must span two decades in the self-similar variable, "
-            f"got a span factor of {span:.3g}"
-        )
-
-    y_far = float(np.max(all_y))
-    limit_value = y_far ** (2.0 * s) * reference_solution(s, 1.0, 0.0, 1.0, y_far)
-    limit_floor = 1.0 / c1
-    return HeatKernelBoundsFit(
-        s=s,
-        c1=c1,
-        sample_count=int(ts.size * xs.size),
-        decade_span=span,
-        tail_constant=solution_tail_constant(s),
-        limit_value=limit_value,
-        limit_floor=limit_floor,
-        rel_slack=rel_slack,
-    )

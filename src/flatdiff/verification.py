@@ -46,94 +46,59 @@ DEFAULT_MOLLIFIER_RADIUS = 0.5
 class InitialDatum:
     """Plateau-type initial data of height ``a`` with edge parameter ``b``.
 
-    ``step`` is the sharp plateau; sampling averages it over grid cells so
-    the discrete front sits at ``b`` independently of mesh alignment (the
-    jump cell may land below ``a``; the guaranteed plateau is unaffected).
-    ``mollified_step`` ramps from ``a`` to 0 across ``[b - eps, b + eps]``
-    as ``a expit(-4 r / (1 - r^2))`` with ``r = (x - b) / eps``: a C^inf,
-    decreasing profile supported exactly on the ramp, whose guaranteed
-    plateau ends at ``b - eps``. Since ``expit(-v) = 1 - expit(v)``, it is
-    antisymmetric about ``b`` (``u(b + x) + u(b - x) = a``), which is all
-    the mirror identity needs. ``custom`` wraps explicit values and enforces
-    the plateau lower bound at construction. A field of another kind (an
-    ``eps`` on a step, values on a mollified step) is a ``ValueError``.
+    ``eps == 0`` (``step``) is the sharp plateau; sampling averages it over
+    grid cells so the discrete front sits at ``b`` independently of mesh
+    alignment (the jump cell may land below ``a``; the guaranteed plateau is
+    unaffected). ``eps > 0`` (``mollified_step``) ramps from ``a`` to 0
+    across ``[b - eps, b + eps]`` as ``a expit(-4 r / (1 - r^2))`` with
+    ``r = (x - b) / eps``: a C^inf, decreasing profile supported exactly on
+    the ramp. Since ``expit(-v) = 1 - expit(v)``, it is antisymmetric about
+    ``b`` (``u(b + x) + u(b - x) = a``), which is all the mirror identity
+    needs. Either way the guaranteed plateau ends at ``b - eps``.
     """
 
-    kind: str
     a: float
     b: float
     eps: float = 0.0
-    values: np.ndarray | None = field(default=None, repr=False)
-    grid: Grid | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("step", "mollified_step", "custom"):
-            raise ValueError(f"unknown datum kind {self.kind!r}")
         if not 0.0 < self.a < math.inf:
             raise ValueError("datum plateau height must be positive and finite")
         if not np.isfinite(self.b):
             raise ValueError("plateau edge must be finite")
-        if self.kind == "mollified_step":
-            if not self.eps > 0:
-                raise ValueError("mollifier radius must be positive")
-        elif self.eps != 0.0:
-            raise ValueError(f"eps does not apply to kind {self.kind!r}")
-        if self.kind == "custom":
-            if self.values is None or self.grid is None:
-                raise ValueError("a custom datum needs values and a grid")
-        elif self.values is not None or self.grid is not None:
-            raise ValueError(f"values and grid do not apply to kind {self.kind!r}")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"mollifier radius must be finite and >= 0, not {self.eps}")
 
     @classmethod
     def step(cls, a: float, b: float) -> "InitialDatum":
-        return cls(kind="step", a=a, b=b)
+        return cls(a, b)
 
     @classmethod
     def mollified_step(
         cls, a: float, b: float, eps: float = DEFAULT_MOLLIFIER_RADIUS
     ) -> "InitialDatum":
-        return cls(kind="mollified_step", a=a, b=b, eps=eps)
-
-    @classmethod
-    def custom(cls, a: float, b: float, grid: Grid, values) -> "InitialDatum":
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (grid.n,):
-            raise ValueError("custom values must match the grid size")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("custom values must be finite")
-        x = grid.points()
-        floor = np.where(x <= b, a, 0.0)
-        if np.any(vals < floor - 1e-12 * a):
-            worst = int(np.argmax(floor - vals))
-            raise ValueError(
-                f"custom datum falls below the plateau at x = {x[worst]:g}"
-            )
-        return cls(kind="custom", a=a, b=b, values=vals, grid=grid)
+        if not eps > 0:
+            raise ValueError("mollifier radius must be positive")
+        return cls(a, b, eps)
 
     @property
     def plateau_edge(self) -> float:
         """Right end of the region where the datum is guaranteed >= a."""
-        if self.kind == "mollified_step":
-            return self.b - self.eps
-        return self.b
+        return self.b - self.eps
 
     def sample(self, grid: Grid) -> Field:
         """Realize the datum on a grid as a time-zero field."""
         x = grid.points()
-        if self.kind == "step":
+        if self.eps == 0.0:
             # cell average of a * 1_{x <= b}: fraction of the cell left of b
             frac = np.clip((self.b - x) / grid.h + 0.5, 0.0, 1.0)
             return Field(grid, 0.0, self.a * frac)
-        if self.kind == "mollified_step":
-            r = (x - self.b) / self.eps
-            vals = np.where(r <= -1.0, self.a, 0.0)
-            ramp = np.abs(r) < 1.0
-            r = r[ramp]
-            vals[ramp] = self.a * expit(-4.0 * r / (1.0 - r * r))
-            return Field(grid, 0.0, vals)
-        if self.grid is not grid and self.grid != grid:
-            raise ValueError("custom datum was built for a different grid")
-        return Field(grid, 0.0, np.array(self.values, dtype=float))
+        r = (x - self.b) / self.eps
+        vals = np.where(r <= -1.0, self.a, 0.0)
+        ramp = np.abs(r) < 1.0
+        r = r[ramp]
+        vals[ramp] = self.a * expit(-4.0 * r / (1.0 - r * r))
+        return Field(grid, 0.0, vals)
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ def test_zero_length_evolution_returns_initial_state(small_op):
 
 @pytest.mark.parametrize("n,path", [(128, "direct"), (512, "fft")])
 def test_fft_workers_change_no_bit(unit_spec, unit_cert, n, path):
-    # the stage transforms run on numpy.fft, which scipy.fft.set_workers does not reach
+    # evolve accepts and ignores workers: every stage transform runs on numpy.fft
     grid = fd.Grid(-5.0, 5.0, n)
     op = fd.discretize(
         unit_spec,

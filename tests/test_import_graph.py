@@ -31,12 +31,9 @@ def imported_names(name: str) -> set[str]:
             base = node.module or ""
             if node.level:
                 base = f"flatdiff.{base}".rstrip(".")
-            # ``from . import quadrature`` names modules of the package,
-            # ``from .kernels import eval_kernel`` attributes of one module
-            if base == "flatdiff":
-                found.update(f"flatdiff.{alias.name}" for alias in node.names)
-            else:
-                found.add(base)
+            # ``from scipy import fft`` imports ``scipy.fft``, and
+            # ``from .kernels import eval_kernel`` ``flatdiff.kernels.eval_kernel``
+            found.update(f"{base}.{alias.name}" for alias in node.names)
     return found
 
 
@@ -76,3 +73,9 @@ def test_no_module_imports_mpmath(name):
     # the 60-digit route for D w lives in the tests; the library must not
     # lean on the arithmetic that checks it
     assert not {d for d in imported_names(name) if d.split(".")[0] == "mpmath"}
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_module_imports_scipy_fft(name):
+    # every transform runs on numpy.fft, in the calling thread
+    assert not {d for d in imported_names(name) if d.split(".")[:2] == ["scipy", "fft"]}

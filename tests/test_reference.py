@@ -506,11 +506,9 @@ def test_reference_solution_validation():
 
 def test_tail_constants_closed_forms():
     assert fd.heat_kernel_tail_constant(0.5) == pytest.approx(1.0 / math.pi, rel=1e-14)
-    assert fd.solution_tail_constant(0.5) == pytest.approx(1.0 / math.pi, rel=1e-14)
     assert fd.heat_kernel_tail_constant(1.0) == pytest.approx(0.0, abs=1e-15)
     k25 = special.gamma(1.5) * math.sin(math.pi / 4.0) / math.pi
     assert fd.heat_kernel_tail_constant(0.25) == pytest.approx(k25, rel=1e-14)
-    assert fd.solution_tail_constant(0.25) == pytest.approx(2.0 * k25, rel=1e-14)
 
 
 def test_kernel_tail_approaches_constant():
@@ -522,45 +520,3 @@ def test_kernel_tail_approaches_constant():
     assert y**2.5 * fd.fractional_heat_kernel(0.75, 1.0, y) == pytest.approx(
         fd.heat_kernel_tail_constant(0.75), rel=1e-2
     )
-
-
-# -- two-sided envelope fit --------------------------------------------------
-
-
-def test_bounds_fit_recovers_pi_for_cauchy():
-    fit = fd.heat_kernel_bounds_fit(
-        0.5, [1.0, 4.0], np.logspace(-1.0, 3.0, 25)
-    )
-    assert fit.c1 == pytest.approx(math.pi, rel=1e-12)
-    assert fit.limit_ok
-    assert fit.limit_floor == pytest.approx(1.0 / math.pi, rel=1e-12)
-    assert fit.limit_value == pytest.approx(1.0 / math.pi, rel=1e-5)
-    assert fit.tail_constant == pytest.approx(1.0 / math.pi, rel=1e-14)
-    assert fit.sample_count == 50
-    assert fit.decade_span > 100.0
-
-
-def test_bounds_fit_limit_needs_finite_sample_slack():
-    # the limit is approached from below, so zero slack must flag it
-    xs = np.logspace(-1.0, 3.0, 25)
-    assert not fd.heat_kernel_bounds_fit(0.5, [1.0], xs, rel_slack=0.0).limit_ok
-    assert fd.heat_kernel_bounds_fit(0.5, [1.0], xs, rel_slack=0.01).limit_ok
-
-
-def test_bounds_fit_scaling_collapse():
-    xs = np.logspace(-1.0, 2.0, 15)
-    fit1 = fd.heat_kernel_bounds_fit(0.5, [1.0], xs)
-    fit4 = fd.heat_kernel_bounds_fit(0.5, [4.0], 4.0 * xs)
-    assert fit1.c1 == pytest.approx(fit4.c1, rel=1e-12)
-    assert fit1.decade_span == pytest.approx(fit4.decade_span, rel=1e-12)
-
-
-def test_bounds_fit_rejects_bad_samples():
-    with pytest.raises(ValueError):
-        fd.heat_kernel_bounds_fit(0.5, [1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        fd.heat_kernel_bounds_fit(0.5, [], [1.0, 200.0])
-    with pytest.raises(ValueError):
-        fd.heat_kernel_bounds_fit(0.5, [-1.0], [1.0, 200.0])
-    with pytest.raises(ValueError):
-        fd.heat_kernel_bounds_fit(0.5, [1.0], [0.0])

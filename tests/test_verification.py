@@ -46,48 +46,13 @@ def test_mollified_datum_symmetry_and_support(small_grid):
         assert np.max(np.abs(u + u[::-1] - a)) <= 1e-13 * a
 
 
-def test_custom_datum_round_trip(small_grid):
-    x = small_grid.points()
-    vals = np.where(x <= 0.0, 1.0, np.exp(-x))
-    datum = fd.InitialDatum.custom(1.0, 0.0, small_grid, vals)
-    out = datum.sample(small_grid)
-    assert np.array_equal(out.values, vals)
-    assert out.values is not datum.values
-    assert datum.plateau_edge == 0.0
-
-
-def test_custom_datum_enforces_plateau(small_grid):
-    x = small_grid.points()
-    vals = np.where(x <= 0.0, 1.0, 0.0)
-    vals[50] = 0.9
-    with pytest.raises(ValueError):
-        fd.InitialDatum.custom(1.0, 0.0, small_grid, vals)
-    with pytest.raises(ValueError):
-        fd.InitialDatum.custom(1.0, 0.0, small_grid, np.ones(17))
-    other = fd.Grid(-40.0, 40.0, 801)
-    good = fd.InitialDatum.custom(1.0, 0.0, small_grid, np.where(x <= 0, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        good.sample(other)
-
-
-def test_datum_rejects_fields_of_another_kind(small_grid):
-    values = np.ones(small_grid.n)
-    with pytest.raises(ValueError, match="eps does not apply"):
-        fd.InitialDatum("step", 1.0, 0.0, eps=0.3)
-    with pytest.raises(ValueError, match="eps does not apply"):
-        fd.InitialDatum("custom", 1.0, 0.0, eps=0.3, values=values, grid=small_grid)
-    for extra in ({"values": values}, {"grid": small_grid}):
-        with pytest.raises(ValueError, match="do not apply"):
-            fd.InitialDatum("mollified_step", 1.0, 0.0, eps=0.5, **extra)
-        with pytest.raises(ValueError, match="do not apply"):
-            fd.InitialDatum("step", 1.0, 0.0, **extra)
-        with pytest.raises(ValueError, match="needs values and a grid"):
-            fd.InitialDatum("custom", 1.0, 0.0, **extra)
-
-
 def test_datum_validation():
-    with pytest.raises(ValueError):
-        fd.InitialDatum(kind="ramp", a=1.0, b=0.0)
+    # an infinite radius sampled a flat a/2 field with a plateau edge at -inf
+    for eps in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="mollifier radius"):
+            fd.InitialDatum.mollified_step(1.0, 0.0, eps=eps)
+        with pytest.raises(ValueError, match="mollifier radius"):
+            fd.InitialDatum(1.0, 0.0, eps=eps)
     with pytest.raises(ValueError):
         fd.InitialDatum.step(0.0, 0.0)
     with pytest.raises(ValueError):

@@ -347,7 +347,6 @@ def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, safety: flo
                 "upper_margin": cert.upper_margin,
                 "lower_margin": cert.lower_margin,
                 "near_moment": cert.near_moment,
-                "sample_count": cert.sample_count,
             },
             "snapshot_times": [float(t) for t in traj.times],
             "steps": traj.steps,

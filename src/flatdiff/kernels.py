@@ -8,9 +8,12 @@ the origin:
     J0 / |z|^(1+2s)  >=  J(z)            for |z| > 1,
     J(z)             >=  (1/J0) / |z|^(1+2s)   for |z| >= R0,
 
-with constants ``J0 >= 1``-like tightness declared by the caller and checked
-numerically here, together with the near-field moment bound
-``int_{|z|<=1} z^2 J(z) dz <= 2 J1``. Certificates produced by
+with constants ``J0 >= 1``-like tightness declared by the caller, together
+with the near-field moment bound ``int_{|z|<=1} z^2 J(z) dz <= 2 J1``. Every
+family is ``A |z|^(-1-2s)`` on ``1 < |z| <= hi`` and 0 beyond ``hi``, so the
+envelopes are decided in closed form here: the worst slacks, in units of
+``|z|^(-1-2s)``, are ``J0 - A`` (``J0`` when ``hi <= 1``) and ``A - 1/J0``
+(``-1/J0`` when ``hi`` is finite). Certificates produced by
 :func:`validate_hypothesis` gate the construction of discrete operators.
 
 All shipped families have closed-form antiderivatives, so interval masses,
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import exprel, hyp2f1
@@ -48,13 +50,6 @@ __all__ = [
 _FAMILIES = ("pure_fractional", "truncated_fractional", "compact_plus_tail")
 # slope of each near profile ``near_scale * (1 - slope * r)`` on ``0 < r <= 1``
 _NEAR_SLOPES = {"flat": 0.0, "triangle": 1.0}
-
-# floor on log-uniform sampling density used by validate_hypothesis
-SAMPLES_PER_DECADE = 100
-# least number of radii validate_hypothesis samples, whatever the span
-MIN_SAMPLE_COUNT = 1000
-# sampled envelope span: (1, TAIL_SPAN_FACTOR * R0]
-TAIL_SPAN_FACTOR = 100.0
 
 
 class HypothesisViolationError(ValueError):
@@ -430,19 +425,19 @@ def restricted_second_moment(spec: KernelSpec, radius: float) -> float:
 
 @dataclass(frozen=True)
 class HypothesisCertificate:
-    """Outcome of numerically checking the kernel admissibility conditions.
+    """Outcome of deciding the kernel admissibility conditions.
 
-    ``upper_margin`` is the worst slack of the upper envelope over sampled
-    ``|z| > 1``; ``lower_margin`` the worst slack of the lower envelope over
-    sampled ``|z| >= R0``. ``verified`` is true exactly when both margins are
-    nonnegative and ``near_moment <= 2 * J1``; it holds for ``spec`` only.
+    Both margins are the worst slack of an envelope in units of
+    ``|z|^(-1-2s)``: ``upper_margin = inf_{|z|>1} (J0 - |z|^(1+2s) J(z))`` and
+    ``lower_margin = inf_{|z|>=R0} (|z|^(1+2s) J(z) - 1/J0)``. ``verified``
+    is true exactly when both margins are nonnegative and
+    ``near_moment <= 2 * J1``; it holds for ``spec`` only.
     """
 
     spec: KernelSpec
     upper_margin: float
     lower_margin: float
     near_moment: float
-    sample_count: int
 
     @property
     def verified(self) -> bool:
@@ -453,45 +448,26 @@ class HypothesisCertificate:
         )
 
 
-@lru_cache(maxsize=32)
-def _sample_radii(declared_r0: float, support_end: float) -> np.ndarray:
-    """Log-uniform sample of ``(1, TAIL_SPAN_FACTOR * R0]`` plus ``R0`` and the
-    radius just past a finite tail support; cached, so the array is read-only."""
-    hi = TAIL_SPAN_FACTOR * declared_r0
-    decades = np.log10(hi)
-    count = max(MIN_SAMPLE_COUNT, int(np.ceil(SAMPLES_PER_DECADE * decades)) + 1)
-    base = np.geomspace(np.nextafter(1.0, 2.0), hi, count)
-    extra = [declared_r0]
-    if 1.0 < support_end < hi:
-        # straddle the truncation radius so a vanishing tail cannot hide
-        extra += [np.nextafter(support_end, np.inf)]
-    radii = np.unique(np.concatenate([base, np.asarray(extra)]))
-    radii.flags.writeable = False
-    return radii
-
-
 def validate_hypothesis(spec: KernelSpec) -> HypothesisCertificate:
-    """Check the declared envelopes and moment bound on a log-uniform grid.
+    """Decide the declared envelopes in closed form and the moment bound exactly.
 
-    Sampling covers ``(1, 100 * R0]`` with at least ``MIN_SAMPLE_COUNT``
-    points and never fewer than ``SAMPLES_PER_DECADE`` per decade. A failing
-    kernel yields ``verified=False``; this routine does not raise on failure.
+    On ``|z| > 1`` every family is ``A |z|^(-1-2s)`` up to
+    ``hi = tail_support[1]`` and 0 beyond, so, in units of ``|z|^(-1-2s)``,
+    ``upper_margin`` is ``J0 - A`` when ``hi > 1`` and ``J0`` otherwise, and
+    ``lower_margin`` is ``A - 1/J0`` when ``hi = inf`` and ``-1/J0``
+    otherwise: a finite support fails the lower envelope however far out it
+    ends. A failing kernel yields ``verified=False``; this routine does not
+    raise on failure.
     """
-    radii = _sample_radii(spec.declared_r0, spec.tail_support[1])
-    j0 = spec.declared_j0
-    values = np.asarray(eval_kernel(spec, radii))
-    envelope = radii ** (-1.0 - 2.0 * spec.s)
-    upper_margin = float(np.min(j0 * envelope - values))
-    mask = radii >= spec.declared_r0
-    lower_margin = float(np.min(values[mask] - (1.0 / j0) * envelope[mask]))
+    j0, amp = spec.declared_j0, spec.amplitude
+    hi = spec.tail_support[1]
     try:
         near = restricted_second_moment(spec, 1.0)
     except HypothesisViolationError:
         near = float("inf")
     return HypothesisCertificate(
         spec=spec,
-        upper_margin=upper_margin,
-        lower_margin=lower_margin,
+        upper_margin=j0 - amp if hi > 1.0 else j0,
+        lower_margin=amp - 1.0 / j0 if hi == math.inf else -1.0 / j0,
         near_moment=near,
-        sample_count=int(radii.size),
     )

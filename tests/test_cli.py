@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from flatdiff import subsolution, verification
-from flatdiff.cli import build_parser, main
+from flatdiff.cli import EXIT_CONFIG, build_parser, main
 
 CAUCHY_KERNEL = {
     "family": "pure_fractional",
@@ -66,7 +66,9 @@ def test_simulate_writes_csv_and_metadata(tmp_path):
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["package_version"]
     assert meta["derived"]["snapshot_times"] == [0.0, 0.25, 0.5]
-    assert meta["derived"]["kernel_certificate"]["verified"] is True
+    certificate = meta["derived"]["kernel_certificate"]
+    assert certificate["verified"] is True
+    assert set(certificate) == {"verified", "upper_margin", "lower_margin", "near_moment"}
     assert meta["derived"]["h"] == pytest.approx(0.2, rel=1e-14)
     # every step runs at least two Euler stages, one apply each
     steps, applies = meta["derived"]["steps"], meta["derived"]["applies"]
@@ -284,6 +286,16 @@ def test_hypothesis_violating_kernel_rejected(tmp_path):
     kernel = dict(UNIT_KERNEL, j0=0.5)
     cfg = base_config(tmp_path, kernel=kernel)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_far_truncated_kernel_rejected_naming_its_cutoff(tmp_path, caplog):
+    # J = 0 beyond the cutoff, so the lower envelope fails however far out
+    kernel = {"family": "truncated_fractional", "s": 0.75, "amplitude": 1.0,
+              "cutoff": 1000.0, "j0": 1.0, "j1": 3.0, "r0": 2.0}
+    cfg = base_config(tmp_path, kernel=kernel)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "cutoff=1000" in caplog.text
+    assert "failed admissibility validation" in caplog.text
 
 
 # -- verify subcommands ------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import flatdiff as fd
-from flatdiff.kernels import HypothesisViolationError, _sample_radii, interval_moments
+from flatdiff.kernels import HypothesisViolationError, interval_moments
 
 
 def any_spec(family, s, amplitude):
@@ -262,17 +262,62 @@ def test_validator_flags_truncated_tail():
     assert cert.upper_margin >= 0
 
 
-def test_validator_sample_is_cached_and_read_only():
-    spec = fd.truncated_fractional(0.75, 1.0, 30.0, j0=1.0, j1=1.0, r0=2.0)
-    radii = _sample_radii(spec.declared_r0, spec.cutoff)
-    assert _sample_radii(spec.declared_r0, spec.cutoff) is radii
-    assert not radii.flags.writeable
-    with pytest.raises(ValueError):
-        radii[0] = 2.0
-    assert np.all(np.diff(radii) > 0) and radii[0] > 1.0
-    assert 2.0 in radii and np.nextafter(30.0, np.inf) in radii
-    assert fd.validate_hypothesis(spec) == fd.validate_hypothesis(spec)
-    assert fd.validate_hypothesis(spec).sample_count == radii.size
+@pytest.mark.parametrize("cutoff", [150.0, 201.0, 1000.0, 1e9])
+def test_validator_refuses_every_finite_tail_support(cutoff):
+    # J = 0 beyond the cutoff, so the lower envelope fails however far out
+    # the cutoff lies; only the envelope fails, the near moment 4 <= 2 J1
+    spec = fd.truncated_fractional(0.75, 1.0, cutoff, j0=1.0, j1=3.0, r0=2.0)
+    cert = fd.validate_hypothesis(spec)
+    assert cert.verified is False
+    assert cert.lower_margin == -1.0 / spec.declared_j0
+    assert cert.upper_margin == 0.0
+    assert cert.near_moment <= 2.0 * spec.declared_j1
+
+
+@pytest.mark.parametrize("cutoff", [0.5, 1.0])
+def test_validator_upper_margin_of_a_tail_cut_by_one(cutoff):
+    # J = 0 on all of |z| > 1: the upper slack is J0 everywhere
+    spec = fd.truncated_fractional(0.75, 1.0, cutoff, j0=1.0, j1=3.0, r0=2.0)
+    cert = fd.validate_hypothesis(spec)
+    assert cert.upper_margin == spec.declared_j0
+    assert cert.lower_margin == -1.0 / spec.declared_j0
+    assert cert.verified is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    s=st.floats(min_value=0.05, max_value=1.95),
+    amplitude=st.floats(min_value=0.0, max_value=4.0),
+    j0=st.floats(min_value=0.25, max_value=4.0),
+    r0=st.floats(min_value=1.0, max_value=1e3, exclude_min=True),
+    cutoff=st.floats(min_value=0.5, max_value=1e9),
+)
+def test_closed_form_margins_match_a_dense_sample(family, s, amplitude, j0, r0, cutoff):
+    # a second route: the envelope slacks in units of |z|^(-1-2s), sampled
+    # through eval_kernel on a log grid past R0 and past the cutoff
+    spec = fd.KernelSpec(
+        family, s, amplitude, j0, 1.0, r0,
+        cutoff=cutoff if family == "truncated_fractional" else None,
+        near_profile="flat" if family == "compact_plus_tail" else None,
+    )
+    cert = fd.validate_hypothesis(spec)
+    hi = spec.tail_support[1]
+    far = 10.0 * max(r0, hi if hi < math.inf else 0.0)
+    radii = np.geomspace(np.nextafter(1.0, 2.0), far, 2000)
+    radii = np.append(radii, [r0] + ([np.nextafter(hi, np.inf)] if hi < math.inf else []))
+    radii = radii[radii > 1.0]
+    scaled = radii ** (1.0 + 2.0 * s) * fd.eval_kernel(spec, radii)
+    upper = np.min(j0 - scaled)
+    lower = np.min(scaled[radii >= r0] - 1.0 / j0)
+    roundoff = 1e-12 * (j0 + amplitude + 1.0 / j0)
+    # the closed form bounds the sampled slack and is attained on the grid
+    assert upper == pytest.approx(cert.upper_margin, abs=roundoff)
+    assert lower == pytest.approx(cert.lower_margin, abs=roundoff)
+    if hi < math.inf:
+        assert (upper >= 0.0 and lower >= 0.0) == (
+            cert.upper_margin >= 0.0 and cert.lower_margin >= 0.0
+        )
 
 
 @settings(max_examples=20, deadline=None)

@@ -458,6 +458,11 @@ def validate_hypothesis(spec: KernelSpec) -> HypothesisCertificate:
     otherwise: a finite support fails the lower envelope however far out it
     ends. A failing kernel yields ``verified=False``; this routine does not
     raise on failure.
+
+    ``lower_margin`` is the float ``A - 1/J0``, so a tight ``J0 = 1/A`` passes or
+    fails on rounding: the fractional Laplacian declared so is refused at s = 0.25,
+    0.32 and 0.33. Exact rationals would refuse 47 of s = 0.05, 0.06, ..., 0.99,
+    s = 0.75 among them (``A J0 - 1 = -2.3e-17``), so the float rule stays.
     """
     j0, amp = spec.declared_j0, spec.amplitude
     hi = spec.tail_support[1]

@@ -30,21 +30,21 @@ off-diagonal coefficient is nonnegative, so a forward Euler stage with
 ``dt * W <= 1`` (``W`` the diagonal coefficient) is a convex combination of
 field values; comparison and maximum principles hold by construction.
 
-The rate is ``T u - W u + e + amp rho``: ``T`` is the symmetric Toeplitz
-matrix of the stencil on the grid, ``W`` the row sum, and ``e`` one vector
-fixed at construction: the stencil mass beyond either end of the window plus
-the far-tail terms, times the constant extensions (the left one, and the
-right one under ``constant``). Only ``algebraic_tail`` adds ``amp rho``, the
-amplitude fitted on each call times the response to ``y^(-2s)``; beyond the
-last hat that extension gives row ``i`` the far shape
-``int_cut^inf (x_i + z)^(-2s) J(z) dz`` with ``cut = n h``. For the power
-tail ``A z^(-1-2s)`` it is the Euler integral
+The rate is ``(T - W) u + e (+ amp rho)``: ``T - W`` is the symmetric
+Toeplitz matrix of one stencil, ``w_|k|`` off the centre and ``-W`` (the row
+sum) at it, and ``e`` one vector fixed at construction: the stencil mass
+beyond either end of the window plus the far-tail terms, times the constant
+extensions (the left one, and the right one under ``constant``). Only
+``algebraic_tail`` adds ``amp rho``, the amplitude fitted on each call times
+the response to ``y^(-2s)``; beyond the last hat that extension gives row
+``i`` the far shape ``int_cut^inf (x_i + z)^(-2s) J(z) dz`` with
+``cut = n h``. For the power tail ``A z^(-1-2s)`` it is the Euler integral
 ``A cut^(-4s) / (4s) 2F1(2s, 4s; 4s + 1; -x_i / cut)`` (DLMF 15.6.1),
 evaluated for all rows at once by
 :func:`~flatdiff.kernels.exterior_tail_response`; ``tests/test_operator.py``
 cross-checks it node by node against adaptive quadrature. ``rate`` forms
-``T u`` by the path named by ``apply_path``, fixed by the grid size: below
-the measured crossover a product with the dense ``T``, built once on the
+``(T - W) u`` by the path named by ``apply_path``, fixed by the grid size:
+below the measured crossover a product with the dense ``T - W``, built on the
 first direct ``rate``, and from it a circular convolution of length
 ``m = p q >= 2n - 1``, which ``apply_fft`` also takes at any size. With
 ``gcd(p, q) = 1`` the Chinese-remainder index map turns it exactly into a
@@ -54,8 +54,8 @@ Thomas (1963). Its transforms are ``numpy.fft``'s, written into buffers the
 operator holds, so a stage allocates no transform-sized scratch; small
 grids take ``p = 1``, one row. ``apply`` sums the sliding correlation with
 the zero-padded field at any size, the reference that both paths are
-tested against. All of them add the same exterior terms, and they agree to
-roundoff.
+tested against. All of them take the same stencil and add the same
+exterior terms, and they agree to roundoff.
 """
 
 from __future__ import annotations
@@ -267,16 +267,15 @@ class DiscreteOperator:
         w /= h
 
         self.near_weights = w
-        stencil = self._stencil()
         tail_cut = n * h
         t_left = t_right = exterior_mass(spec, tail_cut)
         self.far_tail_coefficients = (t_left, t_right)
-        self.row_sum = float(stencil.sum()) + t_left + t_right
+        self.row_sum = 2.0 * float(w.sum()) + t_left + t_right
 
         self.apply_path = "fft" if n >= _FFT_THRESHOLD else "direct"
-        # stencil mass landing on the i-th row's left pad; by symmetry the
-        # right pad of row i carries the mass of the left pad of row n-1-i
-        pad_mass = np.concatenate([np.cumsum(stencil[: n - 1])[::-1], [0.0]])
+        # stencil mass on row i's left pad (entries w_(n-1) .. w_1); by symmetry
+        # the right pad of row i carries the left pad mass of row n-1-i
+        pad_mass = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
         # constant extensions give one fixed vector; an algebraic tail adds
         # its fitted amplitude times a fixed shape
         self._exterior = boundary.left_value * (t_left + pad_mass)
@@ -287,13 +286,13 @@ class DiscreteOperator:
             self._tail_shape = self._algebraic_right(tail_cut)
 
     def _stencil(self) -> np.ndarray:
-        """Entries ``k = -(n-1) .. n-1`` of the stencil of ``T``, ``w_|k|``.
-
+        """Entries ``k = -(n-1) .. n-1`` of the stencil of ``T - W``: ``w_|k|``
+        off the centre and ``-W`` at it, read from ``row_sum`` on each call.
         Built afresh on each call: an FFT-path operator keeps the stencil's
         spectrum, and 2n - 1 more floats would only raise its footprint.
         """
         w = self.near_weights
-        return np.concatenate([w[::-1], [0.0], w])
+        return np.concatenate([w[::-1], [-self.row_sum], w])
 
     @cached_property
     def _torus(self) -> _Torus:
@@ -313,9 +312,8 @@ class DiscreteOperator:
 
     @cached_property
     def _toeplitz(self) -> np.ndarray:
-        # T itself, built on the first direct rate; row i is
-        # stencil[n-1-i : 2n-1-i]. Only direct-path operators pay its n^2
-        # floats, fewer than _FFT_THRESHOLD^2.
+        # T - W, built on the first direct rate; row i is stencil[n-1-i : 2n-1-i].
+        # Only direct-path operators pay its n^2 floats, fewer than _FFT_THRESHOLD^2.
         n = self.grid.n
         return np.ascontiguousarray(sliding_window_view(self._stencil(), n)[::-1])
 
@@ -341,9 +339,9 @@ class DiscreteOperator:
     def rate(self, values: np.ndarray) -> np.ndarray:
         """``D u`` on the grid values ``u``, with the boundary extensions.
 
-        ``apply_path`` picks the inner product ``T u``: the FFT from
+        ``apply_path`` picks the product ``(T - W) u``: the FFT from
         ``n = 384`` nodes on, the measured crossover, and below it a product
-        with the dense symmetric Toeplitz ``T``, built on the first call and
+        with the dense symmetric Toeplitz ``T - W``, built on the first call and
         kept. The FFT runs on ``numpy.fft`` in the calling thread and takes
         no worker count.
         """
@@ -356,7 +354,7 @@ class DiscreteOperator:
         return self._finish(values, self._toeplitz @ values)
 
     def _direct_inner(self, values: np.ndarray) -> np.ndarray:
-        """``T u`` by sliding correlation with the zero-padded field; O(n^2).
+        """``(T - W) u`` by sliding correlation with the zero-padded field; O(n^2).
 
         Only :meth:`apply` runs it, as the reference that both paths of
         :meth:`rate` are tested against.
@@ -366,24 +364,21 @@ class DiscreteOperator:
         return np.correlate(padded, self._stencil(), mode="valid")
 
     def _fft_inner(self, values: np.ndarray) -> np.ndarray:
-        """``T u`` by the circulant product on the torus; O(n log n).
+        """``(T - W) u`` by the circulant product on the torus; O(n log n).
 
         ``u`` sits at circle positions ``[0, n)`` and the stencil at
-        ``[0, 2n - 1)``, so ``T u`` is read at ``[n - 1, 2n - 1)``.
+        ``[0, 2n - 1)``, so ``(T - W) u`` is read at ``[n - 1, 2n - 1)``.
         """
         n = self.grid.n
         return self._torus.convolve(values, self._spectrum, n - 1, n)
 
     def _finish(self, values: np.ndarray, inner: np.ndarray) -> np.ndarray:
-        # (T u - W u) + left + right from inner = T u, formed in the array of
-        # W u, which is returned: no buffer of the operator can alias it
-        out = values * self.row_sum
-        np.subtract(inner, out, out=out)
-        out += self._exterior
+        # inner = (T - W) u, fresh on every product path, takes e (+ amp rho) in place
+        inner += self._exterior
         if self._tail_shape is not None:
             amp = self.boundary.fit_tail_amplitude(self.grid, values, 2.0 * self.spec.s)
-            out += amp * self._tail_shape
-        return out
+            inner += amp * self._tail_shape
+        return inner
 
     def apply(self, u: Field) -> Field:
         """``D u`` by the direct correlation sum at any size; the reference."""

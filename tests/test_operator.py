@@ -500,7 +500,9 @@ def padded_reference(op, u):
     The field is padded with ``n - 1`` copies of the left value and ``n - 1``
     samples of the right extension, correlated with the full stencil, and the
     displacements beyond the last hat, at ``n h``, are added per node by
-    quadrature of the unit kernel ``|z|^-2``.
+    quadrature of the unit kernel ``|z|^-2``. The stencil is built here with a
+    zero centre and ``W u`` subtracted apart, so the reference does not share
+    the operator's one stencil, whose centre carries ``-W``.
     """
     g, b = op.grid, op.boundary
     n, h = g.n, g.h
@@ -528,13 +530,15 @@ def padded_reference(op, u):
     return np.correlate(padded, stencil, mode="valid") - op.row_sum * u + far
 
 
-@pytest.mark.parametrize("n", [128, 1024])
+# the direct path, the one-row torus and the least two-axis torus (25 x 256)
+@pytest.mark.parametrize("n", [128, 1024, _TORUS_MIN_N])
 @pytest.mark.parametrize("right", RIGHT_MODELS)
 def test_exterior_vectors_match_padded_assembly(unit_spec, unit_cert, rng, right, n):
     g = fd.Grid(-10.0, 10.0, n)
     op = make_op(
         unit_spec, unit_cert, g, left=0.8, right=right, right_value=RIGHT_VALUE[right]
     )
+    assert _torus_shape(n)[0] == (25 if n == _TORUS_MIN_N else 1)
     u = fd.Field(g, 0.0, rng.uniform(0.1, 1.0, n))
     ref = padded_reference(op, u.values)
     tol = 1e-12 * np.max(np.abs(ref))

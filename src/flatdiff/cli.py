@@ -306,11 +306,12 @@ def _run_simulation(
     )
     log.debug(
         "run record: %s apply path, fft shape %s, %d steps, %d applies, "
-        "dt in [%.6g, %.6g]",
+        "%d tail fallbacks, dt in [%.6g, %.6g]",
         op.apply_path,
         _shape_label(op.fft_shape),
         traj.steps,
         traj.applies,
+        traj.tail_fallbacks,
         traj.dt_min,
         traj.dt_max,
     )
@@ -354,6 +355,7 @@ def _metadata(raw_cfg: dict, op: DiscreteOperator, traj: Trajectory, safety: flo
             "dt_min": traj.dt_min,
             "dt_max": traj.dt_max,
             "k_max": traj.k_max,
+            "tail_fallbacks": traj.tail_fallbacks,
         },
     }
 

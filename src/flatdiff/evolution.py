@@ -60,8 +60,10 @@ class Trajectory:
     ``steps`` counts the time steps taken and ``applies`` the ``op.rate``
     calls they made (one per Euler stage); ``dt_min`` and ``dt_max`` are the
     shortest and longest step and ``k_max`` the most stages one step took.
-    All are 0 for a trajectory not built by :func:`evolve` and for one that
-    took no step.
+    ``tail_fallbacks`` counts the calls whose algebraic-tail fit refused,
+    dropping the extension (its amplitude was 0.0); it is 0 under the other
+    boundary models. All are 0 for a trajectory not built by :func:`evolve`
+    and for one that took no step.
     """
 
     grid: Grid
@@ -73,6 +75,7 @@ class Trajectory:
     dt_min: float = 0.0
     dt_max: float = 0.0
     k_max: int = 0
+    tail_fallbacks: int = 0
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -191,8 +194,9 @@ def evolve(
     calling thread, so it changes neither the time nor any bit. Every Euler
     stage runs under one ``np.errstate``, set around the stepping loop, and
     overflows silently into its divergence check. The trajectory always
-    holds the initial and final states, counts the steps and applies taken,
-    and records the step range and the most stages a step took.
+    holds the initial and final states, counts the steps and applies taken
+    and the applies whose tail fit refused, and records the step range and
+    the most stages a step took.
     """
     snaps = sorted({float(s) for s in output_times} | {float(t_final)})
     if not all(map(math.isfinite, snaps)):
@@ -208,6 +212,7 @@ def evolve(
     values = u0.values
     steps = applies = k_max = 0
     dt_min, dt_max = math.inf, 0.0
+    fallbacks = op._tail_fallbacks()
 
     t = u0.t
     with np.errstate(over="ignore", invalid="ignore"):
@@ -236,6 +241,7 @@ def evolve(
         dt_min=dt_min if steps else 0.0,
         dt_max=dt_max,
         k_max=k_max,
+        tail_fallbacks=op._tail_fallbacks() - fallbacks,
     )
 
 

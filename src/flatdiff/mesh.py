@@ -106,31 +106,41 @@ class BoundaryModel:
     def fit_tail_amplitude(self, grid: Grid, values: np.ndarray, exponent: float) -> float:
         """Least-squares amplitude of ``amp * x^-exponent`` over the last decade.
 
-        The fit is capped at ``values[-1] * x_max^exponent``, so the extension
-        never lies above the last grid value and a nonincreasing field stays
-        nonincreasing across the edge; both bounds are nondecreasing in the
-        values, so the capped amplitude keeps the comparison principle.
+        The fit in log space is the geometric mean of ``u x^exponent`` over
+        the window, formed in one pass over ``u`` as
+        ``exp((sum log u + exponent sum log x) / N)``; the second sum is
+        cached per grid. An empty window, or one holding a value ``<= 0``,
+        gives 0.0: such a value makes the log-sum non-finite, and only then
+        is the window scanned for it, so a NaN, which the scan does not
+        find, propagates. The fit is capped at ``values[-1] * x_max^exponent``,
+        so the extension never lies above the last grid value and a
+        nonincreasing field stays nonincreasing across the edge; both bounds
+        are nondecreasing in the values, so the capped amplitude keeps the
+        comparison principle.
         """
         if grid.x_max <= 0:
             raise ValueError("algebraic tail extension requires x_max > 0")
-        start, log_x = _fit_window(grid, exponent)
+        start, log_x_sum = _fit_window(grid, exponent)
         u = values[start:]
-        if u.size == 0 or np.any(u <= 0):
+        if u.size == 0:
             return 0.0
-        fit = np.exp(np.mean(np.log(u) + log_x))
+        # log 0 and the log of a negative value are the refusal, not an error
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_u_sum = np.log(u).sum()
+        if not math.isfinite(log_u_sum) and np.any(u <= 0):
+            return 0.0
+        fit = np.exp((log_u_sum + log_x_sum) / u.size)
         return float(min(fit, values[-1] * grid.x_max**exponent))
 
 
 @lru_cache(maxsize=8)
-def _fit_window(grid: Grid, exponent: float) -> tuple[int, np.ndarray]:
+def _fit_window(grid: Grid, exponent: float) -> tuple[int, float]:
     """First node of the tail fit window ``x >= max(x_max / 10, 10 h)`` and
-    ``exponent * log x`` over the window, which is a suffix of the grid.
+    ``exponent * sum log x`` over the window, which is a suffix of the grid.
 
     Every apply of an algebraic-tail operator fits on the same grid, so this
-    is computed once per grid and exponent; the array is read-only.
+    is computed once per grid and exponent.
     """
     x = grid.points()
     start = int(np.searchsorted(x, max(grid.x_max / 10.0, 10.0 * grid.h)))
-    log_x = exponent * np.log(x[start:])
-    log_x.flags.writeable = False
-    return start, log_x
+    return start, exponent * float(np.log(x[start:]).sum())

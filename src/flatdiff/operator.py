@@ -50,12 +50,14 @@ first direct ``rate``, and from it a circular convolution of length
 ``gcd(p, q) = 1`` the Chinese-remainder index map turns it exactly into a
 convolution on the ``p x q`` torus, with no twiddle factors: the
 prime-factor algorithm of Good (1958, J. R. Stat. Soc. B 20:361) and
-Thomas (1963). Its transforms are ``numpy.fft``'s, written into buffers the
-operator holds, so a stage allocates no transform-sized scratch; small
-grids take ``p = 1``, one row. ``apply`` sums the sliding correlation with
-the zero-padded field at any size, the reference that both paths are
-tested against. All of them take the same stencil and add the same
-exterior terms, and they agree to roundoff.
+Thomas (1963). The map's flat torus offsets are held as ``np.intp``, the
+width numpy indexes with, so no product recasts them. Its transforms are
+``numpy.fft``'s, written into buffers the operator holds, so a stage
+allocates no transform-sized scratch; small grids take ``p = 1``, one row.
+``apply`` sums the sliding correlation with the zero-padded field at any
+size, the reference that both paths are tested against. All of them take
+the same stencil and add the same exterior terms, and they agree to
+roundoff.
 """
 
 from __future__ import annotations
@@ -150,12 +152,17 @@ def _torus_shape(n: int) -> tuple[int, int]:
 
 def _crt_index(p: int, q: int, count: int) -> np.ndarray:
     """Flat offsets on the ``p x q`` torus of circle positions ``0 .. count - 1``:
-    position ``k`` sits at ``(k mod p, k mod q)``."""
+    position ``k`` sits at ``(k mod p, k mod q)``.
+
+    The offsets are ``np.intp``, the width numpy's fancy indexing uses: it
+    casts an index of any other integer type afresh on every call, a pass
+    over the whole index in each scatter and each gather of a product.
+    """
     # k mod p and k mod q repeat with periods p and q; tiling them is far
     # cheaper than two integer remainders over k (0.18 against 4.8 ms for
     # the 168 001 positions of 84 001 nodes, on the host of the tables above)
-    rows = np.tile(np.arange(0, p * q, q, dtype=np.int32), -(-count // p))[:count]
-    return rows + np.tile(np.arange(q, dtype=np.int32), -(-count // q))[:count]
+    rows = np.tile(np.arange(0, p * q, q, dtype=np.intp), -(-count // p))[:count]
+    return rows + np.tile(np.arange(q, dtype=np.intp), -(-count // q))[:count]
 
 
 class _Torus:
@@ -166,11 +173,13 @@ class _Torus:
     circle of length ``m`` onto the torus. So it turns a circular convolution
     exactly into a 2-D one, with no twiddle factors: the prime-factor
     algorithm of Good (1958) and Thomas (1963). ``index`` holds the flat
-    torus offsets of circle positions ``0 .. 2n - 2`` as ``int32``; on a
-    single row (``p = 1``) they are the positions themselves, and slices
-    stand in for it. The transforms write into two buffers the torus holds,
-    so a product allocates only the values it returns; a lock lets one
-    thread at a time use them.
+    torus offsets of circle positions ``0 .. 2n - 2`` as ``np.intp``, so
+    that the scatter and the gather of a product index with it as it is
+    (numpy casts any other integer index on every call); on a single row
+    (``p = 1``) they are the positions themselves, and slices stand in for
+    it. The transforms write into two buffers the torus holds, so a product
+    allocates only the values it returns; a lock lets one thread at a time
+    use them.
     """
 
     def __init__(self, n: int) -> None:
@@ -284,6 +293,8 @@ class DiscreteOperator:
             self._exterior += boundary.right_value * (t_right + pad_mass[::-1])
         elif boundary.right == "algebraic_tail":
             self._tail_shape = self._algebraic_right(tail_cut)
+        # per thread, so that evolves sharing the operator count apart
+        self._fallbacks = threading.local()
 
     def _stencil(self) -> np.ndarray:
         """Entries ``k = -(n-1) .. n-1`` of the stencil of ``T - W``: ``w_|k|``
@@ -377,8 +388,17 @@ class DiscreteOperator:
         inner += self._exterior
         if self._tail_shape is not None:
             amp = self.boundary.fit_tail_amplitude(self.grid, values, 2.0 * self.spec.s)
+            if amp == 0.0:
+                self._fallbacks.count = self._tail_fallbacks() + 1
             inner += amp * self._tail_shape
         return inner
+
+    def _tail_fallbacks(self) -> int:
+        """Products in the calling thread whose algebraic-tail amplitude was
+        0.0, so that the extension dropped out: the fit refused (an empty
+        window, or a value ``<= 0`` in it) or, at values near 1e-308,
+        underflowed. 0 under the other boundary models."""
+        return getattr(self._fallbacks, "count", 0)
 
     def apply(self, u: Field) -> Field:
         """``D u`` by the direct correlation sum at any size; the reference."""

@@ -80,6 +80,7 @@ def test_simulate_writes_csv_and_metadata(tmp_path):
     assert isinstance(derived["k_max"], int)
     assert 2 <= derived["k_max"] and applies <= steps * derived["k_max"]
     assert derived["apply_path"] == "fft"
+    assert derived["tail_fallbacks"] == 0
     # the FFT torus: p x q cells for the 2n - 1 of the circulant product
     p, q = derived["fft_shape"]
     assert isinstance(p, int) and isinstance(q, int) and p * q >= 2 * 401 - 1
@@ -99,7 +100,25 @@ def test_simulate_logs_the_run_record_under_verbose(tmp_path, caplog):
     message = records[0].getMessage()
     assert message.startswith("run record: direct apply path, fft shape none,")
     assert f"{derived['steps']} steps, {derived['applies']} applies" in message
+    assert f"{derived['tail_fallbacks']} tail fallbacks" in message
     assert f"dt in [{derived['dt_min']:.6g}, {derived['dt_max']:.6g}]" in message
+
+
+def test_simulate_records_tail_fallbacks(tmp_path, caplog):
+    # the step is 0 over the algebraic tail's fit window at the start
+    cfg = base_config(
+        tmp_path,
+        grid={"x_min": -10.0, "x_max": 10.0, "n": 128},
+        boundary={"left_value": 1.0, "right": "algebraic_tail"},
+    )
+    out = tmp_path / "run"
+    with caplog.at_level(logging.DEBUG, logger="flatdiff"):
+        assert main(["simulate", "--config", cfg, "--out", str(out), "-v"]) == 0
+    derived = json.loads((out / "metadata.json").read_text())["derived"]
+    fallbacks = derived["tail_fallbacks"]
+    assert isinstance(fallbacks, int) and 1 <= fallbacks < derived["applies"]
+    [message] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("run record")]
+    assert f"{derived['applies']} applies, {fallbacks} tail fallbacks," in message
 
 
 def test_simulate_format_variants(tmp_path):

@@ -1,5 +1,8 @@
 """Time stepping: stability bound, structure preservation, comparison checks."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,6 +282,54 @@ def test_applies_count_rate_calls(unit_spec, unit_cert, monkeypatch):
     # every step has at least two stages, each no longer than the stage bound
     assert 2 * traj.steps <= traj.applies
     assert traj.applies * fd.stable_dt(op, 0.9) >= 1.0
+
+
+@pytest.mark.parametrize("n", [128, 1024])
+def test_tail_fallbacks_count_the_refused_fits(unit_spec, unit_cert, n):
+    grid = fd.Grid(-5.0, 5.0, n)
+    tail, zero = (
+        fd.discretize(
+            unit_spec, grid, fd.BoundaryModel(left_value=1.0, right=right), certificate=unit_cert
+        )
+        for right in ("algebraic_tail", "zero")
+    )
+    step = fd.InitialDatum.step(1.0, 0.0).sample(grid)
+    # the step is 0 over the fit window, so at least its first stage refuses;
+    # the count is per run, not carried over from the run before
+    first, again = (fd.evolve(tail, step, 0.5) for _ in range(2))
+    assert first.tail_fallbacks >= 1
+    assert again.tail_fallbacks == first.tail_fallbacks < first.applies
+    assert fd.evolve(tail, decreasing_datum(grid), 0.5).tail_fallbacks == 0
+    assert fd.evolve(zero, step, 0.5).tail_fallbacks == 0
+    assert fd.Trajectory(grid, np.array([0.0]), (step,)).tail_fallbacks == 0
+
+
+def test_tail_fallbacks_of_threads_sharing_an_operator_count_apart(unit_spec, unit_cert):
+    grid = fd.Grid(-5.0, 5.0, 512)
+    op = fd.discretize(
+        unit_spec,
+        grid,
+        fd.BoundaryModel(left_value=1.0, right="algebraic_tail"),
+        certificate=unit_cert,
+    )
+    step = fd.InitialDatum.step(1.0, 0.0).sample(grid)
+    alone = fd.evolve(op, step, 0.5).tail_fallbacks
+    counts = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda: counts.append(fd.evolve(op, step, 0.5).tail_fallbacks))
+            for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(switch)
+    assert alone >= 1 and counts == [alone] * 4
 
 
 # -- trajectory container ----------------------------------------------------

@@ -110,3 +110,79 @@ def test_tail_amplitude_zero_for_nonpositive_values():
     bm = fd.BoundaryModel(left_value=1.0, right="algebraic_tail")
     vals = np.zeros(g.n)
     assert bm.fit_tail_amplitude(g, vals, 1.0) == 0.0
+
+
+def two_pass_fit(grid, values, exponent):
+    """The fit as the mean of ``log u + exponent log x`` over the window,
+    and the largest magnitude of those two log terms (at least 1)."""
+    x = grid.points()
+    window = x >= max(grid.x_max / 10.0, 10.0 * grid.h)
+    log_u, log_x = np.log(values[window]), exponent * np.log(x[window])
+    scale = max(np.abs(log_u).max(), np.abs(log_x).max(), 1.0)
+    return np.exp(np.mean(log_u + log_x)), scale
+
+
+def test_one_pass_tail_fit_agrees_with_the_two_pass_mean():
+    # the two forms round their sums differently: each is within about
+    # 1.6 ulp per unit of its largest log term of the exactly summed mean
+    # (2000 random windows), so they agree to 4 ulp per unit of that term
+    rng = np.random.default_rng(34)
+    bm = fd.BoundaryModel(left_value=1.0, right="algebraic_tail")
+    for _ in range(200):
+        x_max = float(np.exp(rng.uniform(-1.0, 7.0)))
+        g = fd.Grid(-rng.uniform(0.0, 1.0) * x_max, x_max, int(rng.integers(16, 9000)))
+        exponent = float(rng.uniform(0.1, 2.0))
+        low = rng.uniform(-30.0, 0.0)
+        u = np.exp(rng.uniform(low, low + rng.uniform(0.0, 30.0), g.n))
+        fit, _ = two_pass_fit(g, u, exponent)
+        # lift the last value so that the cap does not bind
+        u[-1] = max(u[-1], 10.0 * fit / x_max**exponent)
+        fit, scale = two_pass_fit(g, u, exponent)
+        amp = bm.fit_tail_amplitude(g, u, exponent)
+        assert abs(amp - fit) <= 4.0 * scale * np.finfo(float).eps * fit
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-300])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_tail_fit_refuses_a_nonpositive_value_anywhere_in_the_window(bad, where):
+    # the pytest configuration raises RuntimeWarning, so log 0 and the log
+    # of a negative value must not warn
+    g = fd.Grid(1.0, 100.0, 397)
+    bm = fd.BoundaryModel(left_value=1.0, right="algebraic_tail")
+    u = 3.0 / g.points()
+    first = int(np.argmax(g.points() >= max(g.x_max / 10.0, 10.0 * g.h)))
+    u[{"first": first, "middle": (first + g.n) // 2, "last": g.n - 1}[where]] = bad
+    assert bm.fit_tail_amplitude(g, u, 1.0) == 0.0
+    # a value just before the window is not in the fit
+    v = 3.0 / g.points()
+    v[first - 1] = bad
+    assert bm.fit_tail_amplitude(g, v, 1.0) == pytest.approx(3.0, rel=1e-10)
+
+
+def test_tail_fit_propagates_nan():
+    g = fd.Grid(1.0, 100.0, 397)
+    bm = fd.BoundaryModel(left_value=1.0, right="algebraic_tail")
+    u = 3.0 / g.points()
+    u[-5] = np.nan
+    assert math.isnan(bm.fit_tail_amplitude(g, u, 1.0))
+
+
+def test_tail_fit_refuses_an_empty_window():
+    # 10 h > x_max: no node lies in the window
+    g = fd.Grid(-100.0, 1.0, 64)
+    bm = fd.BoundaryModel(left_value=1.0, right="algebraic_tail")
+    assert bm.fit_tail_amplitude(g, np.ones(g.n), 1.0) == 0.0
+
+
+def test_tail_fit_cap_binds_on_a_nonincreasing_field():
+    # a field falling faster than x^-1 has its fit above the last value's
+    # x_max u(x_max), which caps it
+    g = fd.Grid(1.0, 100.0, 397)
+    bm = fd.BoundaryModel(left_value=1.0, right="algebraic_tail")
+    x = g.points()
+    u = x**-2.0
+    assert np.all(np.diff(u) <= 0)
+    fit, _ = two_pass_fit(g, u, 1.0)
+    cap = u[-1] * g.x_max
+    assert fit > 2.0 * cap
+    assert bm.fit_tail_amplitude(g, u, 1.0) == cap

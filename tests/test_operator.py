@@ -390,11 +390,18 @@ def test_torus_index_map_is_a_bijection(n):
     assert p == 1 if n < _TORUS_MIN_N else p in _TORUS_P
     assert is_smooth(q, (2, 3, 5))
     index = _crt_index(p, q, m)
-    assert index.dtype == np.int32
+    assert index.dtype == np.intp
     # every torus cell is hit exactly once, circle position k at (k mod p, k mod q)
     assert np.array_equal(np.sort(index), np.arange(m))
     k = np.arange(m)
     assert np.array_equal(index // q, k % p) and np.array_equal(index % q, k % q)
+
+
+def test_fft_operator_holds_an_intp_index(unit_spec, unit_cert):
+    # numpy would cast an index of another integer type on every product
+    op = make_op(unit_spec, unit_cert, fd.Grid(-50.0, 50.0, _TORUS_MIN_N))
+    assert op.apply_path == "fft" and op.fft_shape[0] > 1
+    assert op._torus.index.dtype == np.intp
 
 
 def test_torus_shapes_of_the_acceptance_runs():

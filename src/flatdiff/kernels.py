@@ -216,10 +216,16 @@ def eval_kernel(spec: KernelSpec, z) -> np.ndarray | float:
 
 
 def _power_interval(amplitude: float, s: float, lo, hi):
-    """``int_lo^hi A z^(-1-2s) dz`` for ``0 < lo <= hi`` (vectorized)."""
+    """``int_lo^hi A z^(-1-2s) dz`` for ``0 < lo <= hi`` (vectorized).
+
+    Based at ``lo``, as ``A lo^(-2s) (-expm1(-2s log(hi/lo))) / (2s)`` with
+    the logarithm ``log1p((hi - lo)/lo)``: relative accuracy on short
+    intervals, and ``hi = inf`` gives ``A lo^(-2s) / (2s)`` exactly.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    return amplitude * (lo ** (-2.0 * s) - hi ** (-2.0 * s)) / (2.0 * s)
+    fall = -np.expm1(-2.0 * s * np.log1p((hi - lo) / lo))
+    return amplitude * (lo ** (-2.0 * s) * fall) / (2.0 * s)
 
 
 def _tail_part(spec: KernelSpec, lo, hi):
@@ -407,9 +413,13 @@ def restricted_second_moment(spec: KernelSpec, radius: float) -> float:
                     f"kernel with s = {s:g} >= 1"
                 )
             return amp * hi ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
+        # based at lo, A lo^q expm1(q log(hi/lo)) / q: no difference of two
+        # close powers as s -> 1
+        log_ratio = math.log1p((hi - lo) / lo)
         if s == 1.0:
-            return amp * np.log(hi / lo)
-        return amp * (hi ** (2.0 - 2.0 * s) - lo ** (2.0 - 2.0 * s)) / (2.0 - 2.0 * s)
+            return amp * log_ratio
+        q = 2.0 - 2.0 * s
+        return amp * lo**q * math.expm1(q * log_ratio) / q
 
     lo, hi = spec.tail_support
     power = power_part(lo, min(max(radius, lo), hi))

@@ -89,14 +89,15 @@ def integrate_panels(
     upper limit; zero-width panels are dropped. ``f(x, owner)`` takes nodes
     ``x`` of shape ``(m, 21)`` and the row index ``owner`` of each of the
     ``m`` panels, and returns the integrands' values at ``x``. Each pass
-    applies QUADPACK's 21-point Gauss-Kronrod rule to every open panel of
-    every row in one call to ``f``. A row is retired once its summed error
-    estimate is at most ``rel_tol`` times the size of its summed value, to
-    which ``known[i]`` is added when a part of row ``i``'s quantity is
-    integrated in closed form; otherwise every panel whose estimate exceeds
-    its even share of that bound is bisected. Returns
-    ``(values, error_estimates)``, one per row, without ``known``. A row that gives a
-    non-finite value, or reaches 400 panels unconverged, raises
+    applies QUADPACK's 21-point Gauss-Kronrod rule to every new panel of
+    every row in one call to ``f``, then sums each row's value (plus
+    ``known[i]``, a part of row ``i`` integrated in closed form) and error
+    estimate afresh from all its panels. A row is open exactly while its
+    estimate exceeds ``rel_tol`` times the size of its value; only an open
+    row's panels whose estimates exceed their even share of that bound are
+    bisected, so a closed row's sums and verdict are final. Returns
+    ``(values, error_estimates)``, one per row, ``known`` included. A row
+    that gives a non-finite value, or reaches 400 panels unconverged, raises
     :class:`QuadratureError` with the description ``where(i)``; the
     integrand's floating-point warnings are silenced, not raised.
     """
@@ -105,8 +106,8 @@ def integrate_panels(
     wide = new[1] > new[0]
     new = new[:, wide]
     new_owner = np.arange(rows).repeat(edges.shape[1] - 1)[wide]
-    # every panel of an open row: its ends, value and error estimate
-    panels = open_rows = None
+    # every panel of every row: its ends, value and error estimate
+    panels, owner = np.empty((4, 0)), new_owner[:0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             v, e = _kronrod21(f, new[0], new[1], new_owner)
@@ -117,44 +118,28 @@ def integrate_panels(
                     raise QuadratureError(
                         f"{where(int(new_owner[bad][0]))} gave a non-finite value"
                     )
-            block = np.concatenate((new, (v, e)))
-            if panels is None:
-                panels, owner = block, new_owner
-            else:
-                panels = np.concatenate((panels, block), axis=1)
-                owner = np.concatenate((owner, new_owner))
+            panels = np.concatenate((panels, np.concatenate((new, (v, e)))), axis=1)
+            owner = np.concatenate((owner, new_owner))
             val, err = panels[2:]
             total = np.bincount(owner, val, minlength=rows)
+            if known is not None:
+                total += known
             bound = np.bincount(owner, err, minlength=rows)
-            allowed = rel_tol * np.abs(total if known is None else total + known)
-            done = bound <= allowed
-            if open_rows is None:
-                if done.all():
-                    return total, bound
-                # an open row's entry is overwritten in the pass that retires it
-                values, errors, open_rows = total, bound, ~done
-            else:
-                done &= open_rows
-                np.copyto(values, total, where=done)
-                np.copyto(errors, bound, where=done)
-                open_rows ^= done
-                if not open_rows.any():
-                    return values, errors
+            allowed = rel_tol * np.abs(total)
+            open_rows = bound > allowed
+            if not open_rows.any():
+                return total, bound
             count = np.bincount(owner, minlength=rows)
-            if count.max() >= _PANEL_LIMIT:
-                capped = (open_rows & (count >= _PANEL_LIMIT)).nonzero()[0]
-                if capped.size:
-                    raise QuadratureError(
-                        f"{where(int(capped[0]))} did not converge in {_PANEL_LIMIT} panels"
-                    )
+            capped = (open_rows & (count >= _PANEL_LIMIT)).nonzero()[0]
+            if capped.size:
+                raise QuadratureError(
+                    f"{where(int(capped[0]))} did not converge in {_PANEL_LIMIT} panels"
+                )
             # an open row holds a panel, so its count is positive
-            live = open_rows[owner]
-            split = live & (err > (allowed / count)[owner])
-            keep = live ^ split
+            split = open_rows[owner] & (err > (allowed / count)[owner])
             # each split panel [lo, hi] becomes [lo, mid] and then [mid, hi]
             lo, hi = panels[:2, split]
             mid = 0.5 * (lo + hi)
             new = np.array(((lo, mid), (mid, hi))).reshape(2, -1)
-            new_owner = owner[split]
-            new_owner = np.concatenate((new_owner, new_owner))
-            panels, owner = panels[:, keep], owner[keep]
+            new_owner = np.tile(owner[split], 2)
+            panels, owner = panels[:, ~split], owner[~split]

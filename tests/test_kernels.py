@@ -4,6 +4,7 @@ import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,6 +205,13 @@ def moment_specs():
             yield fd.compact_plus_tail(
                 s, 1.1, near_profile=profile, near_scale=0.7, j0=4.0, j1=2.0, r0=2.0
             )
+    # near s = 1, A (r^q - 1) / q with q = 2 - 2s keeps only a few digits of
+    # r^q - 1
+    for gap in (1e-7, 1e-10):
+        spec = fd.compact_plus_tail(
+            1.0 - gap, 1.1, near_profile="flat", near_scale=0.7, j0=4.0, j1=2.0, r0=2.0
+        )
+        yield pytest.param(spec, id=f"compact_plus_tail(s=1-{gap:g}, A=1.1, near=flat:0.7)")
 
 
 @pytest.mark.parametrize("spec", list(moment_specs()), ids=lambda spec: spec.describe())
@@ -214,6 +222,16 @@ def test_two_closed_forms_of_the_second_moment_agree(spec):
         whole = fd.restricted_second_moment(spec, r)
         (half,), _ = interval_moments(spec, np.array([0.0]), np.array([r]))
         assert whole == pytest.approx(2.0 * half, rel=1e-14, abs=0.0)
+
+
+def test_interval_mass_keeps_its_digits_on_a_narrow_interval():
+    # lo^(-2s) - hi^(-2s) would cancel all but 7 digits here; the reference
+    # is the same integral in 40-digit arithmetic on the same float ends
+    spec = fd.pure_fractional(0.75, 1.0, j0=1.0, j1=1.0, r0=2.0)
+    lo, hi = 5.0, 5.0 + 1e-9
+    with mpmath.workdps(40):
+        exact = (mpmath.mpf(lo) ** -1.5 - mpmath.mpf(hi) ** -1.5) / 1.5
+    assert fd.interval_mass(spec, lo, hi) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 def test_near_moment_divergence_for_strong_singularity():

@@ -122,3 +122,27 @@ def test_panels_raise_at_the_cap_or_a_non_finite_value():
         integrate_panels(
             lambda x, owner: np.log(x - 0.5), edges, 1e-10, lambda i: f"row {i}"
         )
+
+
+def test_panels_a_batch_changes_no_rows_bits():
+    # x^2 closes in the first pass, the peaked 1/(x^2 + 1e-6) bisects for
+    # several, and sqrt(x) adds a closed-form part: each row gets the bits
+    # it gets alone, and the first is never evaluated after its first pass
+    edges = np.array([[0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.0, 0.5, 1.0]])
+    known = np.array([0.0, 0.0, 0.25])
+    passes = []
+
+    def f(x, owner):
+        passes.append(owner)
+        row = owner[:, None]
+        return np.select([row == 0, row == 1], [x * x, 1.0 / (x * x + 1e-6)], np.sqrt(x))
+
+    values, errors = integrate_panels(f, edges, 1e-12, str, known)
+    assert len(passes) > 3
+    assert all(0 not in owner for owner in passes[1:])
+    for i in range(3):
+        alone = integrate_panels(
+            lambda x, owner: f(x, owner + i), edges[i : i + 1], 1e-12, str, known[i : i + 1]
+        )
+        assert alone[0][0] == values[i] and alone[1][0] == errors[i]
+    np.testing.assert_allclose(values, [1.0 / 3.0, 2e3 * math.atan(1e3), 2.0 / 3.0 + 0.25])

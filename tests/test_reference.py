@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -319,6 +320,50 @@ def test_zolotarev_route_matches_every_series_point(s):
             np.testing.assert_allclose(
                 route[accepted], series[accepted], rtol=1e-13, atol=0
             )
+
+
+def zolotarev_reference(s, y, density):
+    """Zolotarev's integral of ``p(1, y)`` or ``S(y)`` over ``theta`` in
+    ``(0, pi/2)``, in 30-digit ``mpmath`` arithmetic, split where ``g = 1``."""
+    with mpmath.workdps(30):
+        alpha = 2 * mpmath.mpf(s)
+        ex = alpha / (alpha - 1)
+        log_y = mpmath.log(y)
+
+        def log_g(theta):
+            return (
+                ex * log_y
+                + mpmath.log(mpmath.cos(theta)) / (alpha - 1)
+                - ex * mpmath.log(mpmath.sin(alpha * theta))
+                + mpmath.log(mpmath.cos((alpha - 1) * theta))
+            )
+
+        def integrand(theta):
+            g = mpmath.exp(log_g(theta))
+            if density:
+                return g * mpmath.exp(-g)
+            return mpmath.exp(-g) if alpha > 1 else -mpmath.expm1(-g)
+
+        # log g runs monotonically from one infinity to the other
+        ends = (mpmath.mpf(10) ** -25, mpmath.pi / 2 - mpmath.mpf(10) ** -25)
+        peak = mpmath.findroot(log_g, ends, solver="anderson")
+        total = mpmath.quad(integrand, [0, peak, mpmath.pi / 2])
+        if density:
+            return alpha / (mpmath.pi * abs(alpha - 1) * y) * total
+        return total / mpmath.pi
+
+
+@pytest.mark.parametrize("s", [0.3, 0.75, 0.9, 0.99])
+def test_zolotarev_route_matches_a_30_digit_quadrature(s):
+    # the first, middle and last of the grid points that neither series
+    # accepts, which the router sends to the integral; density and tail mass
+    grid = np.geomspace(1e-3, 30.0, 400)
+    for density in (False, True):
+        core = grid[~(_bergstrom(s, grid, density)[1] | _taylor(s, grid, density)[1])]
+        points = core[[0, core.size // 2, -1]]
+        for y, value in zip(points, _zolotarev(s, points, density)):
+            exact = zolotarev_reference(s, y, density)
+            assert abs(value - exact) <= 1e-12 * abs(exact), (y, density)
 
 
 # -- series routes against term-by-term loops ---------------------------------

@@ -20,7 +20,9 @@ All shipped families have closed-form antiderivatives, so interval masses,
 tail masses, the interval moments of ``z^2 J`` and ``z^3 J`` behind the
 operator's hat weights, near-field moments and the tail response to an
 algebraic extension are evaluated exactly; adaptive quadrature is kept as a
-cross-check route in the test suite.
+cross-check route in the test suite. Every mass and moment is a sum of
+pieces ``int A z^(q-1) dz``, which one primitive evaluates from the finite,
+nonzero end (``lo`` for masses, ``hi`` for moments) to relative accuracy.
 """
 
 from __future__ import annotations
@@ -215,17 +217,37 @@ def eval_kernel(spec: KernelSpec, z) -> np.ndarray | float:
 # ---------------------------------------------------------------------------
 
 
-def _power_interval(amplitude: float, s: float, lo, hi):
-    """``int_lo^hi A z^(-1-2s) dz`` for ``0 < lo <= hi`` (vectorized).
+def _in_place(ufunc, x):
+    """``ufunc(x)``, written over ``x`` when it is an array; a scalar cannot be."""
+    return ufunc(x, out=x if isinstance(x, np.ndarray) else None)
 
-    Based at ``lo``, as ``A lo^(-2s) (-expm1(-2s log(hi/lo))) / (2s)`` with
-    the logarithm ``log1p((hi - lo)/lo)``: relative accuracy on short
-    intervals, and ``hi = inf`` gives ``A lo^(-2s) / (2s)`` exactly.
+
+def _power_integrals(amplitude: float, q: float, count: int, base, end) -> list:
+    """``int_base^end A z^(p-1) dz`` for ``p = q, ..., q + count - 1`` (vectorized).
+
+    Each is ``A base^p expm1(p L) / p``, or ``A L`` at ``p = 0``, with
+    ``L = log1p((end - base) / base)``, sharing ``L`` and ``base^q``.
+    ``base`` is the finite, nonzero end; ``end`` may be ``inf`` or 0.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    fall = -np.expm1(-2.0 * s * np.log1p((hi - lo) / lo))
-    return amplitude * (lo ** (-2.0 * s) * fall) / (2.0 * s)
+    # fresh arrays transformed in place, since the operator calls this on
+    # every grid interval
+    log_gap = end - base
+    log_gap /= base
+    log_gap = _in_place(np.log1p, log_gap)
+    base_p = base**q
+    out = []
+    for j in range(count):
+        p = q + j
+        if j:
+            base_p *= base
+        if p == 0.0:
+            term = amplitude * log_gap
+        else:
+            term = _in_place(np.expm1, log_gap * p)
+            term *= base_p
+            term *= amplitude / p
+        out.append(term)
+    return out
 
 
 def _tail_part(spec: KernelSpec, lo, hi):
@@ -244,13 +266,14 @@ def _near_part(spec: KernelSpec, lo, hi):
     return np.minimum(lo, a), np.minimum(hi, a)
 
 
-def _near_profile_moment(spec: KernelSpec, power: int, lo, hi):
-    """``int_lo^hi z^power profile(z) dz`` on ``0 <= lo <= hi <= tail_support[0]``."""
+def _near_profile_moments(spec: KernelSpec, power: int, count: int, lo, hi) -> list:
+    """``int_lo^hi z^p profile(z) dz`` for ``p = power, ..., power + count - 1``.
 
-    def monomial(m: int):
-        return (hi ** (m + 1) - lo ** (m + 1)) / (m + 1)
-
-    return spec.near_scale * (monomial(power) - spec.near_slope * monomial(power + 1))
+    For ``0 <= lo <= hi <= tail_support[0]``, ``hi > 0``: based at ``hi``, and
+    ``-near_scale`` turns ``int_hi^lo`` into ``int_lo^hi``.
+    """
+    pieces = _power_integrals(-spec.near_scale, power + 1.0, count + 1, hi, lo)
+    return [a - spec.near_slope * b for a, b in zip(pieces, pieces[1:])]
 
 
 def interval_mass(spec: KernelSpec, lo, hi):
@@ -260,9 +283,11 @@ def interval_mass(spec: KernelSpec, lo, hi):
     # one reduction: operator set-up calls this, through exterior_mass
     if ((lo <= 0) | (hi < lo)).any():
         raise ValueError("interval must satisfy 0 < lo <= hi")
-    out = _power_interval(spec.amplitude, spec.s, *_tail_part(spec, lo, hi))
+    # based at lo, since hi may be inf
+    (out,) = _power_integrals(spec.amplitude, -2.0 * spec.s, 1, *_tail_part(spec, lo, hi))
     if spec.near_slope is not None:
-        out = _near_profile_moment(spec, 0, *_near_part(spec, lo, hi)) + out
+        (near,) = _near_profile_moments(spec, 0, 1, *_near_part(spec, lo, hi))
+        out = near + out
     if out.ndim == 0:
         return float(out)
     return out
@@ -329,41 +354,6 @@ def exterior_tail_response(spec: KernelSpec, radius: float, x) -> np.ndarray:
     return out
 
 
-def _power_moments(spec: KernelSpec, lo: np.ndarray, hi: np.ndarray):
-    """``int_lo^hi z^p A z^(-1-2s) dz`` for ``p = 2, 3``, 1-d ``0 <= lo <= hi``, ``hi > 0``.
-
-    With ``q = p - 2s`` and ``r = log(lo / hi) <= 0`` each is
-    ``-A hi^q expm1(q r) / q``, or ``-A r`` at ``q = 0``: relative accuracy
-    on short intervals, also for ``q`` near 0, and ``lo = 0`` needs no case
-    of its own (``r = -inf``). Both share ``r``. ``lo = 0`` needs ``2s < 2``;
-    otherwise the second moment diverges at the origin.
-    """
-    q2 = 2.0 - 2.0 * spec.s
-    if q2 <= 0.0 and lo.min() == 0.0:
-        raise HypothesisViolationError(
-            "near-field second moment diverges for an unbounded "
-            f"kernel with s = {spec.s:g} >= 1"
-        )
-    # fresh arrays transformed in place: the operator calls this on every
-    # grid interval
-    log_ratio = lo / hi
-    with np.errstate(divide="ignore"):
-        np.log(log_ratio, out=log_ratio)
-    hi_q = hi**q2
-    moments = []
-    for q in (q2, q2 + 1.0):
-        if q == 0.0:
-            out = -spec.amplitude * log_ratio
-        else:
-            out = log_ratio * q
-            np.expm1(out, out=out)
-            out *= hi_q
-            out *= -spec.amplitude / q
-        moments.append(out)
-        hi_q *= hi
-    return tuple(moments)
-
-
 def interval_moments(spec: KernelSpec, lo: np.ndarray, hi: np.ndarray):
     """``int_lo^hi z^2 J(z) dz`` and ``int_lo^hi z^3 J(z) dz`` per interval.
 
@@ -382,14 +372,21 @@ def interval_moments(spec: KernelSpec, lo: np.ndarray, hi: np.ndarray):
         raise ValueError("lo and hi must be 1-d arrays of one length")
     if ((lo < 0.0) | (hi < lo) | ~np.isfinite(hi) | (hi <= 0.0)).any():
         raise ValueError("intervals must satisfy 0 <= lo <= hi < inf, 0 < hi")
-    tail = _power_moments(spec, *_tail_part(spec, lo, hi))
-    if spec.near_slope is None:
-        return tail
-    lo_n, hi_n = _near_part(spec, lo, hi)
-    return tuple(
-        _near_profile_moment(spec, power, lo_n, hi_n) + far
-        for power, far in zip((2, 3), tail)
-    )
+    lo_t, hi_t = _tail_part(spec, lo, hi)
+    q = 2.0 - 2.0 * spec.s
+    if q <= 0.0 and lo_t.min() == 0.0:
+        raise HypothesisViolationError(
+            "near-field second moment diverges for an unbounded "
+            f"kernel with s = {spec.s:g} >= 1"
+        )
+    # based at hi, since lo may be 0, where log1p(-1) = -inf; -A turns
+    # int_hi^lo into int_lo^hi
+    with np.errstate(divide="ignore"):
+        tail = _power_integrals(-spec.amplitude, q, 2, hi_t, lo_t)
+        if spec.near_slope is None:
+            return tuple(tail)
+        near = _near_profile_moments(spec, 2, 2, *_near_part(spec, lo, hi))
+    return tuple(a + b for a, b in zip(near, tail))
 
 
 def restricted_second_moment(spec: KernelSpec, radius: float) -> float:
@@ -425,7 +422,9 @@ def restricted_second_moment(spec: KernelSpec, radius: float) -> float:
     power = power_part(lo, min(max(radius, lo), hi))
     if spec.near_slope is None:
         return 2.0 * power
-    return 2.0 * (_near_profile_moment(spec, 2, 0.0, min(radius, lo)) + power)
+    with np.errstate(divide="ignore"):
+        (near,) = _near_profile_moments(spec, 2, 1, 0.0, min(radius, lo))
+    return 2.0 * (float(near) + power)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ class SubsolutionParams:
 
     @property
     def r0(self) -> float:
-        """``spec.declared_r0``, kept for the benchmark (ROADMAP item 8)."""
+        """``spec.declared_r0``, kept for the benchmark (ROADMAP items 1 and 11)."""
         return self.spec.declared_r0
 
     @cached_property
@@ -149,7 +149,7 @@ class SubsolutionParams:
     def from_kernel(
         cls, spec: KernelSpec, c: float, a: float = 1.0, b: float = 0.0
     ) -> "SubsolutionParams":
-        """The constructor, kept for the benchmark (ROADMAP item 8)."""
+        """The constructor, kept for the benchmark (ROADMAP items 1 and 11)."""
         return cls(spec, c, a, b)
 
 

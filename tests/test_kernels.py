@@ -165,6 +165,23 @@ def test_exterior_mass_splits_at_any_point(family, s, lo, width):
     assert total == pytest.approx(split, rel=1e-10, abs=1e-14)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    s=st.floats(min_value=0.2, max_value=1.2),
+    lo=st.floats(min_value=0.05, max_value=40.0),
+    width=st.floats(min_value=0.01, max_value=60.0),
+    split=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_interval_moments_split_at_any_point(family, s, lo, width, split):
+    spec = any_spec(family, s, 1.0)
+    hi, mid = lo + width, lo + split * width
+    whole = interval_moments(spec, np.array([lo]), np.array([hi]))
+    parts = interval_moments(spec, np.array([lo, mid]), np.array([mid, hi]))
+    for total, pieces in zip(whole, parts):
+        assert total[0] == pytest.approx(pieces.sum(), rel=1e-12, abs=0.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     family=st.sampled_from(FAMILIES),
@@ -232,6 +249,50 @@ def test_interval_mass_keeps_its_digits_on_a_narrow_interval():
     with mpmath.workdps(40):
         exact = (mpmath.mpf(lo) ** -1.5 - mpmath.mpf(hi) ** -1.5) / 1.5
     assert fd.interval_mass(spec, lo, hi) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+
+def exact_moments(spec, lo, hi):
+    """``int_lo^hi z^p J(z) dz`` for ``p = 2, 3`` in 40-digit arithmetic on the
+    same float ends, for ``[lo, hi]`` within one piece of ``J``."""
+    with mpmath.workdps(40):
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+
+        def power(m, scale):
+            # int_lo^hi scale z^(m-1) dz
+            return scale * (hi**m - lo**m) / m
+
+        if hi <= spec.tail_support[0]:
+            ns, slope = mpmath.mpf(spec.near_scale), mpmath.mpf(spec.near_slope)
+            moments = [power(p + 1, ns) - power(p + 2, ns * slope) for p in (2, 3)]
+        else:
+            a, s = mpmath.mpf(spec.amplitude), mpmath.mpf(spec.s)
+            moments = [power(p - 2 * s, a) for p in (2, 3)]
+        return [float(m) for m in moments]
+
+
+SHORT_INTERVALS = [
+    ("pure", 4000.0, 4000.05, 1e-14),
+    ("pure", 1000.0, 1000.05, 1e-14),
+    ("pure", 4000.0, 4000.0 + 1e-6, 1e-14),
+    ("flat", 0.5, 0.5 + 1e-6, 1e-14),
+    ("triangle", 0.5, 0.5 + 1e-6, 1e-14),
+    # the profile's zero at z = 1: int z^p (1 - z) dz is about 2e4 times
+    # smaller than the two moments it is the difference of, and keeps their
+    # rounding scaled by as much (3.2e-12 for p = 3)
+    ("triangle", 0.9999, 1.0, 1e-11),
+]
+
+
+@pytest.mark.parametrize(
+    "name, lo, hi, bound", SHORT_INTERVALS, ids=[f"{c[0]}-{c[1]}-{c[2]}" for c in SHORT_INTERVALS]
+)
+def test_interval_moments_keep_their_digits_on_short_intervals(name, lo, hi, bound):
+    # a quotient lo/hi or a difference hi^q - lo^q would cancel digits here:
+    # 2e-7 on [4000, 4000 + 1e-6]
+    spec = SCALAR_SPECS[name]
+    moments = interval_moments(spec, np.array([lo]), np.array([hi]))
+    for got, exact in zip(moments, exact_moments(spec, lo, hi)):
+        assert got[0] == pytest.approx(exact, rel=bound, abs=0.0)
 
 
 def test_near_moment_divergence_for_strong_singularity():

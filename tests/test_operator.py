@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -119,6 +120,32 @@ def test_pure_hat_weights_match_closed_form_at_large_offsets(s):
     f = np.concatenate([[2.0**beta - 1.0], k**beta * steps]) / ((beta - 1.0) * beta)
     closed = 1.3 * g.h ** (-2.0 * s) * f / np.arange(1, g.n) ** 2
     assert np.all(np.abs(op.near_weights - closed) <= 1e-8 * closed)
+
+
+@pytest.mark.parametrize(
+    "s, grid",
+    [(0.5, fd.Grid(-200.0, 4000.0, 84001)), (0.75, fd.Grid(-50.0, 350.0, 8001))],
+    ids=["front", "tail"],
+)
+def test_hat_weights_match_a_40_digit_closed_form(fractional_laplacian, s, grid):
+    # A h^-2s F_k / k^2 as above, in 40 digits, at offsets spread up to
+    # k = n - 1 on the grids of the front and tail runs. The hat's rising
+    # and falling halves combine the moments into a second difference, which
+    # cancels about log10(k) digits (3.2e-11 at front's k = 84 000), so the
+    # bound is that of the combination, not the moments' 1e-14
+    spec = fractional_laplacian(s)
+    op = fd.discretize(spec, grid, fd.BoundaryModel(left_value=0.0))
+    offsets = np.unique(np.geomspace(1, grid.n - 1, 300).round()).astype(int)
+    with mpmath.workdps(40):
+        beta = 3 - 2 * mpmath.mpf(s)
+        scale = mpmath.mpf(spec.amplitude) * mpmath.mpf(grid.h) ** (beta - 3)
+        scale /= (beta - 1) * beta
+        for k in offsets.tolist():
+            f = (k + 1) ** beta - 2 * mpmath.mpf(k) ** beta + (k - 1) ** beta
+            if k == 1:
+                f += 1  # the half hat at 0
+            exact = float(scale * f / k**2)
+            assert op.near_weights[k - 1] == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 def test_zero_amplitude_kernel_all_weights_zero(h01_grid):

@@ -277,9 +277,15 @@ def _near_profile_moments(spec: KernelSpec, power: int, count: int, lo, hi) -> l
 
 
 def interval_mass(spec: KernelSpec, lo, hi):
-    """One-sided mass ``int_lo^hi J(z) dz`` with ``0 < lo <= hi`` (vectorized)."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    """One-sided mass ``int_lo^hi J(z) dz`` with ``0 < lo <= hi`` (vectorized).
+
+    A scalar gives a ``float``, with the bits of the same element of an array
+    call.
+    """
+    # a scalar as a numpy scalar, not a 0-d array: each ufunc on a 0-d array
+    # costs about 0.6 us against 0.1 us on a scalar
+    lo = np.asarray(lo, dtype=float)[()]
+    hi = np.asarray(hi, dtype=float)[()]
     # one reduction: operator set-up calls this, through exterior_mass
     if ((lo <= 0) | (hi < lo)).any():
         raise ValueError("interval must satisfy 0 < lo <= hi")

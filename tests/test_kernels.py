@@ -150,6 +150,24 @@ def test_cell_weight_example(unit_spec):
     assert val == pytest.approx(1.0 / 0.95 - 1.0 / 1.05, rel=1e-13)
 
 
+@pytest.mark.parametrize("s", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_scalar_interval_mass_is_a_float_with_the_array_bits(family, s):
+    # a scalar call runs on numpy scalars, an array call on arrays; the
+    # intervals cross the near-profile edge at 1 and the cutoff at 25
+    spec = any_spec(family, s, 1.3)
+    lo = np.array([0.05, 0.5, 0.95, 1.0, 3.0, 24.0, 30.0, 1e3])
+    hi = np.array([0.3, 2.0, 1.05, np.inf, 3.0 + 1e-9, 26.0, np.inf, 1e6])
+    whole = fd.interval_mass(spec, lo, hi)
+    for i in range(lo.size):
+        one = fd.interval_mass(spec, float(lo[i]), float(hi[i]))
+        assert type(one) is float
+        assert one == whole[i]
+    outer = fd.exterior_mass(spec, 3.0)
+    assert type(outer) is float
+    assert outer == fd.interval_mass(spec, np.array([3.0]), np.array([np.inf]))[0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     family=st.sampled_from(FAMILIES),

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -382,15 +383,17 @@ FFT_SHAPE_SIZES = [256, 1024, _TORUS_MIN_N - 1, _TORUS_MIN_N, 5001, 8001]
 @pytest.mark.parametrize("n", FFT_SHAPE_SIZES)
 @pytest.mark.parametrize("right", RIGHT_MODELS)
 def test_fft_agrees_with_direct(unit_spec, unit_cert, rng, right, n):
+    # rate takes the FFT from _FFT_THRESHOLD on, on the two-axis tori from
+    # _TORUS_MIN_N on; apply_fft takes it at every size
     g = fd.Grid(-10.0, 10.0, n)
     op = make_op(
         unit_spec, unit_cert, g, left=0.8, right=right, right_value=RIGHT_VALUE[right]
     )
     u = fd.Field(g, 0.0, rng.uniform(0.0, 1.0, n))
     direct = op.apply(u).values
-    fast = op.apply_fft(u).values
-    scale = np.max(np.abs(direct))
-    assert np.max(np.abs(direct - fast)) <= 1e-10 * scale
+    tol = 1e-10 * np.max(np.abs(direct))
+    for fast in (op.apply_fft(u).values, op.rate(u.values)):
+        np.testing.assert_allclose(fast, direct, rtol=0.0, atol=tol)
 
 
 def test_fft_sizes_cover_every_kind_of_shape():
@@ -424,11 +427,51 @@ def test_torus_index_map_is_a_bijection(n):
     assert np.array_equal(index // q, k % p) and np.array_equal(index % q, k % q)
 
 
-def test_fft_operator_holds_an_intp_index(unit_spec, unit_cert):
+def test_fft_operator_holds_an_intp_index(unit_spec, unit_cert, rng, monkeypatch):
     # numpy would cast an index of another integer type on every product
-    op = make_op(unit_spec, unit_cert, fd.Grid(-50.0, 50.0, _TORUS_MIN_N))
+    n = _TORUS_MIN_N
+    op = make_op(unit_spec, unit_cert, fd.Grid(-50.0, 50.0, n))
     assert op.apply_path == "fft" and op.fft_shape[0] > 1
+
+    def whole_stencil(self):
+        raise AssertionError("the FFT path built the 2n - 1 stencil entries")
+
+    # neither the stencil spectrum nor rate builds the whole stencil
+    monkeypatch.setattr(fd.DiscreteOperator, "_stencil", whole_stencil)
+    op.rate(rng.uniform(0.0, 1.0, n))
+    # the product is read at the field's own cells: one offset per node
     assert op._torus.index.dtype == np.intp
+    assert op._torus.index.size == n
+
+
+@pytest.mark.parametrize("n", [1024, _TORUS_MIN_N, 8001])
+def test_stencil_spectrum_is_exactly_real(unit_spec, unit_cert, n):
+    # the even stencil's spectrum is S + conj(S); it stays complex, the type
+    # of the work array it multiplies
+    op = make_op(unit_spec, unit_cert, fd.Grid(-10.0, 10.0, n))
+    assert op._spectrum.dtype == complex
+    assert not op._spectrum.imag.any()
+
+
+def test_first_fft_rate_holds_the_torus_and_little_else(unit_spec, unit_cert, rng):
+    # the first rate builds the torus, its index and the stencil spectrum;
+    # 20 001 nodes take the 81 x 500 torus
+    n = 20001
+    op = make_op(unit_spec, unit_cert, fd.Grid(-10.0, 10.0, n), left=0.8)
+    p, q = op.fft_shape
+    assert p > 1
+    u = rng.uniform(0.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        op.rate(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = 8 * n
+    # the n-offset index, the real buffer, the work array and the spectrum
+    held = np.dtype(np.intp).itemsize * n + 8 * p * q + 2 * 16 * p * (q // 2 + 1)
+    # plus the returned rate and one grid-sized temporary
+    assert peak <= held + 2 * grid
 
 
 def test_torus_shapes_of_the_acceptance_runs():
@@ -442,12 +485,26 @@ def test_torus_shapes_of_the_acceptance_runs():
 @pytest.mark.parametrize("n", [5, 300, _TORUS_MIN_N, 5001])
 def test_torus_product_is_the_linear_convolution(rng, n):
     # m >= 2n - 1, so the circular convolution of two n-long sequences on the
-    # torus is their linear one at positions [0, 2n - 1)
+    # torus is their linear one; the torus reads it at positions [0, n)
     a, b = rng.uniform(-1.0, 1.0, (2, n))
     torus = _Torus(n)
-    got = torus.convolve(a, torus.spectrum(b), 0, 2 * n - 1)
-    want = np.convolve(a, b)
+    got = torus.convolve(a, torus.spectrum(b))
+    want = np.convolve(a, b)[:n]
+    assert got.shape == (n,)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(a)) * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("n", [5, 300, _TORUS_MIN_N, 5001])
+def test_even_spectrum_wraps_the_negative_half(rng, n):
+    # the even sequence e(k) = half[|k|], e(0) = 2 half[0], is centred on the
+    # circle: e(-k) sits at m - k and reaches positions [0, n) only by wrapping
+    a, half = rng.uniform(-1.0, 1.0, (2, n))
+    even = np.concatenate([half[:0:-1], [2.0 * half[0]], half[1:]])
+    torus = _Torus(n)
+    got = torus.convolve(a, torus.even_spectrum(half))
+    zeros = np.zeros(n - 1)
+    want = np.correlate(np.concatenate([zeros, a, zeros]), even, mode="valid")
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(a)) * np.max(np.abs(even))
 
 
 @pytest.mark.parametrize("n", [1024, 5001])

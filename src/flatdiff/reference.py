@@ -16,7 +16,9 @@ The standardized kernel ``p(1, y)`` and its upper tail mass
 * in the rest of the core, Zolotarev's integral over ``theta`` in
   ``(0, pi/2)`` (Zolotarev 1986; Nolan 1997), whose integrand is smooth and
   not oscillatory: :func:`_zolotarev` takes all of the call's core points
-  in one batch through the vectorized Gauss-Kronrod rule
+  in one batch, finds each one's peak by a sorted search of a log-spaced
+  section and a fixed number of Newton steps, and splits it there for one
+  call of the vectorized Gauss-Kronrod rule
   :func:`~flatdiff.quadrature.integrate_panels`.
 
 A point takes a series when its smallest term plus the rounding of the
@@ -70,17 +72,32 @@ SERIES_BLOCK = 512
 # Zolotarev's integral: the relative tolerance of its quadrature; its
 # breakpoints, as multiples of the distance u* from the peak to the nearer
 # end, as fractions of pi/2 from a far end where g -> 0, and as the values
-# of log g they mark near the peak; and the search for u*: rounds of 32
-# log-spaced points, which bracket it to 2 % within [1e-300, pi/4], then
-# steps of false position
+# of log g they mark near the peak; and the search for u*: the section of
+# 4096 log-spaced u in [1e-300, pi/4] whose log V brackets it, 0.17 wide in
+# log u, then Newton steps.
+#
+# The multiples 3, 4.5 and 6.5 split the panel from 2u* to 10u*, which
+# alone does not converge in the first pass for the tail mass at s = 0.75
+# and y from 2.5 to 6.5. Passes and panels of integrate_panels for the tail
+# mass, with the layout without them (and three section rounds and false
+# position in place of Newton steps), then with this one:
+#
+#   points                                       passes    panels
+#   tail workload's 20 core points, s = 0.75     3 -> 1    252 -> 256
+#   20 y log-spaced in [0.05, 3], s = 0.3        4 -> 4    373 -> 376
+#                                 s = 0.6        3 -> 2    337 -> 330
+#                                 s = 0.9        6 -> 6    471 -> 470
+#                                 s = 0.99       7 -> 7    579 -> 572
 ZOLOTAREV_REL_TOL = 1e-13
-_PEAK_MULTIPLES = np.array([1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0, 1e3])
+_PEAK_MULTIPLES = np.array([1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.0, 4.5, 6.5, 10.0, 100.0, 1e3])
 _FAR_END_FRACTIONS = np.array([0.1, 1e-2, 1e-3])
 _PEAK_LEVELS = np.array([-40.0, -10.0, -3.0, -1.0, 1.0, 2.0, 4.0])
 _PEAK_SEARCH_FLOOR = 1e-300
-_PEAK_SEARCH_ROUNDS = 3
-_FALSE_POSITION_STEPS = 8
-_SECTION = np.linspace(0.0, 1.0, 32)
+_NEWTON_STEPS = 3
+_SECTION_LOG_U = np.linspace(math.log(_PEAK_SEARCH_FLOOR), math.log(0.25 * math.pi), 4096)
+_SECTION_U = np.exp(_SECTION_LOG_U)
+# sin(b d) and sin(b d / 2) of the offset form, in one call
+_HALVES = np.array([1.0, 0.5])[:, None, None, None]
 
 
 def _check_order(s: float) -> None:
@@ -261,6 +278,54 @@ def _standardized(s: float, y: np.ndarray, density: bool) -> np.ndarray:
     return out.reshape(y.shape)
 
 
+def _zolotarev_log_g(x: np.ndarray, log_scale, alpha: float) -> np.ndarray:
+    """``log g`` of :func:`_zolotarev`, from the arguments ``x`` of the sines
+    that form the factors ``cos theta``, ``sin(alpha theta)`` and
+    ``cos((alpha - 1) theta)`` of ``V``, stacked on the first axis.
+
+    The stack takes one ``sin`` and one ``log``, and its rows are added in
+    the order of ``log V``. Stacked on a last axis of three, the factors
+    would cost more to sum with numpy than to form, and ``@`` sums in an
+    order that depends on the shape, so a point would not get the same bits
+    alone and in a batch.
+    """
+    factors = np.log(np.sin(x))
+    return (
+        log_scale
+        + factors[0] / (alpha - 1.0)
+        - alpha / (alpha - 1.0) * factors[1]
+        + factors[2]
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _zolotarev_section(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The phases ``a`` and ``b`` of the sines ``sin(a + b u)`` of
+    :func:`_zolotarev_log_g`, plain (``theta = u``) and flipped (``theta =
+    pi/2 - u``) in two columns, and the rise of ``log V`` over
+    ``_SECTION_U``, plain and flipped in two rows.
+
+    Flipped, ``sin(alpha theta) = sin(pi - alpha theta)``, and ``cos(x) =
+    sin(pi/2 - x)`` throughout. The rise is ``log V`` with the sign that
+    makes it grow with ``u``: ``g`` rises with ``theta`` for alpha < 1 and
+    falls for alpha > 1. A running maximum keeps it sorted where rounding
+    stirs a flat stretch (s = 1, flipped, below u = 1e-8). The tables
+    depend on the order alone, so each order builds them once, in about
+    0.4 ms (24 576 sines).
+    """
+    alpha = 2.0 * s
+    half_pi = 0.5 * math.pi
+    reflect = (1.0 - s) * math.pi
+    phase_a = np.array([[half_pi, 0.0], [0.0, reflect], [half_pi, reflect]])
+    phase_b = np.array([[-1.0, 1.0], [alpha, alpha], [alpha - 1.0, alpha - 1.0]])
+    log_v = _zolotarev_log_g(phase_a[..., None] + phase_b[..., None] * _SECTION_U, 0.0, alpha)
+    rising = alpha < 1.0
+    rise = np.maximum.accumulate(np.where([[not rising], [rising]], -log_v, log_v), axis=1)
+    for table in (phase_a, phase_b, rise):
+        table.flags.writeable = False
+    return phase_a, phase_b, rise
+
+
 def _zolotarev(s: float, y: np.ndarray, density: bool) -> np.ndarray:
     """``p(1, y)`` or ``S(y)`` at the points ``y > 0`` for ``s != 1/2``, by
     Zolotarev's integral over a finite interval, all points in one batch.
@@ -277,15 +342,19 @@ def _zolotarev(s: float, y: np.ndarray, density: bool) -> np.ndarray:
     is only about ``|2s - 1| u*`` wide. Without breakpoints the adaptive
     rule reads the density as 0, with an error estimate of about 0, at
     s = 0.3 and 0.45 for small y and at s = 0.99 for y = 100. ``g`` runs
-    monotonically from 0 at one end to infinity at the other, so a section
-    search and false position on ``log g`` find the peak ``u*`` in the
-    distance ``u`` from the nearer end, where every factor of ``V`` is the
-    sine of an argument formed without cancellation. Each point is split at
-    ``_PEAK_MULTIPLES`` times ``u*``, where ``log g`` reaches
-    ``_PEAK_LEVELS``, and, where the far end is the one with ``g -> 0`` (g
-    is a power of the distance there, with a pole just beyond it at s near
-    1), at ``_FAR_END_FRACTIONS`` of pi/2 from that end. The quadrature runs
-    over ``u - u*``, from which ``log g`` is formed near the peak, so that
+    monotonically from 0 at one end to infinity at the other, so a sorted
+    search of the order's ``log V`` over a log-spaced section brackets the
+    peak ``u*`` in the distance ``u`` from the nearer end, where every
+    factor of ``V`` is the sine of an argument formed without cancellation,
+    and ``_NEWTON_STEPS`` safeguarded Newton steps on ``log g`` in
+    ``log u`` take it to rounding. Their number is fixed, so that a point's
+    peak, and so its bits, do not depend on the other points of the
+    batch. Each point is split at ``_PEAK_MULTIPLES`` times ``u*``, where
+    ``log g`` reaches ``_PEAK_LEVELS`` by its slope at ``u*``, and, where
+    the far end is the one with ``g -> 0`` (g is a power of the distance
+    there, with a pole just beyond it at s near 1), at
+    ``_FAR_END_FRACTIONS`` of pi/2 from that end. The quadrature runs over
+    ``u - u*``, from which ``log g`` is formed near the peak, so that
     neither the nodes nor the logarithms carry rounding scaled by
     ``1 / |2s - 1|``. A point whose peak lies below the search range or is
     not resolved, or whose quadrature does not converge, raises
@@ -296,81 +365,86 @@ def _zolotarev(s: float, y: np.ndarray, density: bool) -> np.ndarray:
     alpha = 2.0 * s
     ex = alpha / (alpha - 1.0)
     half_pi = 0.5 * math.pi
-    reflect = (1.0 - s) * math.pi
-
-    def log_g(u, a, b, log_scale):
-        # the factors cos theta, sin(alpha theta) and cos((alpha - 1) theta)
-        # of V, each sin(a + b u) with theta = u, or pi/2 - u where flipped
-        return (
-            log_scale
-            + np.log(np.sin(a[..., 0] + b[..., 0] * u)) / (alpha - 1.0)
-            - ex * np.log(np.sin(a[..., 1] + b[..., 1] * u))
-            + np.log(np.sin(a[..., 2] + b[..., 2] * u))
-        )
-
-    def phases(flip):
-        # sin(alpha theta) = sin(pi - alpha theta) and cos(x) = sin(pi/2 - x)
-        a = np.where(flip[:, None], [0.0, reflect, reflect], [half_pi, 0.0, half_pi])
-        b = np.where(flip[:, None], [1.0, alpha, alpha - 1.0], [-1.0, alpha, alpha - 1.0])
-        return a, b
-
+    phase_a, phase_b, rise_v = _zolotarev_section(s)
     log_scale = ex * np.log(y)
-    # g rises with theta for alpha < 1 and falls for alpha > 1; the peak is
-    # past pi/4 when g(pi/4) is on the side of 1 that theta = 0 is on
+    # the peak is past pi/4 when g(pi/4) is on the side of 1 that theta = 0
+    # is on
     rising = alpha < 1.0
-    unflipped = phases(np.zeros(y.shape, dtype=bool))
-    flip = (log_g(np.full(y.shape, 0.25 * math.pi), *unflipped, log_scale) < 0.0) == rising
-    a, b = phases(flip)
-    # g falls with u, towards 0 at the far end, where flip == rising
+    quarter = phase_a[:, :1] + phase_b[:, :1] * (0.25 * math.pi)
+    flip = (_zolotarev_log_g(quarter, log_scale, alpha) < 0.0) == rising
+    a = np.where(flip, phase_a[:, 1:], phase_a[:, :1])
+    b = np.where(flip, phase_b[:, 1:], phase_b[:, :1])
+    # g falls with u, towards 0 at the far end, where flip == rising; the
+    # search runs on the rise, sign * log g, which grows with u. Over the
+    # section it is sign * log y^ex plus the order's table, so each point's
+    # bracket, the interval (k - 1, k) where the rise first reaches 0, is a
+    # sorted search.
     falls = flip == rising
     sign = np.where(falls, -1.0, 1.0)
-    lo = np.full(y.shape, math.log(_PEAK_SEARCH_FLOOR))
-    hi = np.full(y.shape, math.log(0.25 * math.pi))
-    rows = np.arange(y.size)
-    for round_ in range(_PEAK_SEARCH_ROUNDS):
-        log_u = lo[:, None] + (hi - lo)[:, None] * _SECTION
-        rise = sign[:, None] * log_g(np.exp(log_u), a[:, None], b[:, None], log_scale[:, None])
-        past = rise >= 0.0
-        past[:, -1] = True
-        if round_ == 0 and alpha != 2.0 and past[:, 0].any():
-            raise QuadratureError(
-                f"Zolotarev integral at y={y[np.argmax(past[:, 0])]}: the peak "
-                f"lies below u = {_PEAK_SEARCH_FLOOR}"
-            )
-        k = np.maximum(np.argmax(past, axis=1), 1)
-        lo, hi = log_u[rows, k - 1], log_u[rows, k]
-        rise_lo, rise_hi = rise[rows, k - 1], rise[rows, k]
-    # d log g / d log u across the last section bracket; the narrower one
-    # below would read rounding. log g moves by 1 over 1/slope in log u,
-    # which near s = 1/2 is far below the multiples' spacing. A slope
-    # under 1 puts every level past the clip, so it is raised to 1.
-    slope = np.maximum((rise_hi - rise_lo) / (hi - lo), 1.0)
-    # false position on the last bracket, over which log g is nearly linear
-    # in log u; a bracket without a sign change (s = 1, y >= 2) stays put
-    for _ in range(_FALSE_POSITION_STEPS):
-        bracketed = rise_lo < 0.0
-        step = rise_lo * (hi - lo) / np.where(bracketed, rise_hi - rise_lo, 1.0)
-        mid = np.where(bracketed, np.clip(lo - step, lo, hi), lo)
-        rise_mid = sign * log_g(np.exp(mid), a, b, log_scale)
-        up = bracketed & (rise_mid >= 0.0)
-        lo, rise_lo = np.where(up, lo, mid), np.where(up, rise_lo, rise_mid)
-        hi, rise_hi = np.where(up, mid, hi), np.where(up, rise_mid, rise_hi)
+    rise_y = sign * log_scale
+    k = np.empty(y.shape, dtype=np.intp)
+    for flipped in (False, True):
+        rows = flip == flipped
+        k[rows] = np.searchsorted(rise_v[int(flipped)], -rise_y[rows])
+    if alpha != 2.0 and (k == 0).any():
+        raise QuadratureError(
+            f"Zolotarev integral at y={y[np.argmax(k == 0)]}: the peak lies "
+            f"below u = {_PEAK_SEARCH_FLOOR}"
+        )
+    k = np.clip(k, 1, _SECTION_U.size - 1)
+    lo, hi = _SECTION_LOG_U[k - 1], _SECTION_LOG_U[k]
+    orientation = flip.astype(np.intp)
+    rise_lo = rise_y + rise_v[orientation, k - 1]
+    rise_hi = rise_y + rise_v[orientation, k]
+    # Newton's method on the rise in log u, whose slope is u sum(sign c b
+    # cot(a + b u)) with c = (1/(alpha - 1), -ex, 1), from false position on
+    # the bracket. A step that leaves the bracket, as a slope that is not
+    # finite and positive makes it, bisects the bracket instead; a bracket
+    # without a sign change (s = 1, y >= 2) stays at its lower end. The step
+    # count is fixed, so that a point's peak does not depend on the batch.
+    slope_weights = sign * b * np.array([[1.0 / (alpha - 1.0)], [-ex], [1.0]])
+    bracketed = rise_lo < 0.0
+    step = rise_lo * (hi - lo) / np.where(bracketed, rise_hi - rise_lo, 1.0)
+    log_peak = np.where(bracketed, lo - step, lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            u = np.exp(log_peak)
+            x = a + b * u
+            rise = sign * _zolotarev_log_g(x, log_scale, alpha)
+            weighted = slope_weights / np.tan(x)
+            slope = u * (weighted[0] + weighted[1] + weighted[2])
+            up = rise >= 0.0
+            lo, hi = np.where(up, lo, log_peak), np.where(up, log_peak, hi)
+            newton = log_peak - rise / slope
+            log_peak = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+    peak = np.exp(log_peak)
+    x = a + b * peak
+    cot_peak = 1.0 / np.tan(x)
+    log_g_peak = _zolotarev_log_g(x, log_scale, alpha)
     # the level cuts below need the peak to within a fraction of its width
-    missed = (rise_lo < 0.0) & (np.abs(rise_mid) > 0.1)
+    missed = bracketed & (np.abs(log_g_peak) > 0.1)
     if missed.any():
         raise QuadratureError(
             f"Zolotarev integral at y={y[np.argmax(missed)]}: log g is "
-            f"{rise_mid[np.argmax(missed)]:.3g} at the peak found"
+            f"{log_g_peak[np.argmax(missed)]:.3g} at the peak found"
         )
-    peak = np.exp(mid)
-    # where log g crosses _PEAK_LEVELS, by the slope, within [u*/2, 2u*]
+    # the slope at the peak: log g moves by 1 over 1/slope in log u, which
+    # near s = 1/2 is far below the multiples' spacing. A slope under 1 puts
+    # every level past the clip, so it is raised to 1.
+    weighted = slope_weights * cot_peak
+    slope = np.fmax(peak * (weighted[0] + weighted[1] + weighted[2]), 1.0)
+    # the breakpoints: multiples of u*, where log g crosses _PEAK_LEVELS, by
+    # the slope, within [u*/2, 2u*], and the far-end cuts, all within
+    # [0, pi/2] and sorted
     shift = (sign / slope)[:, None] * _PEAK_LEVELS
     levels = np.exp(np.clip(shift, -math.log(2.0), math.log(2.0)))
-    near = peak[:, None] * np.column_stack((np.tile(_PEAK_MULTIPLES, (y.size, 1)), levels))
     far = np.where(falls[:, None], half_pi - half_pi * _FAR_END_FRACTIONS, half_pi)
-    edges = np.column_stack(
-        (np.zeros(y.size), np.minimum(near, half_pi), far, np.full(y.size, half_pi))
+    edges = np.concatenate(
+        (np.zeros((y.size, 1)), peak[:, None] * _PEAK_MULTIPLES, peak[:, None] * levels,
+         far, np.full((y.size, 1), half_pi)),
+        axis=1,
     )
+    np.minimum(edges, half_pi, out=edges)
     edges.sort(axis=1)
 
     # the quadrature runs over d = u - u*, so that the nodes near the peak
@@ -379,13 +453,12 @@ def _zolotarev(s: float, y: np.ndarray, density: bool) -> np.ndarray:
     # from sin(x* + b d) / sin(x*) = 1 + cot(x*) sin(b d) - 2 sin(b d / 2)^2,
     # as log g itself carries the rounding of its logarithms times 1/|2s - 1|
     edges -= peak[:, None]
-    cot_peak = 1.0 / np.tan(a + b * peak[:, None])
-    log_g_peak = log_g(peak, a, b, log_scale)
 
     def log_g_near(d, rows):
-        bd = b[rows] * d[..., None]
-        ratio = np.log1p(cot_peak[rows] * np.sin(bd) - 2.0 * np.sin(0.5 * bd) ** 2)
-        return log_g_peak[rows] + ratio[..., 0] / (alpha - 1.0) - ex * ratio[..., 1] + ratio[..., 2]
+        bd = b[:, rows] * d
+        sines = np.sin(bd * _HALVES)
+        ratio = np.log1p(cot_peak[:, rows] * sines[0] - 2.0 * sines[1] ** 2)
+        return log_g_peak[rows] + ratio[0] / (alpha - 1.0) - ex * ratio[1] + ratio[2]
 
     def integrand(d, owner):
         # a panel wholly within u*/2 of the peak takes the offset form
@@ -394,7 +467,8 @@ def _zolotarev(s: float, y: np.ndarray, density: bool) -> np.ndarray:
         log_gu = np.empty(d.shape)
         i, j = owner[near, None], owner[~near, None]
         log_gu[near] = log_g_near(d[near], i)
-        log_gu[~near] = log_g(peak[j] + d[~near], a[j], b[j], log_scale[j])
+        x = a[:, j] + b[:, j] * (peak[j] + d[~near])
+        log_gu[~near] = _zolotarev_log_g(x, log_scale[j], alpha)
         # e^700 is finite, and e^-g is 0 well before g reaches it
         log_gu = np.minimum(log_gu, 700.0)
         g = np.exp(log_gu)

@@ -9,7 +9,7 @@ from scipy import special
 from scipy.integrate import quad
 
 import flatdiff as fd
-from flatdiff import reference
+from flatdiff import quadrature, reference
 from flatdiff.reference import _bergstrom, _taylor, _zolotarev
 
 
@@ -364,6 +364,130 @@ def test_zolotarev_route_matches_a_30_digit_quadrature(s):
         for y, value in zip(points, _zolotarev(s, points, density)):
             exact = zolotarev_reference(s, y, density)
             assert abs(value - exact) <= 1e-12 * abs(exact), (y, density)
+
+
+def zolotarev_peaks(monkeypatch, s, y, density):
+    """The peaks ``u*`` the Zolotarev route finds at the points ``y``: its
+    quadrature runs over ``u - u*`` from ``u = 0``, so each row of the
+    breakpoints starts at ``-u*``."""
+    peaks = []
+    integrate = reference.integrate_panels
+
+    def spy(f, edges, *args, **kwargs):
+        peaks.append(-edges[:, 0])
+        return integrate(f, edges, *args, **kwargs)
+
+    monkeypatch.setattr(reference, "integrate_panels", spy)
+    _zolotarev(s, y, density)
+    return peaks[0]
+
+
+def log_g_at_30_digits(s, y, u):
+    """``log g`` at the distance ``u`` from the nearer end, in 30-digit
+    ``mpmath`` arithmetic. The peak lies past pi/4, so that the nearer end
+    is pi/2, when ``g(pi/4)`` is on the side of 1 that ``theta = 0`` is on:
+    below 1 for ``2s < 1``, where ``g`` rises with ``theta``, else above."""
+    with mpmath.workdps(30):
+        alpha = 2 * mpmath.mpf(s)
+        ex = alpha / (alpha - 1)
+
+        def log_g(theta):
+            return (
+                ex * mpmath.log(y)
+                + mpmath.log(mpmath.cos(theta)) / (alpha - 1)
+                - ex * mpmath.log(mpmath.sin(alpha * theta))
+                + mpmath.log(mpmath.cos((alpha - 1) * theta))
+            )
+
+        flip = (log_g(mpmath.pi / 4) < 0) == (alpha < 1)
+        return log_g(mpmath.pi / 2 - mpmath.mpf(u) if flip else mpmath.mpf(u))
+
+
+# about 10x the largest |log g(u*)| measured at each order; near s = 1/2
+# the slope of log g in log u is about 1/|2s - 1|, so one rounding of u*
+# moves log g by about eps / |2s - 1|
+PEAK_LOG_G_BOUND = {
+    0.3: 8e-15, 0.45: 2e-14, 0.5 - 1e-7: 2e-9, 0.5 + 1e-12: 2e-3,
+    0.6: 2e-14, 0.75: 4e-15, 0.9: 8e-15, 0.99: 2e-14,
+}
+
+
+@pytest.mark.parametrize("s", list(PEAK_LOG_G_BOUND))
+def test_zolotarev_peak_search_finds_the_30_digit_root(s, monkeypatch):
+    # the points of the 30-digit quadrature test, at more orders
+    grid = np.geomspace(1e-3, 30.0, 400)
+    for density in (False, True):
+        core = grid[~(_bergstrom(s, grid, density)[1] | _taylor(s, grid, density)[1])]
+        points = core[[0, core.size // 2, -1]]
+        peaks = zolotarev_peaks(monkeypatch, s, points, density)
+        for y, u in zip(points, peaks):
+            assert 0.0 < u <= 0.25 * math.pi, (y, density)
+            log_g = log_g_at_30_digits(s, y, u)
+            assert abs(log_g) <= PEAK_LOG_G_BOUND[s], (y, density, float(log_g))
+
+
+def test_zolotarev_route_raises_where_the_peak_is_missed(monkeypatch):
+    # a table of the section shifted by 1 puts each bracket below the peak;
+    # the Newton steps stay within the bracket, so the peak found misses
+    # g = 1, and the point raises instead of taking a misplaced layout
+    section = reference._zolotarev_section
+
+    def shifted(s):
+        phase_a, phase_b, rise = section(s)
+        return phase_a, phase_b, rise + 1.0
+
+    monkeypatch.setattr(reference, "_zolotarev_section", shifted)
+    with pytest.raises(
+        fd.QuadratureError, match=r"y=1\.5: log g is -0\.825 at the peak found"
+    ):
+        _zolotarev(0.75, np.array([1.5]), True)
+
+
+def tail_workload_core(monkeypatch):
+    """The points that the oracle call of the ``tail`` benchmark workload
+    (s = 0.75, t = 1, every sixth node of ``Grid(-50, 350, 8001)`` inside
+    ``(-20, 100)``) sends to the Zolotarev route."""
+    x = fd.Grid(-50.0, 350.0, 8001).points()
+    x = x[(x > -20.0) & (x < 100.0)][::6]
+    seen = []
+    route = reference._zolotarev
+
+    def spy(s, y, density):
+        seen.append(y.copy())
+        return route(s, y, density)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reference, "_zolotarev", spy)
+        fd.reference_solution(0.75, 1.0, 0.0, 1.0, x)
+    assert x.size == 400 and len(seen) == 1
+    return seen[0]
+
+
+def test_tail_workload_core_converges_in_one_pass(monkeypatch):
+    # the breakpoints at 3, 4.5 and 6.5 u* close every row in the first
+    # pass; without them the panel from 2 u* to 10 u* is split twice
+    y = tail_workload_core(monkeypatch)
+    assert y.size == 20
+    passes = []
+    rule = quadrature._kronrod21
+
+    def spy(f, a, b, owner):
+        passes.append(a.size)
+        return rule(f, a, b, owner)
+
+    monkeypatch.setattr(quadrature, "_kronrod21", spy)
+    _zolotarev(0.75, y, False)
+    assert len(passes) == 1
+
+
+def test_tail_workload_core_points_keep_their_bits_alone(monkeypatch):
+    # each point's peak search and panels are its own, so the batch of the
+    # production call gives the bits of one point at a time
+    y = tail_workload_core(monkeypatch)
+    for density in (False, True):
+        batch = _zolotarev(0.75, y, density)
+        alone = [_zolotarev(0.75, y[i : i + 1], density)[0] for i in range(y.size)]
+        assert np.array_equal(batch, alone), density
 
 
 # -- series routes against term-by-term loops ---------------------------------

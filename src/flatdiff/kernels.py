@@ -105,20 +105,39 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if not self.s > 0:
-            raise ValueError("tail order s must be positive")
-        if not self.amplitude >= 0:
-            raise ValueError("tail amplitude must be nonnegative")
-        if not self.declared_j0 > 0:
-            raise ValueError("declared envelope constant must be positive")
-        if not self.declared_j1 > 0:
-            raise ValueError("declared near-field moment bound must be positive")
-        if not self.declared_r0 > 1:
-            raise ValueError("declared lower-envelope onset radius must exceed 1")
+        # chained comparisons, so that NaN fails as well as the infinities
+        if not 0 < self.s < math.inf:
+            raise ValueError(f"tail order s must be positive and finite, got {self.s}")
+        if not 0 <= self.amplitude < math.inf:
+            raise ValueError(
+                f"tail amplitude must be nonnegative and finite, got {self.amplitude}"
+            )
+        if not 0 < self.declared_j0 < math.inf:
+            raise ValueError(
+                f"declared envelope constant declared_j0 must be positive and finite, "
+                f"got {self.declared_j0}"
+            )
+        if not 0 < self.declared_j1 < math.inf:
+            raise ValueError(
+                f"declared near-field moment bound declared_j1 must be positive and "
+                f"finite, got {self.declared_j1}"
+            )
+        if not 1 < self.declared_r0 < math.inf:
+            raise ValueError(
+                f"declared lower-envelope onset radius declared_r0 must exceed 1 and be "
+                f"finite, got {self.declared_r0}"
+            )
+        if not 0 <= self.near_scale < math.inf:
+            raise ValueError(
+                f"near-field scale near_scale must be nonnegative and finite, "
+                f"got {self.near_scale}"
+            )
         lo, hi, slope = 0.0, math.inf, None
         if self.family == "truncated_fractional":
-            if self.cutoff is None or not self.cutoff > 0:
-                raise ValueError("truncated family requires a positive cutoff")
+            if self.cutoff is None or not 0 < self.cutoff < math.inf:
+                raise ValueError(
+                    f"truncated family requires a positive finite cutoff, got {self.cutoff}"
+                )
             hi = float(self.cutoff)
         elif self.cutoff is not None:
             raise ValueError(f"family {self.family} takes no cutoff")
@@ -128,8 +147,6 @@ class KernelSpec:
                     f"near profile must be one of {tuple(_NEAR_SLOPES)}, "
                     f"got {self.near_profile!r}"
                 )
-            if not self.near_scale >= 0:
-                raise ValueError("near-field scale must be nonnegative")
             lo, slope = 1.0, _NEAR_SLOPES[self.near_profile]
         elif self.near_profile is not None or self.near_scale != 1.0:
             raise ValueError(f"family {self.family} takes no near profile")

@@ -15,17 +15,19 @@ The standardized kernel ``p(1, y)`` and its upper tail mass
   from y = 1e-12 down);
 * in the rest of the core, Zolotarev's integral over ``theta`` in
   ``(0, pi/2)`` (Zolotarev 1986; Nolan 1997), whose integrand is smooth and
-  not oscillatory: :func:`_zolotarev` takes all of the call's core points
-  in one batch, finds each one's peak by a sorted search of a log-spaced
+  not oscillatory: :func:`_zolotarev` takes the core points it is given in
+  one batch, finds each one's peak by a sorted search of a log-spaced
   section and a fixed number of Newton steps, and splits it there for one
   call of the vectorized Gauss-Kronrod rule
   :func:`~flatdiff.quadrature.integrate_panels`.
 
 A point takes a series when its smallest term plus the rounding of the
 summed terms, ``smallest + eps * sum|terms|``, is at most
-``SERIES_REL_TOL`` times the value. Both series form every term of up to
-``SERIES_BLOCK`` points at once, as a (term x point) array, and add the
-terms row by row, so each point gets the bits of a loop over its terms.
+``SERIES_REL_TOL`` times the value. Both series form every term of their
+points at once, as a (term x point) array, and add the terms row by row,
+so each point gets the bits of a loop over its terms. The router alone
+blocks: every route gets at most ``SERIES_BLOCK`` (512) of a call's sorted
+distinct ``|y|`` at once, so memory does not grow with the call.
 The Bergström switch-on point depends on s (about 1.1 at s = 0.45, 6.1 at
 s = 0.75 and 9.8 at s = 0.9); the Taylor series holds the density up to
 about 0.42, 1.6 and 1.8 there, and the tail mass up to about 0.45, 2.5 and
@@ -35,7 +37,7 @@ distinct ``|y|`` of a call goes through the routes once; the values are
 scattered back to the points, and ``S(-y) = 1 - S(y)`` is applied after
 that. A scalar and an array take the same route per point, and a point's
 series terms and quadrature panels are summed apart from the other
-points', so they give the same bits.
+points', so they give the same bits in any slice.
 
 Convolving the kernel against a plateau datum a * 1_{x <= b} yields the
 reference solution used to cross-validate the grid solver, and
@@ -66,8 +68,8 @@ __all__ = [
 # error a point must reach to take a series instead of quadrature
 SERIES_TERMS = 60
 SERIES_REL_TOL = 1e-14
-# the series form all terms of this many points at once, so that a call
-# holds O(SERIES_TERMS * SERIES_BLOCK) floats whatever its size
+# the router hands all three routes at most this many distinct |y| at once,
+# so that a call holds O(SERIES_TERMS * SERIES_BLOCK) floats whatever its size
 SERIES_BLOCK = 512
 # Zolotarev's integral: the relative tolerance of its quadrature; its
 # breakpoints, as multiples of the distance u* from the peak to the nearer
@@ -172,30 +174,25 @@ def _bergstrom(s: float, y: np.ndarray, density: bool) -> tuple[np.ndarray, np.n
     point adds its terms up to, not including, its smallest one (k <=
     SERIES_TERMS). A term's size leaves the sine out: the sine vanishes at
     some k (every even k at s = 1/2) and would fake a small term. Returns
-    the sums and the accept mask of the module docstring. All terms of up
-    to SERIES_BLOCK points are formed at once, so memory stays
-    O(SERIES_TERMS * SERIES_BLOCK); the powers ``z^k`` are running
-    products, as a loop of ``power *= z`` would form them.
+    the sums and the accept mask of the module docstring. All terms of the
+    slice are formed at once; the powers ``z^k`` are running products, as
+    a loop of ``power *= z`` would form them.
     """
     alpha = 2.0 * s
     shift = 1.0 if density else 0.0
     coef, sines = _bergstrom_coefficients(alpha, shift)
-    total = np.empty(y.shape)
-    accepted = np.empty(y.shape, dtype=bool)
-    for start in range(0, y.size, SERIES_BLOCK):
-        part = slice(start, start + SERIES_BLOCK)
-        # y^(-alpha k) may overflow for y < 1; sizes there only grow, so
-        # such a point stops at once
-        with np.errstate(over="ignore"):
-            z = y[part] ** -alpha
-            sizes = np.empty((SERIES_TERMS, z.size))
-            sizes[0] = z
-            for k in range(1, SERIES_TERMS):
-                np.multiply(sizes[k - 1], z, out=sizes[k])
-            sizes *= coef[:, None]
-            terms = sines[:, None] * sizes
-        total[part], spread, size = _sum_to_smallest(sizes, terms)
-        accepted[part] = size + np.finfo(float).eps * spread <= SERIES_REL_TOL * np.abs(total[part])
+    # y^(-alpha k) may overflow for y < 1; sizes there only grow, so such a
+    # point stops at once
+    with np.errstate(over="ignore"):
+        z = y ** -alpha
+        sizes = np.empty((SERIES_TERMS, z.size))
+        sizes[0] = z
+        for k in range(1, SERIES_TERMS):
+            np.multiply(sizes[k - 1], z, out=sizes[k])
+        sizes *= coef[:, None]
+        terms = sines[:, None] * sizes
+    total, spread, size = _sum_to_smallest(sizes, terms)
+    accepted = size + np.finfo(float).eps * spread <= SERIES_REL_TOL * np.abs(total)
     if density:
         total /= y
     return total / math.pi, accepted
@@ -211,8 +208,7 @@ def _taylor(s: float, y: np.ndarray, density: bool) -> tuple[np.ndarray, np.ndar
     as in :func:`_bergstrom`, with the same accept rule, measured against
     ``|S|`` so that cancellation in ``1/2 - sum`` rejects a point. At
     ``y = 0`` only the first term is left. Sizes are formed from
-    ``lgamma``, so a large ``Gamma`` cannot overflow a float. Blocks of
-    points as in :func:`_bergstrom`.
+    ``lgamma``, so a large ``Gamma`` cannot overflow a float.
     """
     alpha = 2.0 * s
     shift = 0 if density else 1
@@ -222,20 +218,12 @@ def _taylor(s: float, y: np.ndarray, density: bool) -> tuple[np.ndarray, np.ndar
     signs = np.where(np.arange(SERIES_TERMS + 1) % 2, -1.0, 1.0)[:, None]
     with np.errstate(divide="ignore"):
         log_y = np.log(y)
-    total = np.empty(y.shape)
-    spread = np.empty(y.shape)
-    size = np.empty(y.shape)
-    for start in range(0, y.size, SERIES_BLOCK):
-        part = slice(start, start + SERIES_BLOCK)
-        sizes = np.empty((SERIES_TERMS + 1, log_y[part].size))
-        if density:
-            sizes[0] = math.exp(log_coef[0])
-        with np.errstate(over="ignore"):
-            np.exp(
-                log_coef[first:, None] + exponents[first:, None] * log_y[part],
-                out=sizes[first:],
-            )
-        total[part], spread[part], size[part] = _sum_to_smallest(sizes, signs * sizes)
+    sizes = np.empty((SERIES_TERMS + 1, y.size))
+    if density:
+        sizes[0] = math.exp(log_coef[0])
+    with np.errstate(over="ignore"):
+        np.exp(log_coef[first:, None] + exponents[first:, None] * log_y, out=sizes[first:])
+    total, spread, size = _sum_to_smallest(sizes, signs * sizes)
     scale = math.pi * alpha
     value = total / scale if density else 0.5 - total / scale
     error = (size + np.finfo(float).eps * spread) / scale
@@ -246,10 +234,11 @@ def _standardized(s: float, y: np.ndarray, density: bool) -> np.ndarray:
     """``p(1, y)`` or ``S(y)`` at every point of ``y``: the one router.
 
     The closed forms take s = 1/2 and s = 1. Otherwise each distinct
-    ``|y|`` goes through the routes once: the Bergström series where it is
-    accepted, then the Taylor series where that is accepted,
-    :func:`_zolotarev` elsewhere. The values are scattered back to the
-    points, and ``S(-y) = 1 - S(y)`` is applied once, after that.
+    ``|y|`` goes through the routes once, in sorted slices of
+    ``SERIES_BLOCK``: the Bergström series where it is accepted, then the
+    Taylor series where that is accepted, :func:`_zolotarev` elsewhere.
+    The values are scattered back to the points, and ``S(-y) = 1 - S(y)``
+    is applied once, after that.
     """
     if s == 0.5:
         if density:
@@ -262,16 +251,19 @@ def _standardized(s: float, y: np.ndarray, density: bool) -> np.ndarray:
     flat = y.ravel()
     mag, inverse = np.unique(np.abs(flat), return_inverse=True)
     out = np.empty(mag.shape)
-    far = mag > 0.0
-    series, accepted = _bergstrom(s, mag[far], density)
-    far[far] = accepted
-    out[far] = series[accepted]
-    rest = np.flatnonzero(~far)
-    series, accepted = _taylor(s, mag[rest], density)
-    out[rest[accepted]] = series[accepted]
-    rest = rest[~accepted]
-    if rest.size:
-        out[rest] = _zolotarev(s, mag[rest], density)
+    for start in range(0, mag.size, SERIES_BLOCK):
+        part = mag[start : start + SERIES_BLOCK]
+        value = out[start : start + SERIES_BLOCK]
+        far = part > 0.0
+        series, accepted = _bergstrom(s, part[far], density)
+        far[far] = accepted
+        value[far] = series[accepted]
+        rest = np.flatnonzero(~far)
+        series, accepted = _taylor(s, part[rest], density)
+        value[rest[accepted]] = series[accepted]
+        rest = rest[~accepted]
+        if rest.size:
+            value[rest] = _zolotarev(s, part[rest], density)
     out = out[inverse]
     if not density:
         out = np.where(flat < 0.0, 1.0 - out, out)
@@ -328,7 +320,7 @@ def _zolotarev_section(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _zolotarev(s: float, y: np.ndarray, density: bool) -> np.ndarray:
     """``p(1, y)`` or ``S(y)`` at the points ``y > 0`` for ``s != 1/2``, by
-    Zolotarev's integral over a finite interval, all points in one batch.
+    Zolotarev's integral over a finite interval, the slice in one batch.
 
     With alpha = 2s and ``ex = alpha / (alpha - 1)``, let ``g = y^ex V(theta)``
     on ``(0, pi/2)``, where ``log V = log(cos theta) / (alpha - 1)
@@ -488,15 +480,22 @@ def _zolotarev(s: float, y: np.ndarray, density: bool) -> np.ndarray:
 
 def _rescaled(s: float, t: float, x, density: bool):
     """``p(t, x)``, or ``S(t^(-1/(2s)) x)``, through the self-similar map to
-    t = 1. A scalar gives a float, an array an array of the same shape."""
+    t = 1. A scalar gives a float, an array an array of the same shape.
+
+    A non-finite ``t`` and a NaN ``x`` raise at every order, before any
+    route; ``x = +-inf`` takes the limits."""
     _check_order(s)
-    if t <= 0:
-        raise ValueError("reference oracles require t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"reference oracles require a finite t > 0, got t = {t}")
+    x = np.asarray(x, dtype=float)
+    # NaN survives a minimum, so one pass finds any
+    if math.isnan(np.minimum.reduce(x, axis=None, initial=0.0)):
+        raise ValueError("reference oracles take no NaN x")
     scale = t ** (-1.0 / (2.0 * s))
-    out = _standardized(s, scale * np.asarray(x, dtype=float), density)
+    out = _standardized(s, scale * x, density)
     if density:
         out = scale * out
-    return float(out) if np.ndim(x) == 0 else out
+    return float(out) if x.ndim == 0 else out
 
 
 def fractional_heat_kernel(s: float, t: float, x):
@@ -516,6 +515,8 @@ def reference_solution(s: float, a: float, b: float, t: float, x):
     equal to a/2 at x = b, with limits a and 0 at the two infinities.
     Accepts scalar or array x.
     """
-    if a < 0:
-        raise ValueError("plateau height must be nonnegative")
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"plateau height must be finite and nonnegative, got a = {a}")
+    if not math.isfinite(b):
+        raise ValueError(f"plateau edge must be finite, got b = {b}")
     return a * _rescaled(s, t, np.asarray(x, dtype=float) - b, density=False)

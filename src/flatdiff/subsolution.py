@@ -180,12 +180,34 @@ def w_eval(params: SubsolutionParams, t: float, x) -> np.ndarray | float:
 
 
 def w_time_derivative(params: SubsolutionParams, t: float, x: float) -> float:
-    """Exact ``d_t w``: ``kappa x^(2s) / (x^(2s) + 2 kappa t)^2`` for x > 0."""
+    """Exact ``d_t w``: ``kappa x^(2s) / (x^(2s) + 2 kappa t)^2`` for x > 0.
+
+    Finite at every finite ``x``, and 0.0 at ``x = +inf``, as ``w_eval``.
+    A numpy scalar ``x`` is taken as a float, whose ``**`` raises on
+    overflow where numpy's would warn.
+    """
     _check_time(t)
+    x = float(x)
     if x <= 0:
         return 0.0
-    xs = x ** (2.0 * params.spec.s)
-    return params.kappa * xs / (xs + 2.0 * params.kappa * t) ** 2
+    a, k2 = 2.0 * params.spec.s, 2.0 * params.kappa * t
+    if x < math.inf:
+        try:
+            xs = x**a
+            return params.kappa * xs / (xs + k2) ** 2
+        except OverflowError:
+            pass
+    # float ** overflowed: x^(2s), or the square of g = x^(2s) + 2 kappa t
+    # (past x = 1.3e154 at s = 1/2). kappa (p / g) / g with p = x^(2s) <= 1,
+    # or with everything divided by x^(2s) >= 1, takes no square and no
+    # power above 1
+    if x >= 1.0:
+        p = x**-a
+        g = 1.0 + k2 * p
+    else:
+        p = x**a
+        g = p + k2
+    return params.kappa * (p / g) / g
 
 
 def _increment(a: float, x, xa, g, k2, c, z, y):
@@ -297,6 +319,9 @@ def _apply_to_barrier(
     Rows are summed apart from each other, so a sample gets the same bits in
     any batch (``test_panels_a_batch_changes_no_rows_bits`` pins this).
     """
+    # a NaN tolerance fails both comparisons; it would give NaN budgets
+    if not 0.0 < quad_tol < 1.0:
+        raise ValueError(f"quad_tol must lie in (0, 1), got {quad_tol}")
     p = np.abs(x)
     # every t and |x| in (0, inf); NaN fails both comparisons, in a
     # reduction as well

@@ -533,6 +533,22 @@ def test_verify_subsolution_steep_fractional_laplacian(tmp_path, fractional_lapl
     assert len(rep["details"]["samples"]) == 9
 
 
+@pytest.mark.parametrize("quad_tol", [0.0, -1.0, 1.0])
+def test_verify_subsolution_quad_tol_outside_the_unit_interval_exits_2(
+    tmp_path, caplog, quad_tol
+):
+    # 0 and -1 ran the rows to the panel cap and exited 3, "internal error"
+    cfg = write_config(
+        tmp_path,
+        kernel=UNIT_KERNEL,
+        checks={"subsolution": {"c": 2.0, "nt": 2, "nx": 2, "x_max": 200.0,
+                                "quad_tol": quad_tol}},
+    )
+    out = tmp_path / "sub"
+    assert main(["verify-subsolution", "--config", cfg, "--out", str(out)]) == 2
+    assert "quad_tol must lie in (0, 1)" in caplog.text
+
+
 def test_verify_subsolution_window_below_onset_exits_2(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -459,6 +459,34 @@ def test_spec_rejects_a_field_of_another_family(family, fields):
         fd.KernelSpec(family, 0.5, 1.0, 1.0, 1.0, 2.0, **fields)
 
 
+SPEC_FIELDS = {
+    "s": ("pure_fractional", "order s"),
+    "amplitude": ("pure_fractional", "amplitude must be nonnegative"),
+    "declared_j0": ("pure_fractional", "declared_j0"),
+    "declared_j1": ("pure_fractional", "declared_j1"),
+    "declared_r0": ("pure_fractional", "declared_r0"),
+    "cutoff": ("truncated_fractional", "cutoff"),
+    "near_scale": ("compact_plus_tail", "near_scale must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", list(SPEC_FIELDS))
+def test_spec_refuses_a_non_finite_field_naming_it(name, value):
+    # a cutoff of inf used to pass validation and discretize as a pure
+    # kernel, while describe() said cutoff=inf
+    family, message = SPEC_FIELDS[name]
+    fields = dict(family=family, s=0.5, amplitude=1.0, declared_j0=1.0, declared_j1=1.0,
+                  declared_r0=2.0)
+    if family == "truncated_fractional":
+        fields["cutoff"] = 5.0
+    if family == "compact_plus_tail":
+        fields["near_profile"] = "flat"
+    fields[name] = value
+    with pytest.raises(ValueError, match=message):
+        fd.KernelSpec(**fields)
+
+
 def test_spec_validation_errors():
     with pytest.raises(ValueError):
         fd.pure_fractional(0.0, 1.0, j0=1.0, j1=1.0, r0=2.0)

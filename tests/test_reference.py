@@ -1,6 +1,7 @@
 """Closed-form, series and Zolotarev-integral oracles for the fractional heat kernel."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -578,37 +579,96 @@ def test_series_routes_keep_the_bits_of_a_term_by_term_loop(s, density, monkeypa
         want_value, want_accepted = by_term(s, points, density)
         assert np.array_equal(value, want_value)
         assert np.array_equal(accepted, want_accepted)
-        # a lone point, and blocks of a few points, give the same bits
+        # a lone point gives the same bits
         for i in (0, 1, 700, points.size - 1):
             lone = route(s, points[i : i + 1], density)
             assert lone[0][0] == value[i] and lone[1][0] == accepted[i]
-        with monkeypatch.context() as patch:
-            patch.setattr(reference, "SERIES_BLOCK", 7)
-            small_blocks = route(s, points[:100], density)
-        assert np.array_equal(small_blocks[0], value[:100])
-        assert np.array_equal(small_blocks[1], accepted[:100])
+    # the routes take whatever they are given; the router blocks, and slices
+    # of a few points give the same bits
+    whole = reference._standardized(s, y[:100], density)
+    with monkeypatch.context() as patch:
+        patch.setattr(reference, "SERIES_BLOCK", 7)
+        small_blocks = reference._standardized(s, y[:100], density)
+    assert np.array_equal(small_blocks, whole)
+
+
+def spy_on_routes(monkeypatch):
+    """Patch the three routes to record the points of every call."""
+    seen = {"_bergstrom": [], "_taylor": [], "_zolotarev": []}
+    for name, calls in seen.items():
+        route = getattr(reference, name)
+
+        def spy(s, y, density, route=route, calls=calls):
+            calls.append(y.copy())
+            return route(s, y, density)
+
+        monkeypatch.setattr(reference, name, spy)
+    return seen
+
+
+def largest_call(seen):
+    return max(y.size for calls in seen.values() for y in calls)
 
 
 def test_router_takes_each_distinct_magnitude_once(monkeypatch):
     # at s = 0.9, 4 takes the integral and 40 the Bergström series; the
     # router sends each |y| once and reflects the tail mass afterwards
-    seen = {}
-    for name in ("_bergstrom", "_taylor", "_zolotarev"):
-        route = getattr(reference, name)
-
-        def spy(s, y, density, route=route, name=name):
-            seen[name] = y.copy()
-            return route(s, y, density)
-
-        monkeypatch.setattr(reference, name, spy)
+    seen = spy_on_routes(monkeypatch)
     x = np.array([[4.0, -4.0, 40.0], [-40.0, 4.0, -4.0]])
     tail = fd.reference_solution(0.9, 1.0, 0.0, 1.0, x)
-    assert np.array_equal(seen["_bergstrom"], [4.0, 40.0])
-    assert np.array_equal(seen["_taylor"], [4.0])
-    assert np.array_equal(seen["_zolotarev"], [4.0])
+    assert [y.tolist() for y in seen["_bergstrom"]] == [[4.0, 40.0]]
+    assert [y.tolist() for y in seen["_taylor"]] == [[4.0]]
+    assert [y.tolist() for y in seen["_zolotarev"]] == [[4.0]]
     assert tail[0, 0] == tail[1, 1] == fd.reference_solution(0.9, 1.0, 0.0, 1.0, 4.0)
     assert tail[0, 1] == tail[1, 2] == 1.0 - tail[0, 0]
     assert tail[1, 0] == 1.0 - tail[0, 2]
+
+
+# the origin, Taylor points, core points and far points, mirrored: 63
+# distinct |y|, nine slices of 7, with core points in two slices or more
+SLICED_Y = np.unique(np.concatenate((np.geomspace(1e-3, 60.0, 31), np.linspace(0.5, 12.0, 31))))
+SLICED = np.concatenate((SLICED_Y, [0.0], -SLICED_Y))
+
+
+@pytest.mark.parametrize("s", [0.3, 0.75, 0.9])
+@pytest.mark.parametrize("density", [False, True])
+def test_router_slices_keep_the_bits_of_one_call(s, density, monkeypatch):
+    oracle = (
+        (lambda x: fd.fractional_heat_kernel(s, 1.0, x)) if density
+        else (lambda x: fd.reference_solution(s, 1.0, 0.0, 1.0, x))
+    )
+    whole = oracle(SLICED)
+    with monkeypatch.context() as patch:
+        patch.setattr(reference, "SERIES_BLOCK", 7)
+        seen = spy_on_routes(patch)
+        sliced = oracle(SLICED)
+    assert np.array_equal(sliced, whole)
+    assert len(seen["_bergstrom"]) == 9
+    assert len(seen["_zolotarev"]) >= 2
+    assert largest_call(seen) <= 7
+
+
+def test_no_route_sees_more_than_a_slice(monkeypatch):
+    # 1 301 distinct |y|, three slices of 512, over 512 of them core points
+    seen = spy_on_routes(monkeypatch)
+    y = np.linspace(0.0, 5.2, 1301)
+    fd.reference_solution(0.75, 1.0, 0.0, 1.0, np.concatenate((-y, y)))
+    assert len(seen["_bergstrom"]) == 3
+    assert largest_call(seen) <= reference.SERIES_BLOCK
+    assert sum(z.size for z in seen["_zolotarev"]) > reference.SERIES_BLOCK
+
+
+def test_zolotarev_core_call_holds_one_slice():
+    # every point takes the integral at s = 0.75 from y = 2.6 to 6; in one
+    # batch the 8 000 points peaked at 173 MB traced
+    x = np.linspace(2.6, 6.0, 8000)
+    tracemalloc.start()
+    try:
+        fd.reference_solution(0.75, 1.0, 0.0, 1.0, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
 
 
 # -- plateau reference solution ----------------------------------------------
@@ -668,6 +728,33 @@ def test_reference_solution_validation():
         fd.reference_solution(0.5, -1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         fd.reference_solution(1.2, 1.0, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.75, 1.0])
+def test_degenerate_oracle_inputs_raise_at_every_order(s):
+    # a NaN t gave NaN at s = 1/2 and QuadratureError at s = 0.75, and
+    # t = inf gave 0.0; a NaN x or b gave NaN or QuadratureError
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite t > 0"):
+            fd.fractional_heat_kernel(s, t, 1.0)
+        with pytest.raises(ValueError, match="finite t > 0"):
+            fd.reference_solution(s, 1.0, 0.0, t, 1.0)
+    for x in (math.nan, np.array([1.0, math.nan, -2.0]), np.array([[math.nan]])):
+        with pytest.raises(ValueError, match="no NaN x"):
+            fd.fractional_heat_kernel(s, 1.0, x)
+        with pytest.raises(ValueError, match="no NaN x"):
+            fd.reference_solution(s, 1.0, 0.0, 1.0, x)
+    for a in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="plateau height must be finite"):
+            fd.reference_solution(s, a, 0.0, 1.0, 1.0)
+    for b in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="plateau edge must be finite"):
+            fd.reference_solution(s, 1.0, b, 1.0, 1.0)
+    # the infinities keep their limits
+    x = np.array([-math.inf, math.inf])
+    assert np.array_equal(fd.fractional_heat_kernel(s, 1.0, x), [0.0, 0.0])
+    assert np.array_equal(fd.reference_solution(s, 2.0, 0.5, 1.0, x), [2.0, 0.0])
+    assert fd.reference_solution(s, 2.0, 0.5, 1.0, math.inf) == 0.0
 
 
 # -- algebraic tails ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Barrier profile, its constants, and the quadrature residual certificate."""
 
 import itertools
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -176,6 +177,35 @@ def test_time_derivative_values(unit_params):
     assert fd.w_time_derivative(p, 1.0, 2.0) == pytest.approx(0.08, rel=1e-14)
     # zero-time limit is kappa / x^(2s)
     assert fd.w_time_derivative(p, 1e-12, 2.0) == pytest.approx(0.125, rel=1e-9)
+
+
+@pytest.mark.parametrize("s", [0.5, 0.75, 1.0])
+def test_time_derivative_is_finite_at_every_finite_x(s):
+    # float ** raised OverflowError once (x^(2s) + 2 kappa t)^2 passed the
+    # largest float, past x = 1.3e154 at s = 1/2, and x = +inf gave NaN
+    p = fd.SubsolutionParams(fd.pure_fractional(s, 1.0, j0=1.0, j1=1.0, r0=2.0), c=2.0)
+    kappa, t, a = p.kappa, 8.0, 2.0 * s
+    x = np.geomspace(1e-3, 1.7e308, 2000)
+    values = np.array([fd.w_time_derivative(p, t, xi) for xi in x])
+    assert np.isfinite(values).all()
+    assert np.all(np.diff(values[x > 1e3]) <= 0.0)
+    assert fd.w_time_derivative(p, t, math.inf) == 0.0
+    # every value the plain expression gets finite keeps its bits, and the
+    # far form takes over with no step: kappa / x^(2s) to rounding there
+    kept = 0
+    for xi, value in zip(x.tolist(), values.tolist()):
+        try:
+            xs = xi**a
+            plain = kappa * xs / (xs + 2.0 * kappa * t) ** 2
+        except OverflowError:
+            assert value == pytest.approx(kappa * xi**-a, rel=1e-15, abs=1e-320)
+        else:
+            assert value == plain
+            kept += 1
+    assert 0 < kept < x.size
+    # a vast t squares past the largest float at small x as well
+    for xi in (1e-200, 0.5, 2.0):
+        assert 0.0 <= fd.w_time_derivative(p, 1e300, xi) < math.inf
 
 
 def test_time_derivative_matches_finite_difference(unit_params):
@@ -569,6 +599,28 @@ def test_non_finite_time_or_position_raises_value_error(
     # value is 1/2, so D w and the residual would read 0
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE_CALLS[call](unit_spec, unit_params, value)
+
+
+QUAD_TOL_CALLS = {
+    "apply": lambda spec, p, tol: fd.nonlocal_apply_to_barrier(spec, p, 8.0, 30.0, tol),
+    "certificate": lambda spec, p, tol: fd.residual_certificate(spec, p, 8.0, 30.0, tol),
+    "grid": lambda spec, p, tol: fd.residual_grid(spec, p, nt=2, nx=2, quad_tol=tol),
+}
+
+
+@pytest.mark.parametrize("quad_tol", [0.0, -1.0, 1.0, float("nan"), float("inf")], ids=str)
+@pytest.mark.parametrize("call", sorted(QUAD_TOL_CALLS))
+def test_quad_tol_outside_the_unit_interval_raises_before_quadrature(
+    unit_spec, unit_params, monkeypatch, call, quad_tol
+):
+    # 0 and -1 ran the rows to the panel cap and raised QuadratureError; a
+    # NaN gave NaN budgets, so every sample failed silently
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(fd.quadrature, "integrate_panels", no_quadrature)
+    with pytest.raises(ValueError, match=r"quad_tol must lie in \(0, 1\)"):
+        QUAD_TOL_CALLS[call](unit_spec, unit_params, quad_tol)
 
 
 def test_barrier_constants_must_be_the_kernels(unit_spec, cauchy_spec, unit_params):
